@@ -489,17 +489,23 @@ def _cmd_radial(config: Config, out):
     fit_payload = None
     span = (1.0 + result.times.max()) / (1.0 + result.times.min())
     if config.eps > 0.0 and span >= 10.0:
-        fit = radial.fit_growth(result.times, result.radii)
-        target = 1.0 / (3.0 * config.gamma - 1.0)
-        dev = abs(fit.exponent - target)
-        checks.record(
-            "boundary-growth", dev <= 0.05 * target,
-            f"exponent {fit.exponent:.5f} vs {target:.5f} "
-            f"(|dev| {dev:.4f}, budget {0.05 * target:.4f}), "
-            f"stderr {fit.stderr:.1e}")
-        fit_payload = {"exponent": fit.exponent, "stderr": fit.stderr,
-                       "target": target, "window": list(fit.window),
-                       "n_points": fit.n_points}
+        try:
+            fit = radial.fit_growth(result.times, result.radii)
+        except ValueError as exc:
+            # e.g. too few records in the fit window: the check fails, the
+            # run's other results are still written
+            checks.record("boundary-growth", False, f"no fit: {exc}")
+        else:
+            target = 1.0 / (3.0 * config.gamma - 1.0)
+            dev = abs(fit.exponent - target)
+            checks.record(
+                "boundary-growth", dev <= 0.05 * target,
+                f"exponent {fit.exponent:.5f} vs {target:.5f} "
+                f"(|dev| {dev:.4f}, budget {0.05 * target:.4f}), "
+                f"stderr {fit.stderr:.1e}")
+            fit_payload = {"exponent": fit.exponent, "stderr": fit.stderr,
+                           "target": target, "window": list(fit.window),
+                           "n_points": fit.n_points}
     _dump_json({"gamma": config.gamma, "eps": config.eps, "t_end": t_end,
                 "resolution": config.resolution,
                 "truncation": {"m_max": config.m_max,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import open_dest
 from .params import BarenblattConstants
 
 __all__ = [
@@ -667,23 +668,16 @@ def save_field(field, dest) -> None:
         node_major = np.moveaxis(vals, 0, -1)
     n_r, n_mu, n_psi = field.grid.shape
     header = np.array([n_r, n_mu, n_psi, ncomp], dtype="<i4")
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "wb") if own else dest
-    try:
+    with open_dest(dest, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(np.array([_VERSION], dtype="<i4").tobytes())
         fh.write(header.tobytes())
         fh.write(np.ascontiguousarray(node_major, dtype="<f8").tobytes())
-    finally:
-        if own:
-            fh.close()
 
 
 def load_field(src, grid: BallGrid):
     """Load a snapshot written by save_field onto a conforming grid."""
-    own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
-    fh = open(src, "rb") if own else src
-    try:
+    with open_dest(src, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError("not a field snapshot (bad magic)")
@@ -701,9 +695,6 @@ def load_field(src, grid: BallGrid):
         if data.size != count:
             raise ValueError("snapshot truncated")
         node_major = data.reshape(n_r, n_mu, n_psi, ncomp)
-    finally:
-        if own:
-            fh.close()
     if ncomp == 1:
         return ScalarField(grid, node_major[..., 0])
     return VectorField(grid, np.moveaxis(node_major, -1, 0))
@@ -714,9 +705,7 @@ def field_to_csv(field, dest) -> None:
     grid = field.grid
     scalar = isinstance(field, ScalarField)
     cols = "v" if scalar else "v1,v2,v3"
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
+    with open_dest(dest) as fh:
         fh.write(f"i_r,i_mu,i_psi,{cols}\n")
         n_r, n_mu, n_psi = grid.shape
         for ir in range(n_r):
@@ -730,6 +719,3 @@ def field_to_csv(field, dest) -> None:
                             for c in range(3)
                         )
                     fh.write(f"{ir},{im},{ip},{tail}\n")
-    finally:
-        if own:
-            fh.close()

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from ._io import open_dest
 from .geometry import (
+    _EPS,
     REGIME_THRESHOLD,
     BallGrid,
     DeformationState,
@@ -29,10 +31,6 @@ from .geometry import (
     deformation,
     flow_ops,
 )
-
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 
 DECOMPOSITION_TOL = 1e-12
 MARGIN_SLACK = 1e-13
@@ -589,11 +587,6 @@ def zeroth_energy_balance(gamma: float, times, kinetic, potential,
 # report serialization
 
 
-def _open_text(dest):
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    return (open(dest, "w", encoding="utf-8", newline="") if own else dest), own
-
-
 def energy_reports_to_csv(reports, dest) -> None:
     """One CSV row per time sample, columns per scalar functional."""
     reports = list(reports)
@@ -605,16 +598,12 @@ def energy_reports_to_csv(reports, dest) -> None:
     cols = (["t"] + [f"E_{j}" for j in range(j_max + 1)] + ["E_total", "V_add"]
             + [f"scriptV_{k}" for k in range(j_max + 1)]
             + ["M0_integral", "curl_l2"])
-    fh, own = _open_text(dest)
-    try:
+    with open_dest(dest) as fh:
         fh.write(",".join(cols) + "\n")
         for r in reports:
             row = ([r.t] + list(r.E_j) + [r.E_total, r.V_add]
                    + list(r.scriptV) + [r.M0_integral, r.curl_l2])
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def energy_reports_to_json(reports, dest) -> None:
@@ -642,10 +631,6 @@ def energy_reports_to_json(reports, dest) -> None:
             "curl_l2": r.curl_l2,
             "truncated": [key(k) for k in r.truncated],
         })
-    fh, own = _open_text(dest)
-    try:
+    with open_dest(dest) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    finally:
-        if own:
-            fh.close()

@@ -10,8 +10,7 @@ with the vanishing sigma-weights at the outer rim this supplies the
 natural vacuum boundary behavior without an imposed boundary condition,
 and the semi-discrete energy balance holds to integrator order.  Time
 stepping is explicit RK4 under a CFL cap, with the scaling factor theta
-co-integrated by the same integrator; the damping term can optionally be
-absorbed exactly with an exponential integrating factor.
+co-integrated by the same integrator.
 """
 
 import math
@@ -21,9 +20,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linprog
 
+from ._io import open_dest
 from .geometry import BallGrid, VectorField, deformation
 from .norms import Truncation, energy_functionals
 from .params import GasParams, derive_constants
+from .theta import theta_acceleration
 
 STOP_COMPLETED = "completed"
 STOP_MONITOR_E = "monitor_E"
@@ -247,7 +248,6 @@ class RunConfig:
     J_max: int = 2
     truncation: Truncation = Truncation()
     report_angles: tuple = (8, 8)
-    integrating_factor: bool = False
 
     def __post_init__(self):
         if not self.gamma > 1.0:
@@ -286,10 +286,6 @@ def profile_family(config: RunConfig, s: np.ndarray, r0: float) -> np.ndarray:
 # the solver
 
 
-def _theta_acceleration(gamma: float, th: float, tht: float) -> float:
-    return -tht + th ** (2.0 - 3.0 * gamma) / (3.0 * gamma - 1.0)
-
-
 class RadialSolver:
     """Discrete radial operators for one (gamma, mass, resolution)."""
 
@@ -319,9 +315,6 @@ class RadialSolver:
 
     def _expand_odd(self, F: np.ndarray) -> np.ndarray:
         return np.concatenate([-F[::-1], F])
-
-    def _expand_even(self, f: np.ndarray) -> np.ndarray:
-        return np.concatenate([f[::-1], f])
 
     def _fold(self, full: np.ndarray) -> np.ndarray:
         return full[self.n:]
@@ -402,7 +395,7 @@ class RadialSolver:
         state = RadialState(
             time=float(time), f=f, f_t=f_t, theta=float(theta),
             theta_t=float(theta_t),
-            theta_tt=_theta_acceleration(self.gamma, theta, theta_t),
+            theta_tt=theta_acceleration(self.gamma, theta, theta_t),
         )
         self._pq(self._expand_odd(self.s * state.f))
         return state
@@ -454,14 +447,8 @@ class RadialSolver:
                 - thp * (Ft / (3.0 * g - 1.0) + dgrad))
         return state.f, state.f_t, Ftt / s, Fttt / s
 
-    def step(self, state: RadialState, dt: float,
-             integrating_factor: bool = False) -> RadialState:
-        """One RK4 step of (f, f_t, theta, theta_t).
-
-        With integrating_factor=True the damping term is absorbed exactly
-        into the velocity variable via mu(tau) = e^tau (theta/theta_0)^2
-        before the stage evaluations.
-        """
+    def step(self, state: RadialState, dt: float) -> RadialState:
+        """One RK4 step of (f, f_t, theta, theta_t)."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         cs = self._sound_speed0 * state.theta ** ((1.0 - 3.0 * self.gamma) / 2.0)
@@ -470,58 +457,29 @@ class RadialSolver:
                 f"dt = {dt:.3e} violates the CFL bound {self.h / cs:.3e}")
         g = self.gamma
         n = self.n
-        F = self.s * state.f
-        Ft = self.s * state.f_t
-        th0 = state.theta
 
-        if integrating_factor:
-            def rhs(tau, y):
-                F_, G_ = y[:n], y[n:2 * n]
-                th, tht = y[2 * n], y[2 * n + 1]
-                mu = math.exp(tau) * (th / th0) ** 2
-                Fe = self._expand_odd(F_)
-                grad = self._fold(self._force_gradient(Fe) / self.w_kin)
-                thp = th ** (1.0 - 3.0 * g)
-                dG = -mu * thp * (F_ / (3.0 * g - 1.0) + grad)
-                return np.concatenate([G_ / mu, dG,
-                                       [tht, _theta_acceleration(g, th, tht)]])
+        def rhs(y):
+            F_, Ft_ = y[:n], y[n:2 * n]
+            th, tht = y[2 * n], y[2 * n + 1]
+            return np.concatenate([
+                Ft_, self._accel_F(F_, Ft_, th, tht),
+                [tht, theta_acceleration(g, th, tht)],
+            ])
 
-            y = np.concatenate([F, Ft, [state.theta, state.theta_t]])
-            k1 = rhs(0.0, y)
-            k2 = rhs(0.5 * dt, y + 0.5 * dt * k1)
-            k3 = rhs(0.5 * dt, y + 0.5 * dt * k2)
-            k4 = rhs(dt, y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            th_new = y[2 * n]
-            mu_end = math.exp(dt) * (th_new / th0) ** 2
-            f_new = y[:n] / self.s
-            ft_new = y[n:2 * n] / mu_end / self.s
-        else:
-            def rhs(y):
-                F_, Ft_ = y[:n], y[n:2 * n]
-                th, tht = y[2 * n], y[2 * n + 1]
-                return np.concatenate([
-                    Ft_, self._accel_F(F_, Ft_, th, tht),
-                    [tht, _theta_acceleration(g, th, tht)],
-                ])
-
-            y = np.concatenate([F, Ft, [state.theta, state.theta_t]])
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            th_new = y[2 * n]
-            f_new = y[:n] / self.s
-            ft_new = y[n:2 * n] / self.s
-
-        tht_new = y[2 * n + 1]
+        y = np.concatenate([self.s * state.f, self.s * state.f_t,
+                            [state.theta, state.theta_t]])
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        th_new, tht_new = y[2 * n], y[2 * n + 1]
         if not (np.all(np.isfinite(y)) and th_new > 0.0):
             raise FloatingPointError("non-finite state after step")
         return RadialState(
-            time=state.time + dt, f=f_new, f_t=ft_new, theta=float(th_new),
-            theta_t=float(tht_new),
-            theta_tt=_theta_acceleration(g, float(th_new), float(tht_new)),
+            time=state.time + dt, f=y[:n] / self.s, f_t=y[n:2 * n] / self.s,
+            theta=float(th_new), theta_t=float(tht_new),
+            theta_tt=theta_acceleration(g, float(th_new), float(tht_new)),
         )
 
     def balance_series(self, state: RadialState, t_end: float, dt: float):
@@ -724,8 +682,7 @@ def run(config: RunConfig) -> RunResult:
         cs = solver._sound_speed0 * state.theta ** ((1.0 - 3.0 * config.gamma) / 2.0)
         dt = min(config.cfl * solver.h / cs, target - state.time)
         try:
-            new_state = solver.step(state, dt,
-                                    integrating_factor=config.integrating_factor)
+            new_state = solver.step(state, dt)
         except DegenerateProfileError:
             stop_reason = STOP_DEGENERATE
             break
@@ -806,9 +763,7 @@ def result_to_csv(result: RunResult, dest) -> None:
     j_max = result.config.J_max
     cols = ["t", "R"] + [f"E_{j}" for j in range(j_max + 1)] + ["V_add",
                                                                 "stop_reason"]
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
+    with open_dest(dest) as fh:
         fh.write(",".join(cols) + "\n")
         for t, radius, rep in zip(result.times, result.radii, result.reports):
             row = [repr(float(t)), repr(float(radius))]
@@ -816,6 +771,3 @@ def result_to_csv(result: RunResult, dest) -> None:
             row.append(repr(float(rep.V_add)))
             row.append(result.stop_reason)
             fh.write(",".join(row) + "\n")
-    finally:
-        if own:
-            fh.close()

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from ._io import open_dest
 from .params import BarenblattConstants, GasParams, derive_constants, moment_integral
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "LiuState",
     "LiuReport",
     "nu",
+    "theta_acceleration",
     "integrate_h",
     "verify_decay",
     "theta_derivative",
@@ -160,6 +162,14 @@ def nu(gamma: float, t, order: int = 0):
     return float(out) if ts.ndim == 0 else out
 
 
+def theta_acceleration(gamma: float, theta, theta_t):
+    """theta_tt from the dilation law theta_tt = -theta_t + theta^{2-3g}/(3g-1).
+
+    Accepts floats or arrays of theta and theta_t.
+    """
+    return -theta_t + theta ** (2.0 - 3.0 * gamma) / (3.0 * gamma - 1.0)
+
+
 def _default_forcing(gamma: float) -> Callable[[float], float]:
     c = 1.0 / (3.0 * gamma - 1.0)
     q = 2.0 - 3.0 * gamma
@@ -257,16 +267,15 @@ def theta_derivative(path: ThetaPath, order: int) -> np.ndarray:
     differentiates theta_tt = -theta_t + c theta^{2-3g} once more.
     """
     g = path.gamma
-    c = 1.0 / (3.0 * g - 1.0)
-    q = 2.0 - 3.0 * g
     if order == 0:
         return np.asarray(path.theta)
     if order == 1:
         return np.asarray(path.theta_t)
+    theta_tt = theta_acceleration(g, path.theta, path.theta_t)
     if order == 2:
-        return -path.theta_t + c * path.theta**q
+        return theta_tt
     if order == 3:
-        theta_tt = -path.theta_t + c * path.theta**q
+        c, q = 1.0 / (3.0 * g - 1.0), 2.0 - 3.0 * g
         return -theta_tt + c * q * path.theta ** (q - 1.0) * path.theta_t
     raise ValueError("derivative order above 3 is not supported")
 
@@ -301,6 +310,14 @@ def verify_decay(path: ThetaPath, n: int = 2) -> DecayReport:
     )
 
 
+def _liu_law(gamma: float, a: float, b: float, e: float) -> tuple[float, float, float]:
+    return (
+        -a - a * a + 2.0 * b / (gamma - 1.0),
+        -(3.0 * gamma - 1.0) * a * b,
+        -3.0 * (gamma - 1.0) * a * e,
+    )
+
+
 def liu_rhs(gamma: float, state: LiuState) -> tuple[float, float, float]:
     """Time derivatives (a_t, b_t, e_t) of the coefficient system.
 
@@ -312,11 +329,7 @@ def liu_rhs(gamma: float, state: LiuState) -> tuple[float, float, float]:
     """
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    a, b, e = state.a, state.b, state.e
-    a_t = -a - a * a + 2.0 * b / (gamma - 1.0)
-    b_t = -(3.0 * gamma - 1.0) * a * b
-    e_t = -3.0 * (gamma - 1.0) * a * e
-    return (a_t, b_t, e_t)
+    return _liu_law(gamma, state.a, state.b, state.e)
 
 
 def liu_mass(gamma: float, b, e) -> np.ndarray | float:
@@ -355,12 +368,9 @@ def liu_integrate(
         raise ValueError("t_end must be positive")
 
     def rhs(t: float, y: np.ndarray):
+        # the validating liu_rhs would cost several times this per call
         a, b, e = y
-        return (
-            -a - a * a + 2.0 * b / (gamma - 1.0),
-            -(3.0 * gamma - 1.0) * a * b,
-            -3.0 * (gamma - 1.0) * a * e,
-        )
+        return _liu_law(gamma, a, b, e)
 
     times = np.geomspace(1.0, 1.0 + float(t_end), num_samples) - 1.0
     times[0] = 0.0
@@ -440,16 +450,11 @@ def liu_vs_barenblatt(
 
 def write_csv(path: ThetaPath, dest) -> None:
     """Write the path as CSV with columns t, h, h_t, theta, theta_t, theta_tt."""
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
+    with open_dest(dest) as fh:
         fh.write("t,h,h_t,theta,theta_t,theta_tt\n")
         cols = (path.times, path.h, path.h_t, path.theta, path.theta_t, path.theta_tt)
         for row in zip(*cols):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def _csv_text(path: ThetaPath) -> str:

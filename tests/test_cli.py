@@ -9,6 +9,14 @@ import pytest
 from vel import cli
 
 
+# 32 cells, 6x6 angles, J_max 1 and 10 records: a radial run of a few seconds
+SMALL_RADIAL = {
+    "grid": {"resolution": 32, "n_mu": 6, "n_psi": 6},
+    "norms": {"J_max": 1, "m_max": 1, "nl_max": 1},
+    "output": {"records": 10},
+}
+
+
 def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
@@ -262,6 +270,20 @@ class TestRadial:
         payload = json.loads((tmp_path / "radial_fit.json").read_text())
         assert payload["growth_fit"] is None
 
+    def test_too_few_fit_records_fails_check(self, capsys, tmp_path):
+        # 10 records over five decades leave 2 in the last one
+        config = write_config(tmp_path, SMALL_RADIAL)
+        code, out, _ = run_cli(
+            ["radial", "--config", config, "--eps", "1e-3", "--t-end", "1e3",
+             "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "PASS run-outcome" in out
+        assert ("FAIL boundary-growth: no fit: fewer than 3 samples"
+                in out)
+        payload = json.loads((tmp_path / "radial_fit.json").read_text())
+        assert payload["growth_fit"] is None
+        assert payload["passed"] is False
+
     def test_json_format_writes_reports(self, capsys, tmp_path):
         config = write_config(tmp_path, {
             "grid": {"resolution": 32, "n_mu": 6, "n_psi": 6},
@@ -292,14 +314,23 @@ class TestOutputHandling:
         assert (explicit / "constants.json").exists()
         assert not (tmp_path / "env" / "constants.json").exists()
 
-    def test_byte_identical_reruns(self, capsys, tmp_path):
+    # the radial run ends before the growth law is asymptotic, so its
+    # 5% boundary-growth gate fails (exit 1); the files must still repeat
+    @pytest.mark.parametrize("args,config,expected_code,outputs", [
+        (["theta", "--gamma", "2", "--t-end", "100"], None, 0,
+         ("theta_path.csv", "theta_decay.json")),
+        (["radial", "--eps", "1e-3", "--t-end", "10"], SMALL_RADIAL, 1,
+         ("radial_trajectory.csv", "radial_fit.json")),
+    ], ids=["theta", "radial"])
+    def test_byte_identical_reruns(self, capsys, tmp_path, args, config,
+                                   expected_code, outputs):
+        if config is not None:
+            args = args + ["--config", write_config(tmp_path, config)]
         dirs = [tmp_path / "first", tmp_path / "second"]
         for d in dirs:
-            code, _, _ = run_cli(
-                ["theta", "--gamma", "2", "--t-end", "100",
-                 "--out", str(d)], capsys)
-            assert code == 0
-        for name in ("theta_path.csv", "theta_decay.json"):
+            code, _, _ = run_cli(args + ["--out", str(d)], capsys)
+            assert code == expected_code
+        for name in outputs:
             first = (dirs[0] / name).read_bytes()
             second = (dirs[1] / name).read_bytes()
             assert first == second
