@@ -10,4 +10,4 @@ discrete force is the exact gradient of the discrete internal energy.
 
 __version__ = "0.1.0"
 
-from . import params, theta, geometry, norms, radial, cli  # noqa: F401
+from . import params, theta, geometry, norms, radial  # noqa: F401

@@ -487,13 +487,12 @@ def _cmd_radial(config: Config, out):
                   f"max additional curl norm {vadd_worst:.2e} (budget 1e-16)")
 
     fit_payload = None
-    span = (1.0 + result.times.max()) / (1.0 + result.times.min())
-    if config.eps > 0.0 and span >= 10.0:
+    if config.eps > 0.0:
         try:
             fit = radial.fit_growth(result.times, result.radii)
         except ValueError as exc:
-            # e.g. too few records in the fit window: the check fails, the
-            # run's other results are still written
+            # e.g. a run shorter than a decade or too few records in the fit
+            # window: the check fails, the run's other results are still written
             checks.record("boundary-growth", False, f"no fit: {exc}")
         else:
             target = 1.0 / (3.0 * config.gamma - 1.0)

@@ -32,6 +32,7 @@ __all__ = [
     "angular_derivative",
     "deformation",
     "flow_ops",
+    "flow_ops_from_partials",
     "piola_residual",
     "identity_nabt_nab",
     "commutator_defect",
@@ -212,19 +213,21 @@ class BallGrid:
     def _ds(self, vals: np.ndarray) -> np.ndarray:
         n_r = self.shape[0]
         if self.scheme == "gauss":
-            return (self._Ds @ vals.reshape(n_r, -1)).reshape(vals.shape)
+            return (self._Ds @ vals.reshape(*vals.shape[:-2], -1)).reshape(vals.shape)
         h = self._h
         ext = np.concatenate(
-            [self._antipode(vals[1])[None], self._antipode(vals[0])[None], vals],
-            axis=0,
+            [self._antipode(vals[..., 1:2, :, :]),
+             self._antipode(vals[..., 0:1, :, :]), vals],
+            axis=-3,
         )
         out = np.empty_like(vals)
-        out[: n_r - 2] = (
-            ext[0:n_r - 2] - 8.0 * ext[1:n_r - 1] + 8.0 * ext[3:n_r + 1]
-            - ext[4:n_r + 2]
+        out[..., : n_r - 2, :, :] = (
+            ext[..., 0:n_r - 2, :, :] - 8.0 * ext[..., 1:n_r - 1, :, :]
+            + 8.0 * ext[..., 3:n_r + 1, :, :] - ext[..., 4:n_r + 2, :, :]
         ) / (12.0 * h)
         for pos, q in enumerate((n_r - 2, n_r - 1)):
-            out[q] = np.tensordot(self._side_rows[pos], vals[n_r - 5:], axes=(0, 0))
+            out[..., q, :, :] = np.tensordot(
+                self._side_rows[pos], vals[..., n_r - 5:, :, :], axes=(0, -3))
         return out
 
     def _dpsi(self, vals: np.ndarray) -> np.ndarray:
@@ -251,8 +254,9 @@ class BallGrid:
         return np.fft.irfft(out, n=self.shape[2], axis=-1)
 
     def partials(self, vals: np.ndarray) -> np.ndarray:
-        """Cartesian partial derivatives of scalar node values, shape (3, *grid)."""
-        if vals.shape != self.shape:
+        """Cartesian partial derivatives of node values with any leading
+        batch axes: shape (*batch, *grid) in, (*batch, 3, *grid) out."""
+        if vals.shape[-3:] != self.shape:
             raise ValueError("values do not conform to the grid")
         fs = self._ds(vals)
         fphi = self._dphi(vals)
@@ -260,9 +264,9 @@ class BallGrid:
         s = self.s[:, None, None]
         inv_s_sphi = 1.0 / (s * self._sphi[None, :, None])
         return (
-            self._yhat[:, None] * fs[None]
-            + self._that_phi[:, None] * (fphi / s)[None]
-            + self._that_psi[:, None] * (fpsi * inv_s_sphi)[None]
+            self._yhat[:, None] * fs[..., None, :, :, :]
+            + self._that_phi[:, None] * (fphi / s)[..., None, :, :, :]
+            + self._that_psi[:, None] * (fpsi * inv_s_sphi)[..., None, :, :, :]
         )
 
 
@@ -354,46 +358,31 @@ class CommutatorReport:
     passed: bool
 
 
-def _field_partials(field) -> np.ndarray:
-    grid = field.grid
-    if isinstance(field, ScalarField):
-        return grid.partials(field.values)
-    return np.stack([grid.partials(field.values[i]) for i in range(3)])
-
-
 def gradient(field) -> np.ndarray:
     """Per-node derivative tensor: (3, *grid) for scalars with entry k equal
     to d_k f, or (3, 3, *grid) for vectors with entry [i, j] = d_j F^i."""
-    return _field_partials(field)
+    return field.grid.partials(field.values)
 
 
 def spatial_derivative(field, axis: int):
     """Single Cartesian partial d_axis applied to a field, same field type."""
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1, or 2")
-    grid = field.grid
-    if isinstance(field, ScalarField):
-        return ScalarField(grid, grid.partials(field.values)[axis])
-    return VectorField(
-        grid, np.stack([grid.partials(field.values[i])[axis] for i in range(3)])
-    )
+    return type(field)(field.grid, gradient(field)[..., axis, :, :, :])
+
+
+def _angular(y: np.ndarray, parts: np.ndarray, direction: int) -> np.ndarray:
+    """dbar_direction from Cartesian partials parts[..., k, *grid]."""
+    j, k = (direction + 1) % 3, (direction + 2) % 3
+    return y[j] * parts[..., k, :, :, :] - y[k] * parts[..., j, :, :, :]
 
 
 def angular_derivative(field, direction: int):
     """Angular derivative dbar_i f = eps^{ijk} y_j d_k f, same field type."""
     if direction not in (0, 1, 2):
         raise ValueError("direction must be 0, 1, or 2")
-    grid = field.grid
-    y = grid.y
-    j, k = (direction + 1) % 3, (direction + 2) % 3
-
-    def apply(vals: np.ndarray) -> np.ndarray:
-        parts = grid.partials(vals)
-        return y[j] * parts[k] - y[k] * parts[j]
-
-    if isinstance(field, ScalarField):
-        return ScalarField(grid, apply(field.values))
-    return VectorField(grid, np.stack([apply(field.values[i]) for i in range(3)]))
+    return type(field)(field.grid,
+                       _angular(field.grid.y, gradient(field), direction))
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -430,7 +419,7 @@ def deformation(omega: VectorField) -> DeformationState:
     and the adjugate reconstruction of J to rounding. Raises
     DegenerateDeformationError if J <= 0 anywhere.
     """
-    X = _field_partials(omega)
+    X = gradient(omega)
     div = X[0, 0] + X[1, 1] + X[2, 2]
     curl = np.einsum("ijk,kj...->i...", _EPS, X)
     adjX = _adjugate_rows(X)
@@ -482,7 +471,13 @@ def flow_ops(
     grad[i, r] = sum_k a_inv[k, r] d_k F^i, div = trace, curl_i = eps_{ijk}
     grad[k, j].
     """
-    dF = _field_partials(F)
+    return flow_ops_from_partials(state, gradient(F))
+
+
+def flow_ops_from_partials(
+    state: DeformationState, dF: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """flow_ops on precomputed flat partials dF[i, k] = d_k F^i."""
     G = np.einsum("kr...,ik...->ir...", state.a_inv, dF, optimize=True)
     div = G[0, 0] + G[1, 1] + G[2, 2]
     curl = np.einsum("ijk,kj...->i...", _EPS, G)
@@ -496,13 +491,11 @@ def piola_residual(state: DeformationState) -> ScalarField:
     X = state.grad_omega
     div = X[0, 0] + X[1, 1] + X[2, 2]
     JA = (1.0 + div) * _identity_like(X) - X + state.adjugate
-    worst = np.zeros(grid.shape)
-    for i in range(3):
-        acc = np.zeros(grid.shape)
-        for k in range(3):
-            acc += grid.partials(JA[k, i])[k]
-        worst = np.maximum(worst, np.abs(acc))
-    return ScalarField(grid, worst)
+    parts = grid.partials(JA)  # parts[k, i, c] = d_c JA[k, i]
+    rows = np.zeros((3, *grid.shape))
+    for k in range(3):
+        rows += parts[k, :, k]
+    return ScalarField(grid, np.abs(rows).max(axis=0))
 
 
 def identity_nabt_nab(
@@ -538,22 +531,22 @@ def identity_nabt_nab(
     A = state.a_inv
     G, _, curlF = flow_ops(state, Fv)
     # raw advected gradient of the time derivative (no d_t A part)
-    dFt = _field_partials(Ftv)
+    dFt = gradient(Ftv)
     Gt_raw = np.einsum("kr...,ik...->ir...", A, dFt, optimize=True)
     lhs = np.einsum("ri...,ir...->...", G, Gt_raw, optimize=True)
 
     W = np.einsum(
-        "kr...,sk...->sr...", A, _field_partials(wt), optimize=True
+        "kr...,sk...->sr...", A, gradient(wt), optimize=True
     )
     transport = np.einsum("ri...,sr...,is...->...", G, W, G, optimize=True)
 
     if dt is None:
         # d_t A = -A (d omega_t) A, then the product rule on G and curl
-        Xdot = _field_partials(wt)
+        Xdot = gradient(wt)
         A_t = -np.einsum(
             "ka...,ab...,bi...->ki...", A, Xdot, A, optimize=True
         )
-        dF = _field_partials(Fv)
+        dF = gradient(Fv)
         G_t = Gt_raw + np.einsum("kr...,ik...->ir...", A_t, dF, optimize=True)
         curlF_t = np.einsum("ijk,kj...->i...", _EPS, G_t)
         dcomposite = 2.0 * (

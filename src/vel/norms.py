@@ -23,6 +23,7 @@ from scipy.integrate import quad
 from ._io import open_dest
 from .geometry import (
     _EPS,
+    _angular,
     REGIME_THRESHOLD,
     BallGrid,
     DeformationState,
@@ -30,6 +31,7 @@ from .geometry import (
     VectorField,
     deformation,
     flow_ops,
+    flow_ops_from_partials,
 )
 
 DECOMPOSITION_TOL = 1e-12
@@ -210,45 +212,75 @@ class CallableTrajectory:
         return VectorField(self.grid, vals)
 
 
-def _vec_partials(grid: BallGrid, vec: np.ndarray) -> np.ndarray:
-    # [i, k] = d_k F^i
-    return np.stack([grid.partials(vec[i]) for i in range(3)])
+def _sq(vec: np.ndarray) -> np.ndarray:
+    return np.einsum("i...,i...->...", vec, vec)
 
 
-def _vec_angular(grid: BallGrid, vec: np.ndarray, d: int) -> np.ndarray:
-    j, k = (d + 1) % 3, (d + 2) % 3
-    out = np.empty_like(vec)
-    for i in range(3):
-        p = grid.partials(vec[i])
-        out[i] = grid.y[j] * p[k] - grid.y[k] * p[j]
-    return out
+def _walk_strings(grid: BallGrid, vec: np.ndarray, depth: int, shift: int = 0,
+                  state: DeformationState | None = None, flow_depth: int = -1):
+    """Weighted integrals over the derivative strings of vec, each string
+    differentiated once.
 
+    Level (n, l) holds the 3^(n+l) strings that apply l angular
+    derivatives first, then n flat partials, over all index choices.  The
+    partials of a string give its flat children, its angular children
+    when n = 0, its flow-map terms and its flat curl; a level lives only
+    until its children are walked.  Returns (dens, flow, head):
+    dens[(n, l)] integrates the level's squared strings against
+    sigma^(iota + n + shift) for n + l <= depth; flow[(n, l)], for n + l <=
+    flow_depth < depth, integrates the sums of |grad_eta|^2, div_eta^2,
+    |curl_eta|^2 and |flat curl|^2 against sigma^(iota + n + 1); head is
+    the flow and flat curl of vec.  Sums run in string order, so they
+    match a string-by-string evaluation bit for bit.
+    """
+    iota = grid.constants.iota
+    y = grid.y
 
-def _strings(grid: BallGrid, vec: np.ndarray, n: int, l: int):
-    """All length-(n+l) derivative strings: l angular applied first,
-    then n flat partials, each over all index choices."""
-    fields = [vec]
-    for _ in range(l):
-        fields = [_vec_angular(grid, f, d) for f in fields for d in range(3)]
-    for _ in range(n):
-        nxt = []
-        for f in fields:
-            p = _vec_partials(grid, f)
-            nxt.extend(p[:, k] for k in range(3))
-        fields = nxt
-    return fields
+    def weighted(n, vals, extra):
+        return grid.integrate(grid.sigma ** (iota + n + extra) * vals)
 
-
-def _string_density(grid: BallGrid, vec: np.ndarray, n: int, l: int) -> np.ndarray:
-    dens = np.zeros(grid.shape)
-    for f in _strings(grid, vec, n, l):
-        dens += np.einsum("i...,i...->...", f, f)
-    return dens
-
-
-def _flat_curl(grid: BallGrid, vec: np.ndarray) -> np.ndarray:
-    p = _vec_partials(grid, vec)
-    return np.einsum("ijk,kj...->i...", _EPS, p)
+    dens = {(0, 0): weighted(0, _sq(vec), shift)}
+    flow = {}
+    head = None
+    stack = [(0, 0, [vec])] if depth > 0 else []
+    while stack:
+        n, l, pieces = stack.pop()
+        # children are kept only when they have children of their own
+        keep = n + l + 1 < depth
+        sums = np.zeros((4, *grid.shape)) if n + l <= flow_depth else None
+        flat_sq, ang_sq = np.zeros(grid.shape), np.zeros(grid.shape)
+        flat, angular = [], []
+        for piece in pieces:
+            dp = grid.partials(piece)  # dp[i, k] = d_k piece^i
+            if sums is not None:
+                G, div_eta, curl_eta = flow_ops_from_partials(state, dp)
+                curl = np.einsum("ijk,kj...->i...", _EPS, dp)
+                sums += np.stack([np.einsum("ir...,ir...->...", G, G),
+                                  div_eta**2, _sq(curl_eta), _sq(curl)])
+                if n + l == 0:
+                    head = (curl_eta, curl)
+            kids = [dp[:, k] for k in range(3)]
+            for kid in kids:
+                flat_sq += _sq(kid)
+            if keep:
+                flat.extend(kids)
+            if n == 0:
+                kids = [_angular(y, dp, d) for d in range(3)]
+                for kid in kids:
+                    ang_sq += _sq(kid)
+                if keep:
+                    angular.extend(kids)
+        dens[(n + 1, l)] = weighted(n + 1, flat_sq, shift)
+        if n == 0:
+            dens[(0, l + 1)] = weighted(0, ang_sq, shift)
+        if sums is not None:
+            flow[(n, l)] = tuple(weighted(n, a, 1) for a in sums)
+        # depth first, flat subtree before angular, so few levels coexist
+        if keep:
+            if n == 0:
+                stack.append((0, l + 1, angular))
+            stack.append((n + 1, l, flat))
+    return dens, flow, head
 
 
 # ---------------------------------------------------------------------------
@@ -307,21 +339,12 @@ def _triples(j: int):
     return [(m, n, j - m - n) for m in range(j + 1) for n in range(j - m + 1)]
 
 
-def _e76_terms(traj, t: float, m: int, n: int, l: int):
-    """The two displayed pieces of the order-(m, n, l) energy summand."""
-    grid = traj.grid
-    iota = grid.constants.iota
-    sig = grid.sigma
-    opt = 1.0 + t
-    w = traj.time_derivative(t, m).values
-    wt = traj.time_derivative(t, m + 1).values
-    term_i = opt ** (2 * m + 1) * grid.integrate(
-        sig ** (iota + n) * _string_density(grid, wt, n, l)
-    )
-    term_ii = opt ** (2 * m) * (
-        grid.integrate(sig ** (iota + n) * _string_density(grid, w, n, l))
-        + grid.integrate(sig ** (iota + n + 1) * _string_density(grid, w, n + 1, l))
-    )
+def _energy_summand(opt: float, m: int, n: int, l: int, dens_w: dict,
+                    dens_wt: dict):
+    """The two displayed pieces of the order-(m, n, l) energy summand,
+    from the string integrals of the m-th and (m+1)-th time derivatives."""
+    term_i = opt ** (2 * m + 1) * dens_wt[(n, l)]
+    term_ii = opt ** (2 * m) * (dens_w[(n, l)] + dens_w[(n + 1, l)])
     return term_i, term_ii
 
 
@@ -334,7 +357,6 @@ def energy_Ej(traj, j: int, t: float, truncation: Truncation | None = None) -> f
     if j < 0:
         raise ValueError(f"energy order must be nonnegative, got {j}")
     tr = truncation or Truncation()
-    total = 0.0
     for m, n, l in _triples(j):
         if m > tr.m_max or n + l > tr.nl_max:
             raise ValueError(
@@ -346,9 +368,12 @@ def energy_Ej(traj, j: int, t: float, truncation: Truncation | None = None) -> f
                 f"summand (m, n, l) = ({m}, {n}, {l}) needs time derivative "
                 f"order {m + 1}, trajectory supplies {traj.max_time_order}"
             )
-        term_i, term_ii = _e76_terms(traj, t, m, n, l)
-        total += term_i + term_ii
-    return total
+    grid = traj.grid
+    # time order q enters with n + l = j - q strings and one more flat partial
+    dens = [_walk_strings(grid, traj.time_derivative(t, q).values, j + 1 - q)[0]
+            for q in range(j + 2)]
+    return sum(sum(_energy_summand(1.0 + t, m, n, l, dens[m], dens[m + 1]))
+               for m, n, l in _triples(j))
 
 
 def _m0_pointwise(gamma: float, state: DeformationState):
@@ -438,6 +463,21 @@ def energy_functionals(traj, t: float, gamma: float, J_max: int = 2,
     omega = traj.time_derivative(t, 0)
     state = deformation(omega)
 
+    # the kept summands of time order m apply strings of n + l <= top[m]
+    top = {m: min(J_max - m, tr.nl_max)
+           for m in range(min(J_max, tr.m_max, traj.max_time_order - 1) + 1)}
+    vadd_orders = range(min(1, tr.m_max, traj.max_time_order) + 1)
+    # one walk per time derivative: full terms on its own summands, one
+    # more flat partial for term_ii, and the strings of the w_t of order q - 1
+    walks = {}
+    for q in range(len(top) + 1):
+        flow_depth = top.get(q, 0 if q in vadd_orders else -1)
+        depth = max(flow_depth + 1, top.get(q - 1, -1))
+        walks[q] = _walk_strings(grid, traj.time_derivative(t, q).values,
+                                 depth, 0, state, flow_depth)
+    curl_first = {m: _walk_strings(grid, walks[m][2][1], top[m], 1)[0]
+                  for m in top}
+
     E_j = []
     scriptV = []
     frakE = {}
@@ -448,63 +488,32 @@ def energy_functionals(traj, t: float, gamma: float, J_max: int = 2,
         ej = 0.0
         vk = 0.0
         for m, n, l in _triples(j):
-            if (m > tr.m_max or n + l > tr.nl_max
-                    or m + 1 > traj.max_time_order):
+            if m not in top or n + l > top[m]:
                 dropped.append((m, n, l))
                 continue
-            term_i, term_ii = _e76_terms(traj, t, m, n, l)
+            dens, flow, _ = walks[m]
+            term_i, term_ii = _energy_summand(opt, m, n, l, dens,
+                                              walks[m + 1][0])
             ej += term_i + term_ii
-
-            base = traj.time_derivative(t, m).values
-            pieces = _strings(grid, base, n, l)
-            base_sq = np.zeros(grid.shape)
-            flow_grad_sq = np.zeros(grid.shape)
-            flow_div_sq = np.zeros(grid.shape)
-            flow_curl_sq = np.zeros(grid.shape)
-            curl_then_sq = np.zeros(grid.shape)
-            for piece in pieces:
-                base_sq += np.einsum("i...,i...->...", piece, piece)
-                G, div_eta, curl_eta = flow_ops(state, VectorField(grid, piece))
-                flow_grad_sq += np.einsum("ir...,ir...->...", G, G)
-                flow_div_sq += div_eta**2
-                flow_curl_sq += np.einsum("i...,i...->...", curl_eta, curl_eta)
-                c = _flat_curl(grid, piece)
-                curl_then_sq += np.einsum("i...,i...->...", c, c)
-            e_one = opt ** (2 * m) * (
-                grid.integrate(sig ** (iota + n) * base_sq)
-                + grid.integrate(sig ** (iota + n + 1) * flow_grad_sq)
-                + grid.integrate(sig ** (iota + n + 1) * flow_div_sq) / iota
-            )
+            grad_sq, div_sq, curl_sq, curl_then_sq = flow[(n, l)]
+            e_one = opt ** (2 * m) * (dens[(n, l)] + grad_sq + div_sq / iota)
             frakE[(m, n, l)] = term_i + e_one
             frakD[(m, n, l)] = term_i + e_one / opt
-            frakV[(m, n, l)] = opt ** (2 * m) * grid.integrate(
-                sig ** (iota + n + 1) * flow_curl_sq
-            )
+            frakV[(m, n, l)] = opt ** (2 * m) * curl_sq
             # flat-curl pair: curl applied after the strings, or strings
             # applied to the curl; keep the smaller norm
-            v_after = opt ** (2 * m) * grid.integrate(
-                sig ** (iota + n + 1) * curl_then_sq
-            )
-            curl_first = _flat_curl(grid, base)
-            v_before = opt ** (2 * m) * grid.integrate(
-                sig ** (iota + n + 1) * _string_density(grid, curl_first, n, l)
-            )
+            v_after = opt ** (2 * m) * curl_then_sq
+            v_before = opt ** (2 * m) * curl_first[m][(n, l)]
             vk += min(v_after, v_before)
         E_j.append(ej)
         scriptV.append(vk)
 
     v_add = 0.0
-    for m in range(min(1, tr.m_max) + 1):
-        if m > traj.max_time_order:
-            continue
-        base = traj.time_derivative(t, m).values
-        _, _, curl_eta = flow_ops(state, VectorField(grid, base))
+    for m in vadd_orders:
+        dens = _walk_strings(grid, walks[m][2][0], tr.nl_max, 1)[0]
         for total in range(tr.nl_max + 1):
             for n in range(total + 1):
-                l = total - n
-                v_add += opt ** (2 * m) * grid.integrate(
-                    sig ** (iota + n + 1) * _string_density(grid, curl_eta, n, l)
-                )
+                v_add += opt ** (2 * m) * dens[(n, total - n)]
 
     m0 = _m0_pointwise(gamma, state)[0]
     m0_integral = grid.integrate(sig ** (iota + 1.0) * m0)

@@ -551,8 +551,7 @@ def embedded_flux_divergence(gamma: float, grid: BallGrid, f, fp) -> OracleRepor
     div_flux = np.zeros((3, *grid.shape))
     for k in range(3):
         flux_row = sig_w * (st.a_inv[k] * jpow - eye[k][:, None, None, None])
-        for i in range(3):
-            div_flux[i] += grid.partials(flux_row[i])[k]
+        div_flux += grid.partials(flux_row)[:, k]
     three_d = (grid.sigma**iota * omega.values / (3.0 * gamma - 1.0) + div_flux)
 
     # scalar reduction with the same radial differentiation

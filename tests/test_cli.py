@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -284,6 +286,19 @@ class TestRadial:
         assert payload["growth_fit"] is None
         assert payload["passed"] is False
 
+    def test_short_run_fails_growth_gate(self, capsys, tmp_path):
+        # 1+t spans less than a decade: nothing to fit, so the gate fails
+        config = write_config(tmp_path, SMALL_RADIAL)
+        code, out, _ = run_cli(
+            ["radial", "--config", config, "--eps", "1e-3", "--t-end", "5",
+             "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "PASS run-outcome" in out
+        assert "FAIL boundary-growth: no fit: series spans" in out
+        payload = json.loads((tmp_path / "radial_fit.json").read_text())
+        assert payload["growth_fit"] is None
+        assert payload["passed"] is False
+
     def test_json_format_writes_reports(self, capsys, tmp_path):
         config = write_config(tmp_path, {
             "grid": {"resolution": 32, "n_mu": 6, "n_psi": 6},
@@ -298,6 +313,18 @@ class TestRadial:
 
 
 class TestOutputHandling:
+    def test_module_entry_point_warns_nothing(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "vel.cli",
+             "constants", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "constants.json").exists()
+
     def test_env_var_out_dir(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("VEL_OUT_DIR", str(target))

@@ -9,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vel import norms
-from vel.geometry import BallGrid, ScalarField, VectorField, deformation
+from vel.geometry import (_EPS, BallGrid, ScalarField, VectorField,
+                          deformation, flow_ops)
 from vel.params import GasParams, derive_constants
 
 CONSTANTS = derive_constants(GasParams(gamma=2.0, mass=1.0))
@@ -319,6 +320,172 @@ class TestEnergyFunctionals:
         assert (0, 2, 0) in rep.truncated
         assert (0, 0, 0) in rep.frakE
         assert (0, 1, 0) in rep.frakE
+
+
+# ---------------------------------------------------------------------------
+# naive oracle: every derivative string rebuilt from scratch, per summand
+
+
+def _naive_strings(grid, vec, n, l):
+    fields = [vec]
+    for _ in range(l):
+        nxt = []
+        for f in fields:
+            for d in range(3):
+                j, k = (d + 1) % 3, (d + 2) % 3
+                out = np.empty_like(f)
+                for i in range(3):
+                    p = grid.partials(f[i])
+                    out[i] = grid.y[j] * p[k] - grid.y[k] * p[j]
+                nxt.append(out)
+        fields = nxt
+    for _ in range(n):
+        nxt = []
+        for f in fields:
+            p = np.stack([grid.partials(f[i]) for i in range(3)])
+            nxt.extend(p[:, k] for k in range(3))
+        fields = nxt
+    return fields
+
+
+def _naive_density(grid, vec, n, l):
+    dens = np.zeros(grid.shape)
+    for f in _naive_strings(grid, vec, n, l):
+        dens += np.einsum("i...,i...->...", f, f)
+    return dens
+
+
+def _naive_curl(grid, vec):
+    p = np.stack([grid.partials(vec[i]) for i in range(3)])
+    return np.einsum("ijk,kj...->i...", _EPS, p)
+
+
+def naive_report(traj, t, gamma, J_max, tr):
+    """energy_functionals evaluated string by string."""
+    grid = traj.grid
+    iota = grid.constants.iota
+    sig = grid.sigma
+    opt = 1.0 + t
+    omega = traj.time_derivative(t, 0)
+    state = deformation(omega)
+
+    def w(q):
+        return traj.time_derivative(t, q).values
+
+    def integral(n, dens):
+        return grid.integrate(sig ** (iota + n) * dens)
+
+    E_j, scriptV, frakE, frakD, frakV, dropped = [], [], {}, {}, {}, []
+    for j in range(J_max + 1):
+        ej = vk = 0.0
+        for m, n, l in norms._triples(j):
+            if m > tr.m_max or n + l > tr.nl_max or m + 1 > traj.max_time_order:
+                dropped.append((m, n, l))
+                continue
+            term_i = opt ** (2 * m + 1) * integral(
+                n, _naive_density(grid, w(m + 1), n, l))
+            term_ii = opt ** (2 * m) * (
+                integral(n, _naive_density(grid, w(m), n, l))
+                + integral(n + 1, _naive_density(grid, w(m), n + 1, l)))
+            ej += term_i + term_ii
+            sums = [np.zeros(grid.shape) for _ in range(5)]
+            for piece in _naive_strings(grid, w(m), n, l):
+                G, div_eta, curl_eta = flow_ops(state, VectorField(grid, piece))
+                c = _naive_curl(grid, piece)
+                for acc, term in zip(sums, (
+                        np.einsum("i...,i...->...", piece, piece),
+                        np.einsum("ir...,ir...->...", G, G), div_eta**2,
+                        np.einsum("i...,i...->...", curl_eta, curl_eta),
+                        np.einsum("i...,i...->...", c, c))):
+                    acc += term
+            base_sq, grad_sq, div_sq, curl_sq, then_sq = sums
+            e_one = opt ** (2 * m) * (
+                integral(n, base_sq) + integral(n + 1, grad_sq)
+                + integral(n + 1, div_sq) / iota)
+            frakE[(m, n, l)] = term_i + e_one
+            frakD[(m, n, l)] = term_i + e_one / opt
+            frakV[(m, n, l)] = opt ** (2 * m) * integral(n + 1, curl_sq)
+            v_after = opt ** (2 * m) * integral(n + 1, then_sq)
+            v_before = opt ** (2 * m) * integral(
+                n + 1, _naive_density(grid, _naive_curl(grid, w(m)), n, l))
+            vk += min(v_after, v_before)
+        E_j.append(ej)
+        scriptV.append(vk)
+
+    v_add = 0.0
+    for m in range(min(1, tr.m_max) + 1):
+        if m > traj.max_time_order:
+            continue
+        _, _, curl_eta = flow_ops(state, VectorField(grid, w(m)))
+        for total in range(tr.nl_max + 1):
+            for n in range(total + 1):
+                v_add += opt ** (2 * m) * integral(
+                    n + 1, _naive_density(grid, curl_eta, n, total - n))
+
+    m0 = norms._m0_pointwise(gamma, state)[0]
+    _, _, curl_omega = flow_ops(state, omega)
+    return norms.EnergyReport(
+        t=t, gamma=gamma, J_max=J_max, truncation=tr,
+        E_j=tuple(E_j), E_total=float(sum(E_j)),
+        frakE=frakE, frakD=frakD, frakV=frakV,
+        V_add=float(v_add), scriptV=tuple(scriptV),
+        M0_integral=float(integral(1.0, m0)),
+        curl_l2=float(integral(1.0, np.einsum("i...,i...->...",
+                                               curl_omega, curl_omega))),
+        truncated=tuple(dict.fromkeys(dropped)),
+    )
+
+
+def swirl_trajectory(grid, orders=4):
+    """Non-radial family with generic values in every component and order,
+    so that reordering any sum changes its rounding."""
+
+    def field(y):
+        return np.stack([np.sin(y[1] + 0.3 * y[2]) * np.cos(0.7 * y[0]),
+                         y[0] * y[2] * np.cos(y[1]) + np.sin(y[2]),
+                         np.cos(y[0] + y[1]) * np.exp(0.2 * y[2])])
+
+    funcs = tuple(
+        (lambda q: lambda t, y: 0.01 * (-0.5) ** q * np.exp(-0.5 * t) * field(y))(q)
+        for q in range(orders)
+    )
+    return norms.CallableTrajectory(grid, funcs)
+
+
+class TestStringWalk:
+    # the 2-order trajectory walks its first time derivative for V_add only
+    @pytest.mark.parametrize("J_max,truncation,orders", [
+        (2, norms.Truncation(), 4),
+        (3, norms.Truncation(2, 2), 4),
+        (2, norms.Truncation(), 2),
+    ])
+    def test_report_matches_naive_oracle_exactly(self, J_max, truncation,
+                                                 orders):
+        traj = swirl_trajectory(GRID, orders)
+        rep = norms.energy_functionals(traj, 0.3, 2.0, J_max=J_max,
+                                       truncation=truncation)
+        oracle = naive_report(traj, 0.3, 2.0, J_max, truncation)
+        assert rep.curl_l2 > 0.0 and rep.V_add > 0.0
+        assert bool(rep.truncated) == (J_max == 3 or orders < 4)
+        for name in norms.EnergyReport.__dataclass_fields__:
+            assert getattr(rep, name) == getattr(oracle, name), name
+        assert list(rep.frakE) == list(oracle.frakE)
+
+    def test_partials_calls_per_report(self, monkeypatch):
+        grid = BallGrid(CONSTANTS, n_r=16, n_mu=6, n_psi=6,
+                        radial_scheme="midpoint")
+        traj = swirl_trajectory(grid)
+        assert traj.max_time_order == 3
+        calls = []
+        original = BallGrid.partials
+
+        def counted(self, vals):
+            calls.append(1)
+            return original(self, vals)
+
+        monkeypatch.setattr(BallGrid, "partials", counted)
+        norms.energy_functionals(traj, 0.3, 2.0, J_max=2)
+        assert 0 < len(calls) <= 330
 
 
 class TestM0E0:
