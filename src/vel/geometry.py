@@ -529,24 +529,22 @@ def identity_nabt_nab(
     wt = VectorField(grid, np.asarray(omega_t(t, y), dtype=float))
 
     A = state.a_inv
-    G, _, curlF = flow_ops(state, Fv)
+    dF = gradient(Fv)
+    Xdot = gradient(wt)
+    G, _, curlF = flow_ops_from_partials(state, dF)
     # raw advected gradient of the time derivative (no d_t A part)
     dFt = gradient(Ftv)
     Gt_raw = np.einsum("kr...,ik...->ir...", A, dFt, optimize=True)
     lhs = np.einsum("ri...,ir...->...", G, Gt_raw, optimize=True)
 
-    W = np.einsum(
-        "kr...,sk...->sr...", A, gradient(wt), optimize=True
-    )
+    W = np.einsum("kr...,sk...->sr...", A, Xdot, optimize=True)
     transport = np.einsum("ri...,sr...,is...->...", G, W, G, optimize=True)
 
     if dt is None:
         # d_t A = -A (d omega_t) A, then the product rule on G and curl
-        Xdot = gradient(wt)
         A_t = -np.einsum(
             "ka...,ab...,bi...->ki...", A, Xdot, A, optimize=True
         )
-        dF = gradient(Fv)
         G_t = Gt_raw + np.einsum("kr...,ik...->ir...", A_t, dF, optimize=True)
         curlF_t = np.einsum("ijk,kj...->i...", _EPS, G_t)
         dcomposite = 2.0 * (

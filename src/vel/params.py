@@ -40,6 +40,8 @@ __all__ = [
 
 # Marker for weight evaluations outside the support; never a silent zero.
 OUTSIDE = float("nan")
+# Moment integral: relative agreement of successive orders, and the order cap.
+_QUAD_TOL, _MAX_ORDER = 1e-13, 256
 
 
 def is_outside(value):
@@ -86,32 +88,32 @@ class BarenblattEval:
     inside: bool
 
 
-def moment_integral(iota, quad_tol=1e-13, max_order=256):
+def moment_integral(iota):
     """Integral of y^2 (1 - y^2)^iota over (0, 1) by Gauss-Jacobi quadrature.
 
     The Jacobi weight absorbs the (1-y)^iota endpoint factor, so the
     remaining integrand is analytic and the rule converges exponentially.
-    Order is doubled until two successive values agree to quad_tol
-    relative; raises RuntimeError with the achieved tolerance otherwise.
+    Order is doubled up to _MAX_ORDER until two successive values agree to
+    _QUAD_TOL relative; raises RuntimeError with the achieved tolerance.
     """
     # substitute y = (1+x)/2:  integrand = (1-x)^iota (1+x)^2 (3+x)^iota / 2^(2 iota + 3)
     scale = 2.0 ** -(2.0 * iota + 3.0)
     prev = None
     order = 8
-    while order <= max_order:
+    while order <= _MAX_ORDER:
         x, w = roots_jacobi(order, iota, 0.0)
         val = scale * np.sum(w * (1.0 + x) ** 2 * (3.0 + x) ** iota)
-        if prev is not None and abs(val - prev) <= quad_tol * abs(val):
+        if prev is not None and abs(val - prev) <= _QUAD_TOL * abs(val):
             return val
         prev = val
         order *= 2
     achieved = abs(val - prev) / abs(val)
     raise RuntimeError(
-        f"moment integral did not converge to {quad_tol:g}; achieved {achieved:g}"
+        f"moment integral did not converge to {_QUAD_TOL:g}; achieved {achieved:g}"
     )
 
 
-def derive_constants(params: GasParams, quad_tol=1e-13) -> BarenblattConstants:
+def derive_constants(params: GasParams) -> BarenblattConstants:
     """Derive (a_bar, b_bar, iota, r0) from gamma and the total mass.
 
     b_bar has the closed form (g-1)/(2g(3g-1)).  a_bar solves
@@ -125,7 +127,7 @@ def derive_constants(params: GasParams, quad_tol=1e-13) -> BarenblattConstants:
     g = params.gamma
     iota = 1.0 / (g - 1.0)
     b_bar = (g - 1.0) / (2.0 * g * (3.0 * g - 1.0))
-    mom = moment_integral(iota, quad_tol=quad_tol)
+    mom = moment_integral(iota)
     rhs = params.mass * g**iota * (g * b_bar) ** 1.5 / (4.0 * math.pi * mom)
     p = (3.0 * g - 1.0) / (2.0 * (g - 1.0))
 

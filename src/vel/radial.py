@@ -54,16 +54,16 @@ def _endpoint_extrapolation(x: np.ndarray, target: float, m: int = 5) -> np.ndar
 
 
 @lru_cache(maxsize=32)
-def _build_sbp(n: int, h: float, nb: int = 6, wb: int = 12,
-               bdeg: int = 2, qdeg: int = 3):
+def _build_sbp(n: int, h: float):
     """Reflection-symmetric derivative/weight pair on the midpoint grid.
 
     Returns (D, H, v0, vL) with diagonal H > 0, interior 4th order rows,
-    nb boundary rows of width wb, and the exact summation-by-parts
+    nb = 6 boundary rows of width wb = 12, and the exact summation-by-parts
     identity H D + D^T H = -v0 v0^T + vL vL^T where v0, vL extrapolate to
     the two interval ends.  Boundary derivative rows are exact to degree
-    bdeg and the weights match moments to degree qdeg.
+    bdeg = 2 and the weights match moments to degree qdeg = 3.
     """
+    nb, wb, bdeg, qdeg = 6, 12, 2, 3
     if n < 2 * wb:
         raise ValueError(f"need at least {2 * wb} cells, got {n}")
     s = (np.arange(n) + 0.5) * h
@@ -228,8 +228,9 @@ class RunConfig:
     family 'poly' starts from psi(s) = (1 - (s/r0)^2)^q with
     q = family_exponent >= 2; 'bump' from a smooth centered bump.  The
     initial data is f = amplitude psi, f_t = velocity_amplitude psi.
-    eps0 is the a-priori monitor threshold: the run halts once the
-    truncated total energy exceeds eps0^2, or once
+    Records are log-spaced from t = 0.01 (or t_end / records, if earlier)
+    to t_end.  eps0 is the a-priori monitor threshold: the run halts once
+    the truncated total energy exceeds eps0^2, or once
     (ln(1+t))^2 sup E exceeds eps0^2.
     """
 
@@ -243,7 +244,6 @@ class RunConfig:
     amplitude: float = 1e-3
     velocity_amplitude: float = 0.0
     records: int = 120
-    record_t_min: float = 1e-2
     eps0: float = 0.1
     J_max: int = 2
     truncation: Truncation = Truncation()
@@ -307,7 +307,6 @@ class RadialSolver:
         self._sig_full = sig_full
         self.w_u = self.H * 4.0 * np.pi * self.s_full**2 * sig_full ** (c.iota + 1.0)
         self.w_kin = self.H * 4.0 * np.pi * self.s_full**2 * sig_full**c.iota
-        self._sound_speed0 = math.sqrt(self.gamma * c.a_bar)
         for arr in (self.s, self.s_full, self.sigma, self.w_u, self.w_kin):
             arr.setflags(write=False)
 
@@ -367,16 +366,24 @@ class RadialSolver:
         dmq = m0_pq * pv + m0_qq * qv
         return self.w_u * dmp / self.s_full + self.D.T @ (self.w_u * dmq)
 
-    def _accel_F(self, F: np.ndarray, Ft: np.ndarray, th: float,
-                 tht: float) -> np.ndarray:
+    def _grad(self, F: np.ndarray) -> np.ndarray:
+        # force gradient per kinetic weight on the physical nodes
+        return self._fold(self._force_gradient(self._expand_odd(F)) / self.w_kin)
+
+    def _accel_F(self, F: np.ndarray, Ft: np.ndarray, th: float, tht: float,
+                 grad: np.ndarray) -> np.ndarray:
+        # the radial law for F_tt given the force gradient
         g = self.gamma
-        Fe = self._expand_odd(F)
-        grad = self._fold(self._force_gradient(Fe) / self.w_kin)
         thp = th ** (1.0 - 3.0 * g)
         return (-(1.0 + 2.0 * tht / th) * Ft
                 - thp * (F / (3.0 * g - 1.0) + grad))
 
     # -- public operations
+
+    def sound_speed(self, theta: float) -> float:
+        """Sound speed sqrt(gamma a_bar) theta^((1-3 gamma)/2) at the center."""
+        return (math.sqrt(self.gamma * self.constants.a_bar)
+                * theta ** ((1.0 - 3.0 * self.gamma) / 2.0))
 
     def make_state(self, time: float, f, f_t, theta: float | None = None,
                    theta_t: float | None = None) -> RadialState:
@@ -429,29 +436,25 @@ class RadialSolver:
     def time_derivatives(self, state: RadialState):
         """(f, f_t, f_tt, f_ttt) with the accelerations from the law."""
         g = self.gamma
-        s = self.s
-        F = s * state.f
-        Ft = s * state.f_t
+        F, Ft = self.s * state.f, self.s * state.f_t
         th, tht, thtt = state.theta, state.theta_t, state.theta_tt
-        Fe = self._expand_odd(F)
-        Fte = self._expand_odd(Ft)
-        grad = self._fold(self._force_gradient(Fe) / self.w_kin)
-        dgrad = self._fold(self._hess_apply(Fe, Fte) / self.w_kin)
+        grad = self._grad(F)
+        dgrad = self._fold(self._hess_apply(self._expand_odd(F),
+                                            self._expand_odd(Ft)) / self.w_kin)
+        Ftt = self._accel_F(F, Ft, th, tht, grad)
         thp = th ** (1.0 - 3.0 * g)
         thp_t = (1.0 - 3.0 * g) * th ** (-3.0 * g) * tht
-        damp = 1.0 + 2.0 * tht / th
         damp_t = 2.0 * (thtt * th - tht * tht) / (th * th)
-        force = F / (3.0 * g - 1.0) + grad
-        Ftt = -damp * Ft - thp * force
-        Fttt = (-damp * Ftt - damp_t * Ft - thp_t * force
+        Fttt = (-(1.0 + 2.0 * tht / th) * Ftt - damp_t * Ft
+                - thp_t * (F / (3.0 * g - 1.0) + grad)
                 - thp * (Ft / (3.0 * g - 1.0) + dgrad))
-        return state.f, state.f_t, Ftt / s, Fttt / s
+        return state.f, state.f_t, Ftt / self.s, Fttt / self.s
 
     def step(self, state: RadialState, dt: float) -> RadialState:
         """One RK4 step of (f, f_t, theta, theta_t)."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        cs = self._sound_speed0 * state.theta ** ((1.0 - 3.0 * self.gamma) / 2.0)
+        cs = self.sound_speed(state.theta)
         if dt > self.h / cs * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {dt:.3e} violates the CFL bound {self.h / cs:.3e}")
@@ -462,7 +465,7 @@ class RadialSolver:
             F_, Ft_ = y[:n], y[n:2 * n]
             th, tht = y[2 * n], y[2 * n + 1]
             return np.concatenate([
-                Ft_, self._accel_F(F_, Ft_, th, tht),
+                Ft_, self._accel_F(F_, Ft_, th, tht, self._grad(F_)),
                 [tht, theta_acceleration(g, th, tht)],
             ])
 
@@ -512,7 +515,8 @@ def reduce_equation(solver: RadialSolver, state: RadialState) -> np.ndarray:
     """
     F = solver.s * state.f
     Ft = solver.s * state.f_t
-    return solver._accel_F(F, Ft, state.theta, state.theta_t) / solver.s
+    return solver._accel_F(F, Ft, state.theta, state.theta_t,
+                           solver._grad(F)) / solver.s
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +645,7 @@ def run(config: RunConfig) -> RunResult:
     state = solver.make_state(0.0, config.amplitude * psi,
                               config.velocity_amplitude * psi)
 
-    rec_times = np.geomspace(min(config.record_t_min, config.t_end / config.records),
+    rec_times = np.geomspace(min(1e-2, config.t_end / config.records),
                              config.t_end, config.records)
     times, radii, reports, mass_err = [], [], [], []
     sup_energy = 0.0
@@ -678,8 +682,8 @@ def run(config: RunConfig) -> RunResult:
             next_rec += 1
         target = rec_times[next_rec] if next_rec < rec_times.size else config.t_end
         target = min(target, config.t_end)
-        cs = solver._sound_speed0 * state.theta ** ((1.0 - 3.0 * config.gamma) / 2.0)
-        dt = min(config.cfl * solver.h / cs, target - state.time)
+        dt = min(config.cfl * solver.h / solver.sound_speed(state.theta),
+                 target - state.time)
         try:
             new_state = solver.step(state, dt)
         except DegenerateProfileError:
@@ -721,11 +725,11 @@ class GrowthFit:
     n_points: int
 
 
-def fit_growth(times, radii, window_decades: float = 1.0) -> GrowthFit:
-    """Slope of log R against log(1+t) over the trailing window.
+def fit_growth(times, radii) -> GrowthFit:
+    """Slope of log R against log(1+t) over the trailing decade.
 
     The series must span at least one decade in 1+t; the window keeps
-    the samples with 1+t within window_decades decades of the end.
+    the samples with 1+t within one decade of the end.
     """
     t = np.asarray(times, dtype=float)
     r = np.asarray(radii, dtype=float)
@@ -737,7 +741,7 @@ def fit_growth(times, radii, window_decades: float = 1.0) -> GrowthFit:
     if span < 10.0:
         raise ValueError(
             f"series spans {span:.2f}x in 1+t, need at least a decade")
-    cut = (1.0 + t.max()) / 10.0**window_decades
+    cut = (1.0 + t.max()) / 10.0
     mask = 1.0 + t >= cut
     if mask.sum() < 3:
         raise ValueError("fewer than 3 samples in the fit window")

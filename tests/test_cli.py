@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, subcommands, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -44,10 +45,11 @@ class TestConfigParsing:
     def test_file_values_applied(self, tmp_path):
         path = write_config(tmp_path, {
             "gas": {"gamma": 3.0, "mass": 2.0},
-            "grid": {"resolution": 32},
-            "ode": {"t_end": 50.0},
-            "solver": {"eps": 1e-4, "family": "bump"},
-            "norms": {"J_max": 1},
+            "grid": {"resolution": 32, "n_mu": 6, "n_psi": 5},
+            "ode": {"rtol": 1e-8, "atol": 1e-9, "t_end": 50.0},
+            "solver": {"cfl": 0.25, "eps": 1e-4, "family": "bump",
+                       "family_exponent": 3, "eps0": 0.2},
+            "norms": {"J_max": 1, "m_max": 3, "nl_max": 4},
             "output": {"directory": "outdir", "format": "json",
                        "records": 10},
             "seed": 7,
@@ -56,14 +58,26 @@ class TestConfigParsing:
         assert config.gamma == 3.0
         assert config.mass == 2.0
         assert config.resolution == 32
+        assert config.n_mu == 6
+        assert config.n_psi == 5
+        assert config.rtol == 1e-8
+        assert config.atol == 1e-9
         assert config.t_end == 50.0
+        assert config.cfl == 0.25
         assert config.eps == 1e-4
         assert config.family == "bump"
+        assert config.family_exponent == 3
+        assert config.eps0 == 0.2
         assert config.J_max == 1
+        assert config.m_max == 3
+        assert config.nl_max == 4
         assert config.out_dir == "outdir"
         assert config.fmt == "json"
         assert config.records == 10
         assert config.seed == 7
+        # every field was set by the file
+        assert all(getattr(config, f.name) != f.default
+                   for f in dataclasses.fields(cli.Config))
 
     def test_flags_override_file(self, tmp_path):
         path = write_config(tmp_path, {"gas": {"gamma": 2.0}})

@@ -35,6 +35,12 @@ class TestMomentIntegral:
         # integral of y^2 (1 - y^2) dy over (0,1) = 2/15
         assert_allclose(params.moment_integral(1.0), 2.0 / 15.0, rtol=1e-14)
 
+    def test_non_convergence_raises(self, monkeypatch):
+        # no pair of successive orders can agree to a negative tolerance
+        monkeypatch.setattr(params, "_QUAD_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            params.moment_integral(1.5)
+
 
 class TestDeriveConstants:
     def test_b_bar_closed_form_gamma_two(self):

@@ -219,6 +219,13 @@ class TestForce:
         assert rels[1] <= 1e-4
         assert rels[1] < rels[0]
 
+    def test_law_shared_by_reduction_and_time_derivatives(self):
+        solver = RadialSolver(GAMMA, resolution=32)
+        psi = poly_profile(solver)
+        state = solver.make_state(3.0, psi, 0.5 * psi, theta=1.4, theta_t=0.1)
+        _, _, f_tt, _ = solver.time_derivatives(state)
+        assert_array_equal(f_tt, reduce_equation(solver, state))
+
     def test_jerk_matches_differenced_acceleration(self):
         solver = RadialSolver(GAMMA, resolution=48)
         state = solver.make_state(0.0, poly_profile(solver), np.zeros(48))
@@ -307,6 +314,18 @@ class TestStepping:
         cs = np.sqrt(GAMMA * self.solver.constants.a_bar)
         with pytest.raises(ValueError, match="CFL"):
             self.solver.step(self.state, 2.0 * self.solver.h / cs)
+
+    def test_cfl_guard_follows_theta(self):
+        # the sound speed falls as theta grows, so the admissible dt rises
+        late = self.solver.make_state(5.0, self.state.f, self.state.f_t,
+                                      theta=2.0, theta_t=0.1)
+        cs = np.sqrt(GAMMA * CONSTANTS.a_bar) * 2.0 ** ((1.0 - 3.0 * GAMMA) / 2.0)
+        assert_allclose(self.solver.sound_speed(late.theta), cs, rtol=1e-15)
+        dt = self.solver.h / self.solver.sound_speed(late.theta)
+        assert dt > self.solver.h / self.solver.sound_speed(1.0)
+        self.solver.step(late, dt)
+        with pytest.raises(ValueError, match="CFL"):
+            self.solver.step(late, 1.01 * dt)
 
     def test_positive_dt_required(self):
         with pytest.raises(ValueError, match="positive"):

@@ -51,6 +51,14 @@ class TestIntegrateH:
         force = theta._default_forcing(2.0)
         assert_allclose(force(0.0), 0.16, rtol=1e-12)
 
+    @pytest.mark.parametrize("gamma", [4.0 / 3.0, 2.0, 3.0])
+    @pytest.mark.parametrize("t", [0.0, 1e2, 1e4, 1e5])
+    def test_default_forcing_is_minus_nu_tt(self, gamma, t):
+        # nu_t = c nu^{2-3g} holds exactly, so only -nu_tt is left
+        p = 1.0 / (3.0 * gamma - 1.0)
+        expected = p * (1.0 - p) * (1.0 + t) ** (p - 2.0)
+        assert_allclose(theta._default_forcing(gamma)(t), expected, rtol=1e-14)
+
     def test_initial_values(self):
         path = theta.integrate_h(2.0, 10.0, num_samples=201)
         assert path.h[0] == 0.0 and path.h_t[0] == 0.0
