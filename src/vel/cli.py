@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import geometry, norms, params, radial, theta
+from ._io import open_dest
 
 _SCHEMA = {
     "gas": {"gamma": float, "mass": float},
@@ -154,7 +155,7 @@ def _out_dir(config: Config) -> str:
 
 def _dump_json(obj, dest_path):
     text = json.dumps(obj, sort_keys=True, indent=2)
-    with open(dest_path, "w", encoding="utf-8", newline="") as fh:
+    with open_dest(dest_path) as fh:
         fh.write(text + "\n")
     return text
 
@@ -266,7 +267,7 @@ def _cmd_liu(config: Config, out):
     rep = theta.liu_vs_barenblatt(config.gamma, config.mass, t_end,
                                   rtol=config.rtol, atol=config.atol)
     series_path = os.path.join(out, "liu_deviation.csv")
-    with open(series_path, "w", encoding="utf-8", newline="") as fh:
+    with open_dest(series_path) as fh:
         fh.write("t,deviation\n")
         for t, d in zip(rep.times, rep.deviation):
             fh.write(f"{t!r},{d!r}\n")
@@ -422,8 +423,7 @@ def _cmd_hardy(config: Config, out):
         f"10 frequencies, max fractional/weighted ratio {emb_worst:.3f} "
         f"(ceiling 2.5)")
 
-    with open(os.path.join(out, "hardy.csv"), "w", encoding="utf-8",
-              newline="") as fh:
+    with open_dest(os.path.join(out, "hardy.csv")) as fh:
         fh.write("trial,k,ratio,passed\n")
         for trial, k, ratio, ok in rows:
             fh.write(f"{trial},{k!r},{ratio!r},{int(ok)}\n")

@@ -2,9 +2,10 @@
 
 The displacement ansatz omega(t, y) = f(t, s) y reduces the damped wave
 system to a scalar second-order law for the profile f.  The scheme works
-in the variable F = s f on a cell-midpoint grid extended oddly through
-the center, so even symmetry of f holds by construction and no node sits
-at s = 0.  The pressure force is the exact gradient of the discrete
+in the variable F = s f on the n cell midpoints of [0, r0], with no node at
+s = 0; its derivative, built on the grid extended oddly through the center,
+is folded once onto these nodes, so even symmetry of f holds by
+construction.  The pressure force is the exact gradient of the discrete
 internal energy built on a summation-by-parts derivative pair; together
 with the vanishing sigma-weights at the outer rim this supplies the
 natural vacuum boundary behavior without an imposed boundary condition,
@@ -24,7 +25,7 @@ from ._io import open_dest
 from .geometry import BallGrid, VectorField, deformation
 from .norms import Truncation, energy_functionals
 from .params import GasParams, derive_constants
-from .theta import theta_acceleration
+from .theta import nu, theta_acceleration
 
 STOP_COMPLETED = "completed"
 STOP_MONITOR_E = "monitor_E"
@@ -182,8 +183,8 @@ def _build_sbp(n: int, h: float):
 class RadialState:
     """Profile snapshot: omega = f(t, s) y with velocity and theta context.
 
-    The midpoint grid carries no node at s = 0 and the solver evaluates f
-    only through its even extension, so even-extendability holds by
+    The midpoint grid carries no node at s = 0 and the solver's derivative
+    has the even extension of f folded in, so even-extendability holds by
     construction.  Positivity of the radial Jacobian is checked by every
     solver operation that differentiates the profile.
     """
@@ -300,23 +301,18 @@ class RadialSolver:
         self.n = int(resolution)
         self.h = c.r0 / self.n
         self.s = (np.arange(self.n) + 0.5) * self.h
-        self.s_full = np.concatenate([-self.s[::-1], self.s])
-        self.D, self.H, self._v0, self._vL = _build_sbp(2 * self.n, self.h)
-        sig_full = c.a_bar - c.b_bar * self.s_full**2
-        self.sigma = sig_full[self.n:]
-        self._sig_full = sig_full
-        self.w_u = self.H * 4.0 * np.pi * self.s_full**2 * sig_full ** (c.iota + 1.0)
-        self.w_kin = self.H * 4.0 * np.pi * self.s_full**2 * sig_full**c.iota
-        for arr in (self.s, self.s_full, self.sigma, self.w_u, self.w_kin):
+        # D acts on the grid extended oddly through the center; Dh folds it
+        # onto the physical nodes: (D @ [-F[::-1], F])[n:] = Dh @ F and,
+        # for even v, (D.T @ [v[::-1], v])[n:] = Dh.T @ v
+        n = self.n
+        self.D, H, _, self._vL = _build_sbp(2 * n, self.h)
+        self.Dh = self.D[n:, n:] - self.D[n:, n - 1::-1]
+        self.H = H[n:]
+        self.sigma = c.a_bar - c.b_bar * self.s**2
+        self.w_u = self.H * 4.0 * np.pi * self.s**2 * self.sigma ** (c.iota + 1.0)
+        self.w_kin = self.H * 4.0 * np.pi * self.s**2 * self.sigma**c.iota
+        for arr in (self.s, self.Dh, self.sigma, self.w_u, self.w_kin):
             arr.setflags(write=False)
-
-    # -- representation helpers
-
-    def _expand_odd(self, F: np.ndarray) -> np.ndarray:
-        return np.concatenate([-F[::-1], F])
-
-    def _fold(self, full: np.ndarray) -> np.ndarray:
-        return full[self.n:]
 
     def boundary_value(self, f: np.ndarray) -> float:
         """Profile value extrapolated to the rim s = r0."""
@@ -324,51 +320,50 @@ class RadialSolver:
 
     # -- discrete energy and its gradient
 
-    def _pq(self, Fe: np.ndarray):
-        gp = 1.0 + Fe / self.s_full
-        gq = 1.0 + self.D @ Fe
+    def _pq(self, F: np.ndarray):
+        gp = 1.0 + F / self.s
+        gq = 1.0 + self.Dh @ F
         jac = gp * gp * gq
         if np.any(jac <= 0.0) or np.any(gp <= 0.0):
             bad = np.where((jac <= 0.0) | (gp <= 0.0))[0]
             idx = int(bad[0])
             raise DegenerateProfileError(
-                f"jacobian nonpositive at s = {abs(self.s_full[idx]):.6g} "
-                f"(full node {idx}, J = {jac[idx]:.3e})")
+                f"jacobian nonpositive at s = {self.s[idx]:.6g} "
+                f"(node {idx}, J = {jac[idx]:.3e})")
         return gp, gq, jac
 
     def internal_energy(self, f: np.ndarray) -> float:
         """sigma^(iota+1)-weighted integral of the bulk term (physical)."""
-        Fe = self._expand_odd(self.s * np.asarray(f))
-        gp, gq, jac = self._pq(Fe)
+        gp, gq, jac = self._pq(self.s * np.asarray(f))
         m0 = (np.expm1((1.0 - self.gamma) * np.log(jac)) / (self.gamma - 1.0)
               + 2.0 * (gp - 1.0) + (gq - 1.0))
-        return 0.5 * float(np.dot(self.w_u, m0))
+        return float(np.dot(self.w_u, m0))
 
-    def _force_gradient(self, Fe: np.ndarray) -> np.ndarray:
+    def _force_gradient(self, F: np.ndarray) -> np.ndarray:
         # exact gradient of the internal energy with respect to F
-        gp, gq, jac = self._pq(Fe)
+        gp, gq, jac = self._pq(F)
         jg = jac ** (-self.gamma)
         m0_p = -jg * 2.0 * gp * gq + 2.0
         m0_q = -jg * gp * gp + 1.0
-        return self.w_u * m0_p / self.s_full + self.D.T @ (self.w_u * m0_q)
+        return self.w_u * m0_p / self.s + self.Dh.T @ (self.w_u * m0_q)
 
-    def _hess_apply(self, Fe: np.ndarray, Ve: np.ndarray) -> np.ndarray:
-        # directional derivative of _force_gradient along Ve
-        gp, gq, jac = self._pq(Fe)
+    def _hess_apply(self, F: np.ndarray, V: np.ndarray) -> np.ndarray:
+        # directional derivative of _force_gradient along V
+        gp, gq, jac = self._pq(F)
         jg = jac ** (-self.gamma)
         jg1 = jac ** (-self.gamma - 1.0)
-        pv = Ve / self.s_full
-        qv = self.D @ Ve
+        pv = V / self.s
+        qv = self.Dh @ V
         m0_pp = self.gamma * jg1 * (2.0 * gp * gq) ** 2 - 2.0 * jg * gq
         m0_pq = self.gamma * jg1 * (2.0 * gp * gq) * gp * gp - 2.0 * jg * gp
         m0_qq = self.gamma * jg1 * gp**4
         dmp = m0_pp * pv + m0_pq * qv
         dmq = m0_pq * pv + m0_qq * qv
-        return self.w_u * dmp / self.s_full + self.D.T @ (self.w_u * dmq)
+        return self.w_u * dmp / self.s + self.Dh.T @ (self.w_u * dmq)
 
     def _grad(self, F: np.ndarray) -> np.ndarray:
-        # force gradient per kinetic weight on the physical nodes
-        return self._fold(self._force_gradient(self._expand_odd(F)) / self.w_kin)
+        # force gradient per kinetic weight
+        return self._force_gradient(F) / self.w_kin
 
     def _accel_F(self, F: np.ndarray, Ft: np.ndarray, th: float, tht: float,
                  grad: np.ndarray) -> np.ndarray:
@@ -396,7 +391,7 @@ class RadialSolver:
             if time != 0.0:
                 raise ValueError("theta context required away from t = 0")
             theta = 1.0
-            theta_t = 1.0 / (3.0 * self.gamma - 1.0)
+            theta_t = nu(self.gamma, 0.0, 1)
         if theta_t is None:
             raise ValueError("theta_t must accompany theta")
         state = RadialState(
@@ -404,7 +399,7 @@ class RadialSolver:
             theta_t=float(theta_t),
             theta_tt=theta_acceleration(self.gamma, theta, theta_t),
         )
-        self._pq(self._expand_odd(self.s * state.f))
+        self._pq(self.s * state.f)
         return state
 
     def zeroth_energy(self, state: RadialState):
@@ -415,23 +410,20 @@ class RadialSolver:
         the total energy is 0.5 (kinetic + theta^(1-3 gamma) potential).
         """
         g = self.gamma
-        Fte = self._expand_odd(self.s * state.f_t)
-        Fe = self._expand_odd(self.s * state.f)
-        # the 0.5 folds the symmetric full-grid sums to the physical ball
-        kinetic = 0.5 * float(np.dot(self.w_kin, Fte * Fte))
-        i2 = 0.5 * float(np.dot(self.w_kin, Fe * Fe))
+        F, Ft = self.s * state.f, self.s * state.f_t
+        kinetic = float(np.dot(self.w_kin, Ft * Ft))
+        i2 = float(np.dot(self.w_kin, F * F))
         potential = i2 / (3.0 * g - 1.0) + 2.0 * self.internal_energy(state.f)
         return kinetic, potential
 
     def mass(self, state: RadialState) -> float:
         """Physical mass recomputed through the deformed configuration."""
         c = self.constants
-        Fe = self._expand_odd(self.s * state.f)
-        _, _, jac = self._pq(Fe)
+        _, _, jac = self._pq(self.s * state.f)
         scale = state.theta**3
-        density = self._sig_full**c.iota / (scale * jac)
-        return 0.5 * float(np.dot(self.H * 4.0 * np.pi * self.s_full**2,
-                                  density * scale * jac))
+        density = self.sigma**c.iota / (scale * jac)
+        return float(np.dot(self.H * 4.0 * np.pi * self.s**2,
+                            density * scale * jac))
 
     def time_derivatives(self, state: RadialState):
         """(f, f_t, f_tt, f_ttt) with the accelerations from the law."""
@@ -439,8 +431,7 @@ class RadialSolver:
         F, Ft = self.s * state.f, self.s * state.f_t
         th, tht, thtt = state.theta, state.theta_t, state.theta_tt
         grad = self._grad(F)
-        dgrad = self._fold(self._hess_apply(self._expand_odd(F),
-                                            self._expand_odd(Ft)) / self.w_kin)
+        dgrad = self._hess_apply(F, Ft) / self.w_kin
         Ftt = self._accel_F(F, Ft, th, tht, grad)
         thp = th ** (1.0 - 3.0 * g)
         thp_t = (1.0 - 3.0 * g) * th ** (-3.0 * g) * tht

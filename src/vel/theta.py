@@ -283,7 +283,7 @@ def verify_decay(path: ThetaPath, n: int = 2) -> DecayReport:
         raise ValueError("n must be between 0 and 3")
     g = path.gamma
     p = 1.0 / (3.0 * g - 1.0)
-    base = np.power(1.0 + path.times, p)
+    base = nu(g, path.times)
     lower_violation = float(np.max(base - path.theta))
     monotone_violation = float(np.max(-path.theta_t))
     K_fit = float(np.max(path.theta / base))

@@ -1,13 +1,17 @@
-"""The benchmark's tracing patches still find every name they wrap.
+"""The benchmark's tracing patches and probes still fit vel.
 
 perfbench/run.py routes calls into vel through spans by replacing named
-attributes (``norms.flow_ops``, ``RadialSolver.mass``, ...).  Its own tests
-are not part of this suite, so this check keeps a rename or deletion in vel
-from surfacing only when a traced benchmark run raises.
+attributes (``norms.flow_ops``, ``RadialSolver.mass``, ...), and
+perfbench/probes.py applies solver operators to vectors of fixed shapes.
+Their own tests are not part of this suite, so these checks keep a rename,
+deletion or reshape in vel from surfacing only when a traced benchmark run
+raises.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 from vel import radial
 
@@ -35,3 +39,11 @@ def test_install_spans_finds_every_traced_name():
         tracer.restore()
     assert radial.RadialSolver.__dict__["step"] is step
     assert radial.energy_functionals is energy
+
+
+def test_probe_operands_conform():
+    # the SBP matvec probe applies solver.D to a vector on the full 2n-node
+    # grid of the odd extension
+    solver = radial.RadialSolver(2.0, resolution=16)
+    out = solver.D @ np.ones(2 * solver.n)
+    assert out.shape == (2 * solver.n,)

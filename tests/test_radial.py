@@ -100,7 +100,7 @@ class TestSolverSetup:
     def test_weight_structure(self):
         solver = RadialSolver(GAMMA, resolution=32)
         assert solver.w_kin.min() > 0.0
-        assert_allclose(solver.w_u, solver.w_kin * solver._sig_full,
+        assert_allclose(solver.w_u, solver.w_kin * solver.sigma,
                         rtol=1e-13, atol=0)
 
     def test_default_theta_context(self):
@@ -176,43 +176,47 @@ class TestForce:
         g3 = 3.0 * GAMMA - 1.0
 
         def potential(f):
-            Fe = solver._expand_odd(solver.s * f)
-            i2 = 0.5 * np.dot(solver.w_kin, Fe * Fe)
+            F = solver.s * f
+            i2 = np.dot(solver.w_kin, F * F)
             return 0.5 * i2 / g3 + solver.internal_energy(f)
 
         rng = np.random.default_rng(11)
         f = poly_profile(solver, amplitude=2e-2)
         state = solver.make_state(0.0, f, np.zeros(48), theta=1.0, theta_t=0.0)
         accel = reduce_equation(solver, state)
-        w_half = solver.w_kin[solver.n:]
         for _ in range(3):
             v = rng.standard_normal(48)
             v /= np.linalg.norm(v)
             eps = 1e-6
             fd = (potential(f + eps * v) - potential(f - eps * v)) / (2.0 * eps)
-            pairing = -np.dot(w_half * solver.s**2 * accel, v)
+            pairing = -np.dot(solver.w_kin * solver.s**2 * accel, v)
             assert fd == pytest.approx(pairing, rel=1e-5)
 
     def test_strong_form_agrees_interior(self):
         # expanded flux form of the same operator; the transposed
         # derivative is only a weak statement at the rim, so compare
-        # away from the last boundary block
+        # away from the last boundary block; the even fluxes are mirrored
+        # through the center and differentiated by the full-grid D
         rels = []
         for n in (48, 192):
             solver = RadialSolver(GAMMA, resolution=n)
             c = solver.constants
             f = poly_profile(solver, amplitude=1e-2)
-            Fe = solver._expand_odd(solver.s * f)
-            var = solver._fold(solver._force_gradient(Fe) / solver.w_kin)
-            sf = solver.s_full
-            gp, gq, jac = solver._pq(Fe)
+            F = solver.s * f
+            var = solver._force_gradient(F) / solver.w_kin
+            s = solver.s
+            gp, gq, jac = solver._pq(F)
             j1 = jac ** (1.0 - GAMMA) / gp - 1.0
-            j2 = -gp * (gq - gp) / sf**2 * jac ** (-GAMMA)
-            sig = solver._sig_full
+            j2 = -gp * (gq - gp) / s**2 * jac ** (-GAMMA)
+            sig = solver.sigma
             w1 = sig ** (c.iota + 1.0) * j1
             w2 = sig ** (c.iota + 1.0) * j2
-            flux = (solver.D @ w1) / sf + sf * (solver.D @ w2) + 4.0 * w2
-            strong = solver._fold(sf * flux / sig**c.iota)
+
+            def ds(w):
+                return (solver.D @ np.concatenate([w[::-1], w]))[n:]
+
+            flux = ds(w1) / s + s * ds(w2) + 4.0 * w2
+            strong = s * flux / sig**c.iota
             rel = np.abs(var - strong)[:-12].max() / np.abs(strong).max()
             rels.append(rel)
         assert rels[0] <= 2e-3
@@ -239,6 +243,97 @@ class TestForce:
         a2 = reduce_equation(solver, s2)
         fd = (-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * dt)
         assert np.abs(fd - f_ttt).max() <= 1e-4 * np.abs(f_ttt).max()
+
+
+# ---------------------------------------------------------------------------
+# folded operator against the full-grid reference
+
+
+class _FullGridReference:
+    """The solver's operations on the odd extension of F through the
+    center, applied with the full 2n-node D and weights; sums over the
+    mirrored ball are halved."""
+
+    def __init__(self, solver):
+        c = solver.constants
+        self.gamma = solver.gamma
+        self.D, H, _, _ = _build_sbp(2 * solver.n, solver.h)
+        self.s = np.concatenate([-solver.s[::-1], solver.s])
+        sig = c.a_bar - c.b_bar * self.s**2
+        self.w_u = H * 4.0 * np.pi * self.s**2 * sig ** (c.iota + 1.0)
+        self.w_kin = H * 4.0 * np.pi * self.s**2 * sig**c.iota
+        self.solver_s = solver.s
+
+    @staticmethod
+    def odd(F):
+        return np.concatenate([-F[::-1], F])
+
+    def pq(self, F):
+        Fe = self.odd(F)
+        gp = 1.0 + Fe / self.s
+        gq = 1.0 + self.D @ Fe
+        return gp, gq, gp * gp * gq
+
+    def force_gradient(self, F):
+        gp, gq, jac = self.pq(F)
+        jg = jac ** (-self.gamma)
+        m0_p = -jg * 2.0 * gp * gq + 2.0
+        m0_q = -jg * gp * gp + 1.0
+        return self.w_u * m0_p / self.s + self.D.T @ (self.w_u * m0_q)
+
+    def hess_apply(self, F, V):
+        g = self.gamma
+        gp, gq, jac = self.pq(F)
+        jg, jg1 = jac ** (-g), jac ** (-g - 1.0)
+        Ve = self.odd(V)
+        pv, qv = Ve / self.s, self.D @ Ve
+        m0_pp = g * jg1 * (2.0 * gp * gq) ** 2 - 2.0 * jg * gq
+        m0_pq = g * jg1 * (2.0 * gp * gq) * gp * gp - 2.0 * jg * gp
+        m0_qq = g * jg1 * gp**4
+        dmp = m0_pp * pv + m0_pq * qv
+        dmq = m0_pq * pv + m0_qq * qv
+        return self.w_u * dmp / self.s + self.D.T @ (self.w_u * dmq)
+
+    def internal_energy(self, f):
+        g = self.gamma
+        gp, gq, jac = self.pq(self.solver_s * f)
+        m0 = (np.expm1((1.0 - g) * np.log(jac)) / (g - 1.0)
+              + 2.0 * (gp - 1.0) + (gq - 1.0))
+        return 0.5 * np.dot(self.w_u, m0)
+
+    def zeroth_energy(self, state):
+        Fte = self.odd(self.solver_s * state.f_t)
+        Fe = self.odd(self.solver_s * state.f)
+        kinetic = 0.5 * np.dot(self.w_kin, Fte * Fte)
+        i2 = 0.5 * np.dot(self.w_kin, Fe * Fe)
+        potential = (i2 / (3.0 * self.gamma - 1.0)
+                     + 2.0 * self.internal_energy(state.f))
+        return kinetic, potential
+
+
+class TestFoldedOperator:
+    @pytest.mark.parametrize("n", [48, 256])
+    def test_matches_full_grid_reference(self, n):
+        solver = RadialSolver(GAMMA, resolution=n)
+        ref = _FullGridReference(solver)
+        rng = np.random.default_rng(n)
+        f = poly_profile(solver, amplitude=2e-2) + 1e-4 * rng.standard_normal(n)
+        f_t = 1e-3 * rng.standard_normal(n)
+        state = solver.make_state(2.0, f, f_t, theta=1.3, theta_t=0.2)
+        F, Ft = solver.s * state.f, solver.s * state.f_t
+
+        def close(got, want):
+            got, want = np.asarray(got), np.asarray(want)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        for got, want in zip(solver._pq(F), ref.pq(F)):
+            close(got, want[n:])
+        close(solver._force_gradient(F), ref.force_gradient(F)[n:])
+        close(solver._hess_apply(F, Ft), ref.hess_apply(F, Ft)[n:])
+        close(solver.internal_energy(state.f), ref.internal_energy(state.f))
+        for got, want in zip(solver.zeroth_energy(state),
+                             ref.zeroth_energy(state)):
+            close(got, want)
 
 
 # ---------------------------------------------------------------------------
