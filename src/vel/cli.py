@@ -465,6 +465,9 @@ def _cmd_radial(config: Config, out):
     vadd_worst = float(result.v_add().max()) if result.reports else 0.0
     checks.record("vorticity-free", vadd_worst <= 1e-16,
                   f"max additional curl norm {vadd_worst:.2e} (budget 1e-16)")
+    checks.record("report-oracle", result.oracle_defect <= 1e-12,
+                  f"separated reports off the 3D reports by at most "
+                  f"{result.oracle_defect:.2e} (budget 1e-12)")
 
     fit_payload = None
     if config.eps > 0.0:
@@ -496,6 +499,7 @@ def _cmd_radial(config: Config, out):
                 "sup_energy": result.sup_energy,
                 "mass_defect": mass_worst,
                 "v_add_max": vadd_worst,
+                "oracle_defect": result.oracle_defect,
                 "boundary_monotone": result.boundary_monotone,
                 "growth_fit": fit_payload,
                 "series": os.path.basename(series_path),

@@ -210,16 +210,17 @@ class BallGrid:
         # psi -> psi + pi (half-period roll along the uniform circle)
         return np.roll(vals[..., ::-1, :], -(self.shape[2] // 2), axis=-1)
 
-    def _ds(self, vals: np.ndarray) -> np.ndarray:
+    def _ds(self, vals: np.ndarray, parity: int | None = None) -> np.ndarray:
+        # with parity given, vals are radial factors of shape (..., n_r, 1, 1)
+        # whose angular factors map to parity times themselves under the
+        # antipode, which then fixes the center ghosts
         n_r = self.shape[0]
         if self.scheme == "gauss":
             return (self._Ds @ vals.reshape(*vals.shape[:-2], -1)).reshape(vals.shape)
         h = self._h
-        ext = np.concatenate(
-            [self._antipode(vals[..., 1:2, :, :]),
-             self._antipode(vals[..., 0:1, :, :]), vals],
-            axis=-3,
-        )
+        near = vals[..., 1::-1, :, :]
+        ghosts = self._antipode(near) if parity is None else parity * near
+        ext = np.concatenate([ghosts, vals], axis=-3)
         out = np.empty_like(vals)
         out[..., : n_r - 2, :, :] = (
             ext[..., 0:n_r - 2, :, :] - 8.0 * ext[..., 1:n_r - 1, :, :]

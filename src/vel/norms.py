@@ -16,6 +16,7 @@ families; the radial solver provides its own adapter.
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -23,14 +24,16 @@ from scipy.integrate import quad
 from ._io import open_dest
 from .geometry import (
     _EPS,
+    _adjugate_rows,
     _angular,
     REGIME_THRESHOLD,
     BallGrid,
+    DegenerateDeformationError,
     DeformationState,
     ScalarField,
     VectorField,
     deformation,
-    flow_ops,
+    flow_ops,  # noqa: F401 (perfbench's tracer patches norms.flow_ops)
     flow_ops_from_partials,
 )
 
@@ -216,30 +219,236 @@ def _sq(vec: np.ndarray) -> np.ndarray:
     return np.einsum("i...,i...->...", vec, vec)
 
 
-def _walk_strings(grid: BallGrid, vec: np.ndarray, depth: int, shift: int = 0,
-                  state: DeformationState | None = None, flow_depth: int = -1):
+class _GridFields:
+    """Fields as arrays of node values on the grid.  A level of the string
+    walk is a list of strings, each differentiated on its own."""
+
+    def __init__(self, grid: BallGrid):
+        self.grid = grid
+
+    def zeros(self, *lead):
+        return np.zeros((*lead, *self.grid.shape))
+
+    def sq(self, vec):
+        return _sq(vec)
+
+    def integrate(self, power, dens) -> float:
+        return self.grid.integrate(self.grid.sigma ** power * dens)
+
+    def partials(self, piece):
+        return self.grid.partials(piece)  # [i, k] = d_k piece^i
+
+    def flat(self, dp):
+        return [dp[:, k] for k in range(3)]
+
+    def angular(self, dp):
+        return [_angular(self.grid.y, dp, d) for d in range(3)]
+
+    def flow(self, state, dp):
+        G, div_eta, curl_eta = flow_ops_from_partials(state, dp)
+        curl = np.einsum("ijk,kj...->i...", _EPS, dp)
+        return (np.stack([np.einsum("ir...,ir...->...", G, G), div_eta**2,
+                          _sq(curl_eta), _sq(curl)]), curl_eta, curl)
+
+
+class _Terms(NamedTuple):
+    """Separated field: the sum over a of radial[a](s) angular[a](yhat).
+
+    radial has shape (K, n_r).  angular has shape (K, S, *components, 1,
+    n_mu, n_psi): the angular factors of S strings on the grid's angular
+    nodes, with a unit radial axis so that the grid's angular operators
+    apply unchanged.  Every angular factor is parity times itself at the
+    antipodal node.  key names how the angular factors were built.
+    """
+
+    radial: np.ndarray
+    angular: np.ndarray
+    parity: int
+    key: int
+
+
+class _RadialDeformation(NamedTuple):
+    """Deformation of omega = F(s) yhat in separated form.
+
+    With alpha = D_s F and beta = F / s, grad_omega is alpha P + beta Q for
+    P = yhat yhat^T and Q = Id - P; it is held as diag(alpha, beta, beta)
+    in the frame of yhat and two tangents, which carries every invariant
+    the bulk term needs.  a_inv = P / (1 + alpha) + Q / (1 + beta).
+    """
+
+    grad_omega: np.ndarray
+    adjugate: np.ndarray
+    a_inv: _Terms
+
+
+class SeparatedFields:
+    """Fields sum_a g_a(s) T_a(yhat) on the grid's radial and angular nodes.
+
+    A flat partial maps g T to (D_s g) yhat_k T + (g / s) grad_S,k T, with
+    D_s the grid's radial derivative, its center ghosts set by T's parity,
+    and grad_S the tangential gradient on the unit sphere; an angular
+    derivative acts on T alone.  These are the grid's own operators
+    regrouped, so every integral equals the node-array walk's up to
+    rounding at any angular resolution.  A level of the string walk is one
+    batch of strings that share their radial factors.
+
+    The angular factors, and the R of their QR factorization, depend only
+    on how they were built, never on the data, so each is built once, on
+    first use, and shared by every later report made with this object.
+    """
+
+    def __init__(self, grid: BallGrid):
+        self.grid = grid
+        self.s = grid.s
+        self.yhat = grid._yhat[:, None]
+        self.w_sphere = (grid.w_mu[:, None] * grid.w_psi
+                         * np.ones(grid.shape[2]))[None]
+        self.w_radial = grid.w_s * grid.s**2
+        self._built = {}
+
+    def _once(self, recipe, build):
+        """(key, angular factors) of the recipe, built on first use."""
+        hit = self._built.get(recipe)
+        if hit is None:
+            hit = self._built[recipe] = (len(self._built), build())
+        return hit
+
+    def zeros(self, *lead):
+        return np.zeros((*lead, self.s.size))
+
+    def sq(self, x: _Terms):
+        # with the sphere-weighted angular factors as the columns of Q R,
+        # the squared norm at each radial node is |R g|^2.  Deep strings
+        # hold terms of size h^-depth near the center that cancel; summing
+        # them through R before squaring keeps the rounding at the node
+        # arrays' level, where the Gram form g^T R^T R g would square it
+        def build():
+            k = x.angular.shape[0]
+            return np.linalg.qr((x.angular * np.sqrt(self.w_sphere))
+                                .reshape(k, -1).T, mode="r")
+
+        tri = self._once(("R", x.key), build)[1]
+        coef = tri @ x.radial
+        return (coef * coef).sum(axis=0)
+
+    def density(self, vals):
+        # a radial function's integrand is its integral over the sphere
+        return vals * self.w_sphere.sum()
+
+    def integrate(self, power, dens) -> float:
+        return float(np.sum(self.w_radial * self.grid.sigma_r ** power * dens))
+
+    def field(self, F) -> _Terms:
+        """The vector field F(s) yhat."""
+        key, yhat = self._once(("yhat",), lambda: self.yhat[None, None])
+        return _Terms(np.asarray(F, dtype=float)[None], yhat, -1, key)
+
+    def deformation(self, omega: _Terms) -> _RadialDeformation:
+        """Deformation state of the field omega = F(s) yhat."""
+        F = omega.radial[0]
+        alpha = self.grid._ds(F[:, None, None], omega.parity)[:, 0, 0]
+        beta = F / self.s
+        jac = (1.0 + alpha) * (1.0 + beta) ** 2
+        if not np.all(jac > 0.0):
+            raise DegenerateDeformationError(
+                "deformation is degenerate: Jacobian not positive everywhere")
+        X = np.zeros((3, 3, self.s.size))
+        X[0, 0] = alpha
+        X[1, 1] = X[2, 2] = beta
+
+        def projections():
+            P = self.yhat[:, None] * self.yhat[None, :]
+            return np.stack([P, np.eye(3)[:, :, None, None, None] - P])
+
+        key, PQ = self._once(("P, Q",), projections)
+        a_inv = _Terms(np.stack([1.0 / (1.0 + alpha), 1.0 / (1.0 + beta)]),
+                       PQ, 1, key)
+        return _RadialDeformation(X, _adjugate_rows(X), a_inv)
+
+    def partials(self, piece: _Terms) -> _Terms:
+        grid = self.grid
+
+        def normal_and_tangential():
+            T = piece.angular
+            fphi, fpsi = grid._dphi(T), grid._dpsi(T)
+            tangential = (
+                grid._that_phi[:, None] * fphi[..., None, :, :, :]
+                + grid._that_psi[:, None]
+                * (fpsi / grid._sphi[:, None])[..., None, :, :, :])
+            return np.concatenate([self.yhat * T[..., None, :, :, :],
+                                   tangential])
+
+        key, angular = self._once(("partials", piece.key),
+                                  normal_and_tangential)
+        ds = grid._ds(piece.radial[:, :, None, None], piece.parity)[:, :, 0, 0]
+        return _Terms(np.concatenate([ds, piece.radial / self.s]), angular,
+                      -piece.parity, key)
+
+    def flat(self, dp: _Terms):
+        # strings times derivative index become the children's strings
+        key, kids = self._once(("flat", dp.key), lambda: np.swapaxes(
+            dp.angular, 2, 3).reshape(dp.angular.shape[0], -1,
+                                      *dp.angular.shape[-4:]))
+        return [_Terms(dp.radial, kids, dp.parity, key)]
+
+    def angular(self, dp: _Terms):
+        # y = s yhat cancels the radial terms and the tangential terms' 1/s
+        half = dp.radial.shape[0] // 2
+        key, kids = self._once(("angular", dp.key), lambda: np.concatenate(
+            [_angular(self.yhat, dp.angular[half:], d) for d in range(3)],
+            axis=1))
+        return [_Terms(dp.radial[half:] * self.s, kids, -dp.parity, key)]
+
+    def flow(self, state: _RadialDeformation, dp: _Terms):
+        a_inv, parity = state.a_inv, dp.parity
+        # every (P, Q) term of a_inv times every term of dp
+        radial = (a_inv.radial[:, None] * dp.radial[None]).reshape(
+            -1, self.s.size)
+        G_key, G = self._once(("G", a_inv.key, dp.key), lambda: np.einsum(
+            "ekr...,csik...->ecsir...", a_inv.angular, dp.angular).reshape(
+                -1, *dp.angular.shape[1:]))
+        div_key, div = self._once(("div", G_key), lambda: (
+            G[:, :, 0, 0] + G[:, :, 1, 1] + G[:, :, 2, 2]))
+        curl_eta_key, curl_eta = self._once(("curl", G_key),
+                                            lambda: _curl_terms(G))
+        curl_key, curl = self._once(("curl", dp.key),
+                                    lambda: _curl_terms(dp.angular))
+        curl_eta = _Terms(radial, curl_eta, parity, curl_eta_key)
+        curl = _Terms(dp.radial, curl, parity, curl_key)
+        return (np.stack([self.sq(_Terms(radial, G, parity, G_key)),
+                          self.sq(_Terms(radial, div, parity, div_key)),
+                          self.sq(curl_eta), self.sq(curl)]), curl_eta, curl)
+
+
+def _curl_terms(T: np.ndarray) -> np.ndarray:
+    """eps_ijk T[..., k, j] over the component axes of separated terms."""
+    return np.einsum("ijk,cskj...->csi...", _EPS, T)
+
+
+def _walk_strings(rep, vec, depth: int, shift: int = 0, state=None,
+                  flow_depth: int = -1):
     """Weighted integrals over the derivative strings of vec, each string
     differentiated once.
 
-    Level (n, l) holds the 3^(n+l) strings that apply l angular
-    derivatives first, then n flat partials, over all index choices.  The
-    partials of a string give its flat children, its angular children
-    when n = 0, its flow-map terms and its flat curl; a level lives only
-    until its children are walked.  Returns (dens, flow, head):
+    rep is the field representation, _GridFields or SeparatedFields, and
+    vec a field in it.  Level (n, l) holds the 3^(n+l) strings that apply
+    l angular derivatives first, then n flat partials, over all index
+    choices.  The partials of a string give its flat children, its angular
+    children when n = 0, its flow-map terms and its flat curl; a level
+    lives only until its children are walked.  Returns (dens, flow, head):
     dens[(n, l)] integrates the level's squared strings against
     sigma^(iota + n + shift) for n + l <= depth; flow[(n, l)], for n + l <=
     flow_depth < depth, integrates the sums of |grad_eta|^2, div_eta^2,
     |curl_eta|^2 and |flat curl|^2 against sigma^(iota + n + 1); head is
-    the flow and flat curl of vec.  Sums run in string order, so they
-    match a string-by-string evaluation bit for bit.
+    the flow and flat curl of vec.  On node arrays the sums run in string
+    order, so they match a string-by-string evaluation bit for bit.
     """
-    iota = grid.constants.iota
-    y = grid.y
+    iota = rep.grid.constants.iota
 
     def weighted(n, vals, extra):
-        return grid.integrate(grid.sigma ** (iota + n + extra) * vals)
+        return rep.integrate(iota + n + extra, vals)
 
-    dens = {(0, 0): weighted(0, _sq(vec), shift)}
+    dens = {(0, 0): weighted(0, rep.sq(vec), shift)}
     flow = {}
     head = None
     stack = [(0, 0, [vec])] if depth > 0 else []
@@ -247,27 +456,25 @@ def _walk_strings(grid: BallGrid, vec: np.ndarray, depth: int, shift: int = 0,
         n, l, pieces = stack.pop()
         # children are kept only when they have children of their own
         keep = n + l + 1 < depth
-        sums = np.zeros((4, *grid.shape)) if n + l <= flow_depth else None
-        flat_sq, ang_sq = np.zeros(grid.shape), np.zeros(grid.shape)
+        sums = rep.zeros(4) if n + l <= flow_depth else None
+        flat_sq, ang_sq = rep.zeros(), rep.zeros()
         flat, angular = [], []
         for piece in pieces:
-            dp = grid.partials(piece)  # dp[i, k] = d_k piece^i
+            dp = rep.partials(piece)
             if sums is not None:
-                G, div_eta, curl_eta = flow_ops_from_partials(state, dp)
-                curl = np.einsum("ijk,kj...->i...", _EPS, dp)
-                sums += np.stack([np.einsum("ir...,ir...->...", G, G),
-                                  div_eta**2, _sq(curl_eta), _sq(curl)])
+                terms, curl_eta, curl = rep.flow(state, dp)
+                sums += terms
                 if n + l == 0:
                     head = (curl_eta, curl)
-            kids = [dp[:, k] for k in range(3)]
+            kids = rep.flat(dp)
             for kid in kids:
-                flat_sq += _sq(kid)
+                flat_sq += rep.sq(kid)
             if keep:
                 flat.extend(kids)
             if n == 0:
-                kids = [_angular(y, dp, d) for d in range(3)]
+                kids = rep.angular(dp)
                 for kid in kids:
-                    ang_sq += _sq(kid)
+                    ang_sq += rep.sq(kid)
                 if keep:
                     angular.extend(kids)
         dens[(n + 1, l)] = weighted(n + 1, flat_sq, shift)
@@ -368,9 +575,9 @@ def energy_Ej(traj, j: int, t: float, truncation: Truncation | None = None) -> f
                 f"summand (m, n, l) = ({m}, {n}, {l}) needs time derivative "
                 f"order {m + 1}, trajectory supplies {traj.max_time_order}"
             )
-    grid = traj.grid
+    rep = _GridFields(traj.grid)
     # time order q enters with n + l = j - q strings and one more flat partial
-    dens = [_walk_strings(grid, traj.time_derivative(t, q).values, j + 1 - q)[0]
+    dens = [_walk_strings(rep, traj.time_derivative(t, q).values, j + 1 - q)[0]
             for q in range(j + 2)]
     return sum(sum(_energy_summand(1.0 + t, m, n, l, dens[m], dens[m + 1]))
                for m, n, l in _triples(j))
@@ -454,28 +661,57 @@ def energy_functionals(traj, t: float, gamma: float, J_max: int = 2,
     """
     if J_max < 0:
         raise ValueError(f"J_max must be nonnegative, got {J_max}")
-    tr = truncation or Truncation()
-    grid = traj.grid
-    iota = grid.constants.iota
-    sig = grid.sigma
-    opt = 1.0 + t
+    state = deformation(traj.time_derivative(t, 0))
+    return _report(_GridFields(traj.grid),
+                   lambda q: traj.time_derivative(t, q).values,
+                   traj.max_time_order, state, _m0_pointwise(gamma, state)[0],
+                   t, gamma, J_max, truncation or Truncation())
 
-    omega = traj.time_derivative(t, 0)
-    state = deformation(omega)
+
+def radial_energy_functionals(fields: SeparatedFields, t: float,
+                              gamma: float, profiles, J_max: int = 2,
+                              truncation: Truncation | None = None
+                              ) -> EnergyReport:
+    """energy_functionals of the radial trajectory whose q-th time
+    derivative at time t is profiles[q](s) y, with profiles[q] sampled on
+    the radial nodes of the grid of fields.
+
+    Every derivative string of such a field is a short sum of radial
+    functions times angular tensors, so the report is evaluated in that
+    separated form: the same discrete operators and quadrature as
+    energy_functionals on the grid's nodes, regrouped, at the cost of a
+    few radial vectors per string instead of a full grid.  Reports made
+    with the same fields share the angular factors it has built.
+    """
+    if J_max < 0:
+        raise ValueError(f"J_max must be nonnegative, got {J_max}")
+    s = fields.grid.s
+    omegas = [fields.field(s * np.asarray(p, dtype=float)) for p in profiles]
+    state = fields.deformation(omegas[0])
+    return _report(fields, omegas.__getitem__, len(omegas) - 1, state,
+                   fields.density(_m0_pointwise(gamma, state)[0]), t, gamma,
+                   J_max, truncation or Truncation())
+
+
+def _report(rep, field, max_time_order: int, state, m0, t: float,
+            gamma: float, J_max: int, tr: Truncation) -> EnergyReport:
+    """Walk the strings of each time derivative field(q) in representation
+    rep and assemble the report; m0 is the bulk term's integrand."""
+    iota = rep.grid.constants.iota
+    opt = 1.0 + t
 
     # the kept summands of time order m apply strings of n + l <= top[m]
     top = {m: min(J_max - m, tr.nl_max)
-           for m in range(min(J_max, tr.m_max, traj.max_time_order - 1) + 1)}
-    vadd_orders = range(min(1, tr.m_max, traj.max_time_order) + 1)
+           for m in range(min(J_max, tr.m_max, max_time_order - 1) + 1)}
+    vadd_orders = range(min(1, tr.m_max, max_time_order) + 1)
     # one walk per time derivative: full terms on its own summands, one
     # more flat partial for term_ii, and the strings of the w_t of order q - 1
     walks = {}
     for q in range(len(top) + 1):
         flow_depth = top.get(q, 0 if q in vadd_orders else -1)
         depth = max(flow_depth + 1, top.get(q - 1, -1))
-        walks[q] = _walk_strings(grid, traj.time_derivative(t, q).values,
-                                 depth, 0, state, flow_depth)
-    curl_first = {m: _walk_strings(grid, walks[m][2][1], top[m], 1)[0]
+        walks[q] = _walk_strings(rep, field(q), depth, 0, state, flow_depth)
+    curl_first = {m: _walk_strings(rep, walks[m][2][1], top[m], 1)[0]
                   for m in top}
 
     E_j = []
@@ -510,26 +746,55 @@ def energy_functionals(traj, t: float, gamma: float, J_max: int = 2,
 
     v_add = 0.0
     for m in vadd_orders:
-        dens = _walk_strings(grid, walks[m][2][0], tr.nl_max, 1)[0]
+        dens = _walk_strings(rep, walks[m][2][0], tr.nl_max, 1)[0]
         for total in range(tr.nl_max + 1):
             for n in range(total + 1):
                 v_add += opt ** (2 * m) * dens[(n, total - n)]
 
-    m0 = _m0_pointwise(gamma, state)[0]
-    m0_integral = grid.integrate(sig ** (iota + 1.0) * m0)
-    _, _, curl_omega = flow_ops(state, omega)
-    curl_l2 = grid.integrate(
-        sig ** (iota + 1.0) * np.einsum("i...,i...->...", curl_omega, curl_omega)
-    )
-
+    # the flow curl of omega is the head of its own walk
+    curl_l2 = rep.integrate(iota + 1.0, rep.sq(walks[0][2][0]))
     return EnergyReport(
         t=t, gamma=gamma, J_max=J_max, truncation=tr,
         E_j=tuple(E_j), E_total=float(sum(E_j)),
         frakE=frakE, frakD=frakD, frakV=frakV,
         V_add=float(v_add), scriptV=tuple(scriptV),
-        M0_integral=float(m0_integral), curl_l2=float(curl_l2),
+        M0_integral=float(rep.integrate(iota + 1.0, m0)),
+        curl_l2=float(curl_l2),
         truncated=tuple(dict.fromkeys(dropped)),
     )
+
+
+def _entries(report: EnergyReport, name: str) -> list:
+    val = getattr(report, name)
+    if isinstance(val, dict):
+        return list(val.values())
+    return list(val) if isinstance(val, tuple) else [val]
+
+
+def report_defect(report: EnergyReport, reference: EnergyReport) -> float:
+    """Largest disagreement between two reports of the same field.
+
+    Energy-type entries (E_j, E_total, frakE, frakD, M0_integral) count
+    relative to the reference entry; curl-type entries (frakV, scriptV,
+    V_add, curl_l2), which vanish for curl-free fields, count relative to
+    the reference's E_total.  Reports that disagree on their keys or
+    truncation are infinitely far apart.
+    """
+    if (report.J_max != reference.J_max
+            or report.truncated != reference.truncated
+            or list(report.frakE) != list(reference.frakE)):
+        return math.inf
+    worst = 0.0
+    for names, scale in (
+            (("E_j", "E_total", "frakE", "frakD", "M0_integral"), None),
+            (("frakV", "scriptV", "V_add", "curl_l2"), abs(reference.E_total))):
+        for name in names:
+            for a, b in zip(_entries(report, name), _entries(reference, name)):
+                diff = abs(a - b)
+                if diff > 0.0:
+                    ref = abs(b) if scale is None else scale
+                    worst = max(worst, diff / ref if ref > 0.0 else math.inf)
+    return worst
 
 
 # ---------------------------------------------------------------------------

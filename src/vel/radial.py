@@ -23,7 +23,9 @@ from scipy.optimize import linprog
 
 from ._io import open_dest
 from .geometry import BallGrid, VectorField, deformation
-from .norms import Truncation, energy_functionals
+from .norms import (CallableTrajectory, SeparatedFields, Truncation,
+                    energy_functionals, radial_energy_functionals,
+                    report_defect)
 from .params import GasParams, derive_constants
 from .theta import nu, theta_acceleration
 
@@ -307,11 +309,14 @@ class RadialSolver:
         n = self.n
         self.D, H, _, self._vL = _build_sbp(2 * n, self.h)
         self.Dh = self.D[n:, n:] - self.D[n:, n - 1::-1]
+        # a contiguous transpose: products with the strided view run slower
+        self._DhT = np.ascontiguousarray(self.Dh.T)
         self.H = H[n:]
         self.sigma = c.a_bar - c.b_bar * self.s**2
         self.w_u = self.H * 4.0 * np.pi * self.s**2 * self.sigma ** (c.iota + 1.0)
         self.w_kin = self.H * 4.0 * np.pi * self.s**2 * self.sigma**c.iota
-        for arr in (self.s, self.Dh, self.sigma, self.w_u, self.w_kin):
+        for arr in (self.s, self.Dh, self._DhT, self.sigma, self.w_u,
+                    self.w_kin):
             arr.setflags(write=False)
 
     def boundary_value(self, f: np.ndarray) -> float:
@@ -324,7 +329,9 @@ class RadialSolver:
         gp = 1.0 + F / self.s
         gq = 1.0 + self.Dh @ F
         jac = gp * gp * gq
-        if np.any(jac <= 0.0) or np.any(gp <= 0.0):
+        # NaN compares false here, so non-finite states pass on to the
+        # finiteness check of step
+        if np.minimum(jac, gp).min() <= 0.0:
             bad = np.where((jac <= 0.0) | (gp <= 0.0))[0]
             idx = int(bad[0])
             raise DegenerateProfileError(
@@ -345,7 +352,7 @@ class RadialSolver:
         jg = jac ** (-self.gamma)
         m0_p = -jg * 2.0 * gp * gq + 2.0
         m0_q = -jg * gp * gp + 1.0
-        return self.w_u * m0_p / self.s + self.Dh.T @ (self.w_u * m0_q)
+        return self.w_u * m0_p / self.s + self._DhT @ (self.w_u * m0_q)
 
     def _hess_apply(self, F: np.ndarray, V: np.ndarray) -> np.ndarray:
         # directional derivative of _force_gradient along V
@@ -359,7 +366,7 @@ class RadialSolver:
         m0_qq = self.gamma * jg1 * gp**4
         dmp = m0_pp * pv + m0_pq * qv
         dmq = m0_pq * pv + m0_qq * qv
-        return self.w_u * dmp / self.s + self.Dh.T @ (self.w_u * dmq)
+        return self.w_u * dmp / self.s + self._DhT @ (self.w_u * dmq)
 
     def _grad(self, F: np.ndarray) -> np.ndarray:
         # force gradient per kinetic weight
@@ -581,27 +588,6 @@ def embedded_flux_divergence(gamma: float, grid: BallGrid, f, fp) -> OracleRepor
 
 
 @dataclass(frozen=True)
-class _FrozenRadialTrajectory:
-    """Energy-module adapter: profiles frozen at one time sample."""
-
-    grid: BallGrid
-    t: float
-    profiles: tuple
-
-    @property
-    def max_time_order(self) -> int:
-        return len(self.profiles) - 1
-
-    def time_derivative(self, t: float, order: int) -> VectorField:
-        if abs(t - self.t) > 1e-12 * max(1.0, abs(self.t)):
-            raise ValueError(f"trajectory frozen at t = {self.t}, asked for {t}")
-        if order < 0 or order > self.max_time_order:
-            raise ValueError(f"time derivative order {order} not available")
-        prof = self.profiles[order]
-        return VectorField(self.grid, prof[:, None, None] * self.grid.y)
-
-
-@dataclass(frozen=True)
 class RunResult:
     """Trajectory record of one radial run."""
 
@@ -616,6 +602,7 @@ class RunResult:
     final_state: RadialState
     boundary_monotone: bool
     steps: int
+    oracle_defect: float
 
     def energy_total(self) -> np.ndarray:
         return np.array([r.E_total for r in self.reports])
@@ -627,7 +614,14 @@ class RunResult:
 def run(config: RunConfig) -> RunResult:
     """Evolve the configured initial data, recording energy reports and
     the boundary radius at geometric cadence, and enforcing the a-priori
-    energy monitors.  Returns a result with a labeled stop reason."""
+    energy monitors.  Returns a result with a labeled stop reason.
+
+    Every report is evaluated in separated form.  The first and last
+    records are also evaluated by the 3D energy_functionals on the same
+    grid, which keeps their curl terms measured independently of the
+    radial ansatz; those records keep the 3D report, and the largest
+    disagreement between the two is the result's oracle_defect.
+    """
     solver = RadialSolver(config.gamma, config.mass, config.resolution)
     grid = BallGrid(solver.constants, n_r=config.resolution,
                     n_mu=config.report_angles[0], n_psi=config.report_angles[1],
@@ -642,14 +636,33 @@ def run(config: RunConfig) -> RunResult:
     sup_energy = 0.0
     stop_reason = None
     total_mass = config.mass
+    oracle_defect = 0.0
+    last_profiles = None
+    separated = SeparatedFields(grid)
+
+    def full_report(t: float, profiles):
+        traj = CallableTrajectory(grid, tuple(
+            (lambda _, y, p=p: p[:, None, None] * y) for p in profiles))
+        return energy_functionals(traj, t, config.gamma, J_max=config.J_max,
+                                  truncation=config.truncation)
+
+    def separated_report(t: float, profiles):
+        return radial_energy_functionals(separated, t, config.gamma, profiles,
+                                         J_max=config.J_max,
+                                         truncation=config.truncation)
 
     def record(st: RadialState):
-        nonlocal sup_energy
+        nonlocal sup_energy, last_profiles, oracle_defect
         profiles = solver.time_derivatives(st)
-        traj = _FrozenRadialTrajectory(grid, st.time, profiles)
-        rep = energy_functionals(traj, st.time, config.gamma,
-                                 J_max=config.J_max,
-                                 truncation=config.truncation)
+        if reports:
+            rep = separated_report(st.time, profiles)
+        else:
+            # the 3D report runs before the separated one builds its
+            # angular factors, so the two never hold memory at once
+            rep = full_report(st.time, profiles)
+            oracle_defect = report_defect(separated_report(st.time, profiles),
+                                          rep)
+        last_profiles = profiles
         radius = st.theta * (1.0 + solver.boundary_value(st.f)) * solver.constants.r0
         times.append(st.time)
         radii.append(radius)
@@ -690,6 +703,12 @@ def run(config: RunConfig) -> RunResult:
         elif state.time >= config.t_end - 1e-12 * config.t_end:
             stop_reason = record(state) or STOP_COMPLETED
 
+    if len(reports) > 1:
+        separated = None  # free the angular factors before the 3D report
+        full = full_report(times[-1], last_profiles)
+        oracle_defect = max(oracle_defect, report_defect(reports[-1], full))
+        reports[-1] = full
+        sup_energy = max(rep.E_total for rep in reports)
     t_arr = np.array(times)
     r_arr = np.array(radii)
     monotone = bool(np.all(np.diff(r_arr) >= -1e-12 * max(r_arr.max(), 1.0))) \
@@ -699,6 +718,7 @@ def run(config: RunConfig) -> RunResult:
         mass_error=np.array(mass_err), sup_energy=float(sup_energy),
         stop_reason=stop_reason, stop_time=float(state.time),
         final_state=state, boundary_monotone=monotone, steps=steps,
+        oracle_defect=float(oracle_defect),
     )
 
 

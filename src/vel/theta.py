@@ -158,10 +158,22 @@ def nu(gamma: float, t, order: int = 0):
     ts = np.asarray(t, dtype=float)
     if np.any(ts < 0.0):
         raise ValueError("t must be non-negative")
-    p = 1.0 / (3.0 * gamma - 1.0)
-    coef = float(np.prod(p - np.arange(order)))
-    out = coef * np.power(1.0 + ts, p - order)
+    coef, power = _nu_law(gamma, order)
+    out = coef * np.power(1.0 + ts, power)
     return float(out) if ts.ndim == 0 else out
+
+
+def _nu_law(gamma: float, order: int) -> tuple[float, float]:
+    """(coef, power) with d^order nu / dt^order = coef (1+t)^power."""
+    p = 1.0 / (3.0 * gamma - 1.0)
+    return float(np.prod(p - np.arange(order))), p - order
+
+
+def _scalar_nu(gamma: float, order: int) -> Callable[[float], float]:
+    """nu(gamma, t, order) for scalar t >= 0, bit for bit, without the
+    argument checks: for right-hand sides called many thousand times."""
+    coef, power = _nu_law(gamma, order)
+    return lambda t: float(coef * np.power(1.0 + t, power))
 
 
 def theta_acceleration(gamma: float, theta, theta_t):
@@ -173,7 +185,8 @@ def theta_acceleration(gamma: float, theta, theta_t):
 
 
 def _default_forcing(gamma: float) -> Callable[[float], float]:
-    return lambda t: -nu(gamma, t, 2)
+    nu_tt = _scalar_nu(gamma, 2)
+    return lambda t: -nu_tt(t)
 
 
 def integrate_h(
@@ -200,10 +213,11 @@ def integrate_h(
     c = 1.0 / (3.0 * gamma - 1.0)
     q = 2.0 - 3.0 * gamma
     force = _default_forcing(gamma) if forcing is None else forcing
+    base_at = _scalar_nu(gamma, 0)
 
     def rhs(t: float, y: np.ndarray):
         h, h_t = y
-        base = nu(gamma, t)
+        base = base_at(t)
         lifted = base + h
         # positivity enforced by the terminal event; clip only guards the power
         lifted = lifted if lifted > 0.0 else np.nan
@@ -211,7 +225,7 @@ def integrate_h(
         return (h_t, h_tt)
 
     def hit_zero(t: float, y: np.ndarray) -> float:
-        return nu(gamma, t) + y[0]
+        return base_at(t) + y[0]
 
     hit_zero.terminal = True  # type: ignore[attr-defined]
     hit_zero.direction = -1  # type: ignore[attr-defined]

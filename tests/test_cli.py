@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from vel import cli
+from vel import cli, norms
 
 
 # 32 cells, 6x6 angles, J_max 1 and 10 records: a radial run of a few seconds
@@ -264,10 +264,12 @@ class TestRadial:
         assert "PASS run-outcome" in out
         assert "PASS boundary-growth" in out
         assert "PASS vorticity-free" in out
+        assert "PASS report-oracle" in out
         payload = json.loads((tmp_path / "radial_fit.json").read_text())
         assert payload["stop_reason"] == "completed"
         assert abs(payload["growth_fit"]["exponent"] - 0.2) <= 0.01
         assert payload["v_add_max"] <= 1e-16
+        assert payload["oracle_defect"] <= 1e-12
         series = (tmp_path / "radial_trajectory.csv").read_text().splitlines()
         assert series[0].startswith("t,R,E_0")
         assert len(series) >= 40
@@ -312,6 +314,37 @@ class TestRadial:
         payload = json.loads((tmp_path / "radial_fit.json").read_text())
         assert payload["growth_fit"] is None
         assert payload["passed"] is False
+
+    def test_deep_strings_pass_oracle(self, capsys, tmp_path):
+        # J_max 3 with nl_max 3 walks four radial differences
+        config = write_config(tmp_path, {
+            "grid": {"resolution": 32, "n_mu": 4, "n_psi": 4},
+            "norms": {"J_max": 3, "m_max": 2, "nl_max": 3},
+            "output": {"records": 4},
+        })
+        code, out, _ = run_cli(
+            ["radial", "--config", config, "--eps", "1e-3", "--t-end", "5",
+             "--out", str(tmp_path)], capsys)
+        assert "PASS report-oracle" in out
+        payload = json.loads((tmp_path / "radial_fit.json").read_text())
+        assert payload["oracle_defect"] <= 1e-12
+
+    def test_perturbed_separated_report_fails_oracle(self, capsys, tmp_path,
+                                                     monkeypatch):
+        original = norms.SeparatedFields.partials
+
+        def flipped(self, piece):
+            return original(self, piece._replace(parity=-piece.parity))
+
+        monkeypatch.setattr(norms.SeparatedFields, "partials", flipped)
+        config = write_config(tmp_path, SMALL_RADIAL)
+        code, out, _ = run_cli(
+            ["radial", "--config", config, "--eps", "1e-3", "--t-end", "10",
+             "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "FAIL report-oracle" in out
+        payload = json.loads((tmp_path / "radial_fit.json").read_text())
+        assert payload["oracle_defect"] > 1e-12
 
     def test_json_format_writes_reports(self, capsys, tmp_path):
         config = write_config(tmp_path, {

@@ -1,5 +1,6 @@
 """Tests for weighted norms, inequality checks, and energy functionals."""
 
+import dataclasses
 import io
 import json
 import math
@@ -9,8 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vel import norms
-from vel.geometry import (_EPS, BallGrid, ScalarField, VectorField,
-                          deformation, flow_ops)
+from vel.geometry import (_EPS, BallGrid, DegenerateDeformationError,
+                          ScalarField, VectorField, deformation, flow_ops)
 from vel.params import GasParams, derive_constants
 
 CONSTANTS = derive_constants(GasParams(gamma=2.0, mass=1.0))
@@ -486,6 +487,148 @@ class TestStringWalk:
         monkeypatch.setattr(BallGrid, "partials", counted)
         norms.energy_functionals(traj, 0.3, 2.0, J_max=2)
         assert 0 < len(calls) <= 330
+
+
+# ---------------------------------------------------------------------------
+# separated reports of radial fields against the node-array walk
+
+
+ENERGY_FIELDS = ("E_j", "E_total", "frakE", "frakD", "M0_integral")
+CURL_FIELDS = ("frakV", "scriptV", "V_add", "curl_l2")
+
+
+def _entries(rep, name):
+    val = getattr(rep, name)
+    if isinstance(val, dict):
+        return list(val.items())
+    if isinstance(val, tuple):
+        return list(enumerate(val))
+    return [(None, val)]
+
+
+def radial_profiles(grid, amplitude=1e-3):
+    """Four time derivatives of a smooth even profile, all different and
+    nonzero (f_t != 0), sampled on the grid's radial nodes."""
+    x2 = (grid.s / grid.constants.r0) ** 2
+    shape = (1.0 - x2) ** 2 * (1.0 + 0.3 * np.cos(2.0 * x2))
+    return tuple(amplitude * c * shape * (1.0 + 0.1 * q * x2)
+                 for q, c in enumerate((1.0, -0.4, 0.25, -0.1)))
+
+
+def separated(grid, t, gamma, profiles, **kwargs):
+    return norms.radial_energy_functionals(norms.SeparatedFields(grid), t,
+                                           gamma, profiles, **kwargs)
+
+
+def frozen(grid, profiles):
+    return norms.CallableTrajectory(grid, tuple(
+        (lambda t, y, p=p: p[:, None, None] * y) for p in profiles))
+
+
+class TestSeparatedReport:
+    # every J_max 0-3, truncation (1,1), (2,2), (2,3), angular grid 4x4,
+    # 6x6, 8x8 and both cell counts appear; J_max 3 with nl_max 3 reaches
+    # four radial differences, at 64 and 256 cells
+    @pytest.mark.parametrize("n_r,angles,J_max,truncation", [
+        (48, (4, 4), 0, norms.Truncation(1, 1)),
+        (64, (6, 6), 1, norms.Truncation(1, 1)),
+        (48, (8, 8), 2, norms.Truncation(2, 2)),
+        (64, (8, 8), 2, norms.Truncation(2, 2)),
+        (64, (4, 4), 3, norms.Truncation(2, 2)),
+        (48, (6, 6), 2, norms.Truncation(2, 3)),
+        (64, (6, 6), 1, norms.Truncation(2, 3)),
+        (48, (8, 8), 3, norms.Truncation(1, 1)),
+        (64, (6, 6), 3, norms.Truncation(2, 3)),
+        (256, (4, 4), 3, norms.Truncation(2, 3)),
+    ])
+    def test_agrees_with_grid_report(self, n_r, angles, J_max, truncation):
+        grid = BallGrid(CONSTANTS, n_r=n_r, n_mu=angles[0], n_psi=angles[1],
+                        radial_scheme="midpoint")
+        profiles = radial_profiles(grid)
+        full = norms.energy_functionals(frozen(grid, profiles), 2.5, 2.0,
+                                        J_max=J_max, truncation=truncation)
+        sep = separated(grid, 2.5, 2.0, profiles, J_max=J_max,
+                        truncation=truncation)
+        assert full.E_total > 0.0 and full.M0_integral > 0.0
+        assert sep.truncated == full.truncated
+        assert list(sep.frakE) == list(full.frakE)
+        for name in ENERGY_FIELDS:
+            for (key, a), (_, b) in zip(_entries(sep, name),
+                                        _entries(full, name)):
+                assert abs(a - b) <= 1e-12 * abs(b), (name, key)
+        for name in CURL_FIELDS:
+            for (key, a), (_, b) in zip(_entries(sep, name),
+                                        _entries(full, name)):
+                assert abs(a - b) <= 1e-12 * full.E_total, (name, key)
+        assert norms.report_defect(sep, full) <= 1e-12
+
+    def test_deep_strings_keep_node_level_rounding(self):
+        # four radial differences hold terms of size h^-4 near the center
+        # that cancel: squared through the angular Gram matrix they drifted
+        # 1e-10 per ulp of input at 64 cells, summed through R they drift
+        # at round-off like the node arrays
+        grid = BallGrid(CONSTANTS, n_r=64, n_mu=6, n_psi=6,
+                        radial_scheme="midpoint")
+        profiles = radial_profiles(grid)
+        rng = np.random.default_rng(3)
+        nudged = tuple(p * (1.0 + 2.2e-16 * rng.standard_normal(p.size))
+                       for p in profiles)
+        tr = norms.Truncation(2, 3)
+        base = separated(grid, 2.5, 2.0, profiles, J_max=3, truncation=tr)
+        moved = separated(grid, 2.5, 2.0, nudged, J_max=3, truncation=tr)
+        assert norms.report_defect(moved, base) <= 1e-13
+
+    def test_zero_profiles_give_zero_report(self):
+        grid = BallGrid(CONSTANTS, n_r=48, n_mu=4, n_psi=4,
+                        radial_scheme="midpoint")
+        zero = tuple(np.zeros(48) for _ in range(4))
+        sep = separated(grid, 0.0, 2.0, zero)
+        full = norms.energy_functionals(frozen(grid, zero), 0.0, 2.0)
+        assert sep.E_total == 0.0 and sep.M0_integral == 0.0
+        assert norms.report_defect(sep, full) == 0.0
+
+    def test_repeat_reports_identical(self):
+        # the second report reuses the angular factors the first built
+        grid = BallGrid(CONSTANTS, n_r=48, n_mu=6, n_psi=6,
+                        radial_scheme="midpoint")
+        profiles = radial_profiles(grid)
+        fields = norms.SeparatedFields(grid)
+        first = norms.radial_energy_functionals(fields, 1.0, 2.0, profiles)
+        second = norms.radial_energy_functionals(fields, 1.0, 2.0, profiles)
+        for name in norms.EnergyReport.__dataclass_fields__:
+            assert getattr(first, name) == getattr(second, name), name
+
+    def test_no_partials_calls(self, monkeypatch):
+        grid = BallGrid(CONSTANTS, n_r=48, n_mu=6, n_psi=6,
+                        radial_scheme="midpoint")
+
+        def refuse(self, vals):
+            raise AssertionError("separated report took 3D partials")
+
+        monkeypatch.setattr(BallGrid, "partials", refuse)
+        rep = separated(grid, 1.0, 2.0, radial_profiles(grid))
+        assert rep.E_total > 0.0
+
+    def test_degenerate_profile_rejected(self):
+        grid = BallGrid(CONSTANTS, n_r=48, n_mu=4, n_psi=4,
+                        radial_scheme="midpoint")
+        folded = tuple(np.full(48, -1.5) for _ in range(4))
+        with pytest.raises(DegenerateDeformationError):
+            separated(grid, 0.0, 2.0, folded)
+
+    def test_defect_sees_a_moved_entry(self):
+        grid = BallGrid(CONSTANTS, n_r=48, n_mu=4, n_psi=4,
+                        radial_scheme="midpoint")
+        rep = separated(grid, 1.0, 2.0, radial_profiles(grid))
+        assert norms.report_defect(rep, rep) == 0.0
+        frakD = dict(rep.frakD)
+        frakD[(0, 0, 1)] *= 1.0 + 1e-9
+        moved = dataclasses.replace(rep, frakD=frakD)
+        assert 5e-10 <= norms.report_defect(moved, rep) <= 2e-9
+        curl = dataclasses.replace(rep, V_add=1e-9 * rep.E_total)
+        assert norms.report_defect(curl, rep) >= 9e-10
+        assert norms.report_defect(
+            rep, dataclasses.replace(rep, J_max=1)) == math.inf
 
 
 class TestM0E0:

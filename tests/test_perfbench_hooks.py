@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vel import radial
+from vel import norms, radial
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,3 +47,19 @@ def test_probe_operands_conform():
     solver = radial.RadialSolver(2.0, resolution=16)
     out = solver.D @ np.ones(2 * solver.n)
     assert out.shape == (2 * solver.n,)
+
+
+def test_workloads_build(monkeypatch):
+    # perfbench/workloads.py builds STEP_CONFIG with report_angles=(4, 4)
+    # at import: deleting that RunConfig field would fail every radial-step
+    # operation
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = _load("workloads")
+    cfg = workloads.STEP_CONFIG
+    assert cfg.report_angles == (4, 4)
+    assert isinstance(cfg, radial.RunConfig)
+    assert set(workloads.WORKLOADS) == {"radial-report", "radial-step",
+                                        "dilation-ode"}
+    # the names the benchmark reaches beyond the traced spans
+    assert callable(norms.flow_ops)
+    assert radial.RadialSolver(2.0, resolution=16).D.shape == (32, 32)

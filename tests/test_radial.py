@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from vel import norms
+from vel import radial as radial_module
 from vel.geometry import BallGrid, DegenerateDeformationError
-from vel.norms import zeroth_energy_balance
+from vel.norms import Truncation, zeroth_energy_balance
 from vel.params import GasParams, derive_constants
 from vel.radial import (DegenerateProfileError, GrowthFit, OracleReport,
                         RadialSolver, RadialState, RunConfig, _build_sbp,
@@ -102,6 +104,11 @@ class TestSolverSetup:
         assert solver.w_kin.min() > 0.0
         assert_allclose(solver.w_u, solver.w_kin * solver.sigma,
                         rtol=1e-13, atol=0)
+
+    def test_transpose_stored_contiguous(self):
+        solver = RadialSolver(GAMMA, resolution=48)
+        assert solver._DhT.flags.c_contiguous
+        assert_array_equal(solver._DhT, solver.Dh.T)
 
     def test_default_theta_context(self):
         solver = RadialSolver(GAMMA, resolution=16)
@@ -550,6 +557,27 @@ class TestRunDriver:
         assert res.stop_time < 1.0
         assert np.all(np.isfinite(res.final_state.f))
 
+    def test_nan_force_stops_nonfinite(self, monkeypatch):
+        # the degeneracy scan lets NaN through, so a poisoned force ends
+        # the run at the step's finiteness check, not as degenerate
+        original = RadialSolver._grad
+        calls = []
+
+        def poisoned(self, F):
+            calls.append(1)
+            out = original(self, F)
+            return out * np.nan if len(calls) > 6 else out
+
+        monkeypatch.setattr(RadialSolver, "_grad", poisoned)
+        cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0,
+                        amplitude=1e-3, records=4, J_max=0,
+                        report_angles=(4, 4))
+        res = run(cfg)
+        assert res.stop_reason == "nonfinite"
+        solver = RadialSolver(GAMMA, resolution=32)
+        gp, gq, jac = solver._pq(np.full(32, np.nan))
+        assert np.isnan(jac).all()
+
     def test_vorticity_free_throughout(self):
         cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=20.0,
                         amplitude=1e-3, records=12, J_max=1,
@@ -586,6 +614,74 @@ class TestRunDriver:
         base[field] = value
         with pytest.raises(ValueError, match=match):
             RunConfig(**base)
+
+
+class TestReportOracle:
+    CONFIG = dict(gamma=GAMMA, resolution=32, t_end=10.0, amplitude=1e-3,
+                  velocity_amplitude=5e-4, J_max=2,
+                  truncation=Truncation(2, 2), report_angles=(6, 6))
+
+    def test_defect_measured_and_small(self):
+        res = run(RunConfig(records=6, **self.CONFIG))
+        assert res.stop_reason == "completed"
+        assert res.oracle_defect <= 1e-12
+        # the first and last records keep the 3D report: curl terms are
+        # measured there, not zero by construction
+        assert res.reports[0].curl_l2 > 0.0
+        assert res.reports[-1].curl_l2 > 0.0
+
+    def test_swirl_on_oracle_records_is_measured(self, monkeypatch):
+        # the 3D reports of the oracle records see what the radial ansatz
+        # cannot: a rotational perturbation trips the curl terms there
+        original = norms.CallableTrajectory.time_derivative
+
+        def swirled(self, t, order):
+            field = original(self, t, order)
+            y = self.grid.y
+            swirl = 1e-4 * np.stack([-y[1], y[0], np.zeros_like(y[2])])
+            return type(field)(self.grid, field.values + swirl)
+
+        monkeypatch.setattr(norms.CallableTrajectory, "time_derivative",
+                            swirled)
+        res = run(RunConfig(records=6, **self.CONFIG))
+        assert res.v_add()[0] > 1e-16 and res.v_add()[-1] > 1e-16
+        assert res.oracle_defect > 1e-12
+
+    @pytest.mark.parametrize("records", [4, 12])
+    def test_two_3d_reports_per_run(self, monkeypatch, records):
+        cfg = RunConfig(records=records, **self.CONFIG)
+        calls = {"full": 0, "partials": 0}
+        energy = radial_module.energy_functionals
+        partials = BallGrid.partials
+
+        def counted_energy(*args, **kwargs):
+            calls["full"] += 1
+            return energy(*args, **kwargs)
+
+        def counted_partials(self, vals):
+            calls["partials"] += 1
+            return partials(self, vals)
+
+        monkeypatch.setattr(BallGrid, "partials", counted_partials)
+        grid = BallGrid(CONSTANTS, n_r=32, n_mu=6, n_psi=6,
+                        radial_scheme="midpoint")
+        solver = RadialSolver(GAMMA, resolution=32)
+        state = solver.make_state(0.0, poly_profile(solver),
+                                  0.5 * poly_profile(solver))
+        traj = norms.CallableTrajectory(grid, tuple(
+            (lambda _, y, p=p: p[:, None, None] * y)
+            for p in solver.time_derivatives(state)))
+        energy(traj, 0.0, GAMMA, J_max=2, truncation=Truncation(2, 2))
+        per_report = calls["partials"]
+        assert per_report > 0
+
+        calls["partials"] = 0
+        monkeypatch.setattr(radial_module, "energy_functionals",
+                            counted_energy)
+        res = run(cfg)
+        assert len(res.reports) >= records
+        assert calls["full"] == 2
+        assert calls["partials"] <= 2 * per_report
 
 
 # ---------------------------------------------------------------------------

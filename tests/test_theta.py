@@ -59,6 +59,24 @@ class TestIntegrateH:
         expected = p * (1.0 - p) * (1.0 + t) ** (p - 2.0)
         assert_allclose(theta._default_forcing(gamma)(t), expected, rtol=1e-14)
 
+    @pytest.mark.parametrize("gamma", [4.0 / 3.0, 2.0])
+    def test_default_forcing_path_matches_nu_calls(self, gamma):
+        # the scalar nu of the right-hand side is nu bit for bit
+        fast = theta.integrate_h(gamma, 1e3)
+        slow = theta.integrate_h(gamma, 1e3,
+                                 forcing=lambda t: -theta.nu(gamma, t, 2))
+        for name in ("times", "h", "h_t", "theta", "theta_t", "theta_tt"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name))
+        assert fast.err_est == slow.err_est
+
+    @pytest.mark.parametrize("gamma", [4.0 / 3.0, 5.0 / 3.0, 2.0, 3.0])
+    def test_scalar_nu_is_nu(self, gamma):
+        times = np.linspace(0.0, 1e4, 301)
+        for order in (0, 2):
+            fast = theta._scalar_nu(gamma, order)
+            assert all(fast(float(t)) == theta.nu(gamma, float(t), order)
+                       for t in times)
+
     def test_initial_values(self):
         path = theta.integrate_h(2.0, 10.0, num_samples=201)
         assert path.h[0] == 0.0 and path.h_t[0] == 0.0
