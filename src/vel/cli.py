@@ -231,8 +231,14 @@ def _cmd_barenblatt_check(config: Config, out):
         worst = max(worst, abs(m - mass) / mass)
     checks.record("mass", worst <= 1e-7,
                   f"max relative mass defect {worst:.2e} (budget 1e-07)")
+    # physical vacuum: c^2 has a finite nonzero slope -2 g b_bar Rbar/(1+t)
+    exact = -2.0 * gamma * c.b_bar * rad / (1.0 + t_ref)
+    slope_defect = abs(params.sound_speed_slope(c, gamma, t_ref) / exact - 1.0)
+    checks.record("vacuum-slope", slope_defect <= 1e-5,
+                  f"boundary slope of c^2 off -2 gamma b_bar R/(1+t) by "
+                  f"{slope_defect:.2e} relative at t=1 (budget 1e-05)")
     _dump_json({"gamma": gamma, "min_order": min_order,
-                "mass_defect": worst,
+                "mass_defect": worst, "vacuum_slope_defect": slope_defect,
                 "passed": not checks.failed},
                os.path.join(out, "barenblatt_check.json"))
     checks.emit(sys.stdout)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import open_dest
 from .params import BarenblattConstants
 
 __all__ = [
@@ -36,9 +35,6 @@ __all__ = [
     "piola_residual",
     "identity_nabt_nab",
     "commutator_defect",
-    "save_field",
-    "load_field",
-    "field_to_csv",
 ]
 
 # Frobenius size of the displacement gradient below which the small-strain
@@ -48,9 +44,6 @@ REGIME_THRESHOLD = 0.1
 _EPS = np.zeros((3, 3, 3))
 _EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
 _EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
-
-_MAGIC = b"VELF"
-_VERSION = 1
 
 
 class DegenerateDeformationError(RuntimeError):
@@ -194,10 +187,6 @@ class BallGrid:
         for name in ("s", "w_s", "mu", "w_mu", "psi", "y", "sigma_r", "sigma",
                      "weights"):
             getattr(self, name).setflags(write=False)
-
-    @property
-    def node_count(self) -> int:
-        return int(np.prod(self.shape))
 
     def integrate(self, values: np.ndarray) -> float:
         """Volume integral of per-node values."""
@@ -348,15 +337,13 @@ class CommutatorReport:
 
     C_fit is the smallest constant with |[dbar^beta, d^alpha] f| <= C *
     (sum of |d^{|alpha|} dbar^j f| over j < |beta|) at every node where the
-    majorant is nonzero; ceiling, when given, turns the fit into a pass/fail.
+    majorant is nonzero.
     """
 
     alpha: tuple[int, int, int]
     beta: tuple[int, int, int]
     max_commutator: float
     C_fit: float
-    ceiling: float | None
-    passed: bool
 
 
 def gradient(field) -> np.ndarray:
@@ -593,7 +580,6 @@ def commutator_defect(
     f: ScalarField,
     alpha: tuple[int, int, int],
     beta: tuple[int, int, int],
-    ceiling: float | None = None,
 ) -> CommutatorReport:
     """Evaluate [dbar^beta, d^alpha] f and fit the majorant constant.
 
@@ -613,9 +599,7 @@ def commutator_defect(
 
     if nb == 0:
         return CommutatorReport(
-            alpha=alpha, beta=beta, max_commutator=0.0, C_fit=0.0,
-            ceiling=ceiling, passed=True,
-        )
+            alpha=alpha, beta=beta, max_commutator=0.0, C_fit=0.0)
 
     d_first = _apply_multi(f, alpha, spatial_derivative)
     left = _apply_multi(d_first, beta, angular_derivative)
@@ -642,72 +626,5 @@ def commutator_defect(
             C_fit = float("inf")
     else:
         C_fit = 0.0 if max_comm == 0.0 else float("inf")
-    passed = np.isfinite(C_fit) and (ceiling is None or C_fit <= ceiling)
     return CommutatorReport(
-        alpha=alpha, beta=beta, max_commutator=max_comm, C_fit=C_fit,
-        ceiling=ceiling, passed=bool(passed),
-    )
-
-
-def save_field(field, dest) -> None:
-    """Serialize a field snapshot: magic, version, dims, node-major values."""
-    vals = field.values
-    if isinstance(field, ScalarField):
-        ncomp = 1
-        node_major = vals[..., None]
-    else:
-        ncomp = 3
-        node_major = np.moveaxis(vals, 0, -1)
-    n_r, n_mu, n_psi = field.grid.shape
-    header = np.array([n_r, n_mu, n_psi, ncomp], dtype="<i4")
-    with open_dest(dest, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(np.array([_VERSION], dtype="<i4").tobytes())
-        fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(node_major, dtype="<f8").tobytes())
-
-
-def load_field(src, grid: BallGrid):
-    """Load a snapshot written by save_field onto a conforming grid."""
-    with open_dest(src, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError("not a field snapshot (bad magic)")
-        version = int(np.frombuffer(fh.read(4), dtype="<i4")[0])
-        if version != _VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        dims = np.frombuffer(fh.read(16), dtype="<i4")
-        n_r, n_mu, n_psi, ncomp = (int(d) for d in dims)
-        if (n_r, n_mu, n_psi) != grid.shape:
-            raise ValueError("snapshot dims do not match the grid")
-        if ncomp not in (1, 3):
-            raise ValueError("snapshot must hold 1 or 3 components")
-        count = n_r * n_mu * n_psi * ncomp
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if data.size != count:
-            raise ValueError("snapshot truncated")
-        node_major = data.reshape(n_r, n_mu, n_psi, ncomp)
-    if ncomp == 1:
-        return ScalarField(grid, node_major[..., 0])
-    return VectorField(grid, np.moveaxis(node_major, -1, 0))
-
-
-def field_to_csv(field, dest) -> None:
-    """Write a small-grid snapshot as CSV rows of indices and values."""
-    grid = field.grid
-    scalar = isinstance(field, ScalarField)
-    cols = "v" if scalar else "v1,v2,v3"
-    with open_dest(dest) as fh:
-        fh.write(f"i_r,i_mu,i_psi,{cols}\n")
-        n_r, n_mu, n_psi = grid.shape
-        for ir in range(n_r):
-            for im in range(n_mu):
-                for ip in range(n_psi):
-                    if scalar:
-                        tail = repr(float(field.values[ir, im, ip]))
-                    else:
-                        tail = ",".join(
-                            repr(float(field.values[c, ir, im, ip]))
-                            for c in range(3)
-                        )
-                    fh.write(f"{ir},{im},{ip},{tail}\n")
+        alpha=alpha, beta=beta, max_commutator=max_comm, C_fit=C_fit)

@@ -42,26 +42,6 @@ MARGIN_SLACK = 1e-13
 
 
 # ---------------------------------------------------------------------------
-# weighted quadrature
-
-
-def weighted_l2(f, k: float) -> float:
-    """Integral of sigma^k |f|^2 over the ball.
-
-    k must exceed -1: at the boundary sigma vanishes linearly, so lower
-    exponents can make the integral diverge.
-    """
-    if not k > -1.0:
-        raise ValueError(f"weight exponent must exceed -1, got {k}")
-    grid = f.grid
-    if isinstance(f, VectorField):
-        density = np.einsum("i...,i...->...", f.values, f.values)
-    else:
-        density = f.values**2
-    return grid.integrate(grid.sigma**k * density)
-
-
-# ---------------------------------------------------------------------------
 # Hardy inequality
 
 
@@ -859,25 +839,6 @@ def zeroth_energy_balance(gamma: float, times, kinetic, potential,
 
 # ---------------------------------------------------------------------------
 # report serialization
-
-
-def energy_reports_to_csv(reports, dest) -> None:
-    """One CSV row per time sample, columns per scalar functional."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("no reports to serialize")
-    j_max = reports[0].J_max
-    if any(r.J_max != j_max for r in reports):
-        raise ValueError("reports disagree on J_max")
-    cols = (["t"] + [f"E_{j}" for j in range(j_max + 1)] + ["E_total", "V_add"]
-            + [f"scriptV_{k}" for k in range(j_max + 1)]
-            + ["M0_integral", "curl_l2"])
-    with open_dest(dest) as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in reports:
-            row = ([r.t] + list(r.E_j) + [r.E_total, r.V_add]
-                   + list(r.scriptV) + [r.M0_integral, r.curl_l2])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def energy_reports_to_json(reports, dest) -> None:

@@ -528,10 +528,6 @@ class OracleReport:
     max_difference: float
     force_scale: float
 
-    @property
-    def relative(self) -> float:
-        return self.max_difference / max(self.force_scale, 1e-300)
-
 
 def embedded_flux_divergence(gamma: float, grid: BallGrid, f, fp) -> OracleReport:
     """Embed the radial profile f into a 3D displacement and compare the

@@ -6,13 +6,12 @@ a damped second-order correction law with h(0) = h_t(0) = 0; `integrate_h`
 produces the path and `verify_decay` checks the two-sided power-law bounds on
 theta and its derivatives. Second, the exact-solution coefficient system for
 (a, b, e)(t), quadratic velocity/sound-speed profiles whose evolution reduces
-to three coupled ODEs; `liu_rhs` evaluates the derived system, and
+to three coupled ODEs; `_liu_law` states the derived system, and
 `liu_vs_barenblatt` measures its approach to the self-similar coefficients.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +31,6 @@ __all__ = [
     "integrate_h",
     "verify_decay",
     "theta_derivative",
-    "liu_rhs",
     "liu_mass",
     "barenblatt_path",
     "liu_integrate",
@@ -322,14 +320,6 @@ def verify_decay(path: ThetaPath, n: int = 2) -> DecayReport:
 
 
 def _liu_law(gamma: float, a: float, b: float, e: float) -> tuple[float, float, float]:
-    return (
-        -a - a * a + 2.0 * b / (gamma - 1.0),
-        -(3.0 * gamma - 1.0) * a * b,
-        -3.0 * (gamma - 1.0) * a * e,
-    )
-
-
-def liu_rhs(gamma: float, state: LiuState) -> tuple[float, float, float]:
     """Time derivatives (a_t, b_t, e_t) of the coefficient system.
 
     Derived by substituting velocity a*y and squared sound speed e - b*|y|^2
@@ -338,9 +328,11 @@ def liu_rhs(gamma: float, state: LiuState) -> tuple[float, float, float]:
         b_t = -(3*gamma - 1) a b,
         e_t = -3 (gamma-1) a e.
     """
-    if not gamma > 1.0:
-        raise ValueError("gamma must exceed 1")
-    return _liu_law(gamma, state.a, state.b, state.e)
+    return (
+        -a - a * a + 2.0 * b / (gamma - 1.0),
+        -(3.0 * gamma - 1.0) * a * b,
+        -3.0 * (gamma - 1.0) * a * e,
+    )
 
 
 def liu_mass(gamma: float, b, e) -> np.ndarray | float:
@@ -378,7 +370,6 @@ def liu_integrate(
         raise ValueError("t_end must be positive")
 
     def rhs(t: float, y: np.ndarray):
-        # the validating liu_rhs would cost several times this per call
         a, b, e = y
         return _liu_law(gamma, a, b, e)
 
@@ -461,9 +452,3 @@ def write_csv(path: ThetaPath, dest) -> None:
         cols = (path.times, path.h, path.h_t, path.theta, path.theta_t, path.theta_tt)
         for row in zip(*cols):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def _csv_text(path: ThetaPath) -> str:
-    buf = io.StringIO()
-    write_csv(path, buf)
-    return buf.getvalue()

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from vel import cli, norms
+from vel import cli, norms, params
 
 
 # 32 cells, 6x6 angles, J_max 1 and 10 records: a radial run of a few seconds
@@ -193,10 +193,26 @@ class TestSuites:
             ["barenblatt-check", "--gamma", "2", "--out", str(tmp_path)],
             capsys)
         assert code == 0
-        assert out.count("PASS") == 2
+        assert out.count("PASS") == 3
+        assert "PASS vacuum-slope" in out
         payload = json.loads((tmp_path / "barenblatt_check.json").read_text())
         assert payload["passed"]
         assert payload["mass_defect"] <= 1e-7
+        assert payload["vacuum_slope_defect"] <= 1e-5
+
+    def test_vacuum_slope_gate_fails_a_wrong_slope(self, capsys, tmp_path,
+                                                   monkeypatch):
+        slope = params.sound_speed_slope
+        monkeypatch.setattr(params, "sound_speed_slope",
+                            lambda *a: slope(*a) * (1.0 + 1e-3))
+        code, out, _ = run_cli(
+            ["barenblatt-check", "--gamma", "2", "--out", str(tmp_path)],
+            capsys)
+        assert code == 1
+        assert "FAIL vacuum-slope" in out
+        payload = json.loads((tmp_path / "barenblatt_check.json").read_text())
+        assert not payload["passed"]
+        assert payload["vacuum_slope_defect"] > 1e-5
 
     def test_theta(self, capsys, tmp_path):
         code, out, _ = run_cli(

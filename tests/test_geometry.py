@@ -1,7 +1,5 @@
 """Tests for the ball-grid field calculus and deformation algebra."""
 
-import io
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -421,7 +419,6 @@ class TestCommutator:
         rep = geo.commutator_defect(f, (2, 0, 0), (0, 0, 0))
         assert rep.max_commutator == 0.0
         assert rep.C_fit == 0.0
-        assert rep.passed
 
     def test_base_case_values(self):
         grid = make_grid()
@@ -470,8 +467,7 @@ class TestCommutator:
         grid = make_grid()
         y1, y2, y3 = grid.y
         f = geo.ScalarField(grid, y1**2 * y2 - y2 * y3**2 + y1 * y3)
-        rep = geo.commutator_defect(f, (1, 0, 0), (0, 1, 1), ceiling=10.0)
-        assert rep.passed
+        rep = geo.commutator_defect(f, (1, 0, 0), (0, 1, 1))
         assert rep.C_fit <= 10.0
 
     def test_order_cap(self):
@@ -479,59 +475,3 @@ class TestCommutator:
         f = geo.ScalarField(grid, grid.y[0])
         with pytest.raises(ValueError, match="capped"):
             geo.commutator_defect(f, (2, 1, 0), (0, 1, 1))
-
-
-class TestSerialization:
-    def test_round_trip_scalar(self):
-        grid = make_grid(n_r=8, n_mu=6, n_psi=8)
-        f = geo.ScalarField(grid, np.sin(grid.y[0]) + grid.y[1] * grid.y[2])
-        buf = io.BytesIO()
-        geo.save_field(f, buf)
-        buf.seek(0)
-        back = geo.load_field(buf, grid)
-        assert isinstance(back, geo.ScalarField)
-        assert np.array_equal(back.values, f.values)
-
-    def test_round_trip_vector(self):
-        grid = make_grid(n_r=8, n_mu=6, n_psi=8)
-        v = geo.VectorField(grid, np.stack([grid.y[0], grid.y[1]**2,
-                                            np.cos(grid.y[2])]))
-        buf = io.BytesIO()
-        geo.save_field(v, buf)
-        buf.seek(0)
-        back = geo.load_field(buf, grid)
-        assert isinstance(back, geo.VectorField)
-        assert np.array_equal(back.values, v.values)
-
-    def test_bad_magic_rejected(self):
-        grid = make_grid(n_r=8, n_mu=6, n_psi=8)
-        with pytest.raises(ValueError, match="magic"):
-            geo.load_field(io.BytesIO(b"NOPE" + b"\x00" * 64), grid)
-
-    def test_dims_mismatch_rejected(self):
-        grid = make_grid(n_r=8, n_mu=6, n_psi=8)
-        other = make_grid(n_r=10, n_mu=6, n_psi=8)
-        f = geo.ScalarField(grid, np.ones(grid.shape))
-        buf = io.BytesIO()
-        geo.save_field(f, buf)
-        buf.seek(0)
-        with pytest.raises(ValueError, match="dims"):
-            geo.load_field(buf, other)
-
-    def test_truncated_rejected(self):
-        grid = make_grid(n_r=8, n_mu=6, n_psi=8)
-        f = geo.ScalarField(grid, np.ones(grid.shape))
-        buf = io.BytesIO()
-        geo.save_field(f, buf)
-        raw = buf.getvalue()[:-16]
-        with pytest.raises(ValueError, match="truncated"):
-            geo.load_field(io.BytesIO(raw), grid)
-
-    def test_csv_shape(self):
-        grid = make_grid(n_r=6, n_mu=4, n_psi=4)
-        f = geo.ScalarField(grid, np.ones(grid.shape))
-        buf = io.StringIO()
-        geo.field_to_csv(f, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "i_r,i_mu,i_psi,v"
-        assert len(lines) == 1 + grid.node_count

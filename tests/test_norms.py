@@ -56,37 +56,29 @@ def generic_trajectory(grid):
 
 
 class TestWeightedL2:
+    # integrals of sigma^k |f|^2 with the grid's own sigma and quadrature
     def test_volume(self):
-        one = ScalarField(GRID, np.ones(GRID.shape))
         vol = 4.0 / 3.0 * np.pi * GRID.r0**3
-        assert_allclose(norms.weighted_l2(one, 0.0), vol, rtol=1e-12)
+        assert_allclose(GRID.integrate(np.ones(GRID.shape)), vol, rtol=1e-12)
 
     def test_linear_weight_closed_form(self):
-        one = ScalarField(GRID, np.ones(GRID.shape))
         c = CONSTANTS
         exact = 4.0 * np.pi * (c.a_bar * c.r0**3 / 3.0 - c.b_bar * c.r0**5 / 5.0)
-        assert_allclose(norms.weighted_l2(one, 1.0), exact, rtol=1e-12)
+        assert_allclose(GRID.integrate(GRID.sigma), exact, rtol=1e-12)
 
     def test_zero_field(self):
-        zero = ScalarField(GRID, np.zeros(GRID.shape))
-        assert norms.weighted_l2(zero, 1.0) == 0.0
+        assert GRID.integrate(GRID.sigma * np.zeros(GRID.shape)) == 0.0
 
     def test_vector_moment(self):
         c = CONSTANTS
-        f = VectorField(GRID, GRID.y)
+        density = np.sum(GRID.y**2, axis=0)
         exact = 4.0 * np.pi * (c.a_bar * c.r0**5 / 5.0 - c.b_bar * c.r0**7 / 7.0)
-        assert_allclose(norms.weighted_l2(f, 1.0), exact, rtol=1e-12)
+        assert_allclose(GRID.integrate(GRID.sigma * density), exact, rtol=1e-12)
 
     def test_quadratic_homogeneity(self):
-        f = ScalarField(GRID, GRID.y[0] + 0.3 * GRID.sigma)
-        g = ScalarField(GRID, 2.0 * f.values)
-        assert_allclose(norms.weighted_l2(g, 1.0),
-                        4.0 * norms.weighted_l2(f, 1.0), rtol=1e-12)
-
-    def test_exponent_validated(self):
-        one = ScalarField(GRID, np.ones(GRID.shape))
-        with pytest.raises(ValueError, match="exceed -1"):
-            norms.weighted_l2(one, -1.0)
+        f = GRID.y[0] + 0.3 * GRID.sigma
+        assert_allclose(GRID.integrate(GRID.sigma * (2.0 * f) ** 2),
+                        4.0 * GRID.integrate(GRID.sigma * f**2), rtol=1e-12)
 
 
 class TestHardy:
@@ -750,20 +742,6 @@ class TestReportSerialization:
         traj = dilation_trajectory(GRID)
         return [norms.energy_functionals(traj, t, 2.0) for t in (0.0, 0.5)]
 
-    def test_csv(self):
-        reports = self.make_reports()
-        buf = io.StringIO()
-        norms.energy_reports_to_csv(reports, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert len(lines) == 3
-        header = lines[0].split(",")
-        assert header[0] == "t"
-        assert "E_0" in header and "E_total" in header
-        assert "V_add" in header and "M0_integral" in header
-        row = [float(v) for v in lines[1].split(",")]
-        assert row[0] == 0.0
-        assert_allclose(row[header.index("E_0")], reports[0].E_j[0], rtol=1e-15)
-
     def test_json(self):
         reports = self.make_reports()
         buf = io.StringIO()
@@ -775,12 +753,3 @@ class TestReportSerialization:
         assert "0,0,0" in entry["frakE"]
         assert "1,0,1" in entry["frakV"]
         assert entry["E_total"] == pytest.approx(reports[0].E_total)
-
-    def test_csv_validation(self):
-        with pytest.raises(ValueError, match="no reports"):
-            norms.energy_reports_to_csv([], io.StringIO())
-        traj = dilation_trajectory(GRID)
-        r1 = norms.energy_functionals(traj, 0.0, 2.0, J_max=1)
-        r2 = norms.energy_functionals(traj, 0.0, 2.0, J_max=2)
-        with pytest.raises(ValueError, match="J_max"):
-            norms.energy_reports_to_csv([r1, r2], io.StringIO())

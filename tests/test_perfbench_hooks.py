@@ -8,6 +8,7 @@ deletion or reshape in vel from surfacing only when a traced benchmark run
 raises.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -63,3 +64,62 @@ def test_workloads_build(monkeypatch):
     # the names the benchmark reaches beyond the traced spans
     assert callable(norms.flow_ops)
     assert radial.RadialSolver(2.0, resolution=16).D.shape == (32, 32)
+
+
+def _vel_references(tree):
+    """Dotted names the file looks up on vel modules.
+
+    A reference is an attribute chain rooted at a name the file imports from
+    vel (``radial.RadialSolver.step``), or a ``patch(owner, "attr", ...)``
+    call whose owner is such a chain (the tracer's spans).
+    """
+    bound = {alias.asname or alias.name
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "vel"
+             for alias in node.names}
+
+    def chain(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in bound:
+            return [node.id] + parts[::-1]
+        return None
+
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            # the outermost attribute of a chain carries the whole name
+            dotted = chain(node)
+            if dotted:
+                refs.add(tuple(dotted))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "patch" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            owner = chain(node.args[0])
+            if owner:
+                refs.add(tuple(owner) + (node.args[1].value,))
+    return refs
+
+
+def test_perfbench_references_exist_on_vel():
+    # a deleted or renamed name that perfbench reaches (norms.energy_Ej in a
+    # probe, the norms.flow_ops re-export in a span) would otherwise show
+    # only as failed benchmark operations
+    refs = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        refs |= {(path.name,) + ref
+                 for ref in _vel_references(ast.parse(path.read_text()))}
+    assert ("run.py", "norms", "flow_ops") in refs
+    assert ("probes.py", "norms", "energy_Ej") in refs
+    missing = []
+    for fname, module, *attrs in sorted(refs):
+        obj = importlib.import_module(f"vel.{module}")
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                missing.append(f"{fname}: {module}.{'.'.join(attrs)}")
+                break
+            obj = getattr(obj, attr)
+    assert not missing, missing
