@@ -97,13 +97,15 @@ def moment_integral(iota):
     while order <= _MAX_ORDER:
         x, w = roots_jacobi(order, iota, 0.0)
         val = scale * np.sum(w * (1.0 + x) ** 2 * (3.0 + x) ** iota)
-        if prev is not None and abs(val - prev) <= _QUAD_TOL * abs(val):
-            return val
+        if prev is not None:
+            gap = abs(val - prev)
+            if gap <= _QUAD_TOL * abs(val):
+                return val
         prev = val
         order *= 2
-    achieved = abs(val - prev) / abs(val)
     raise RuntimeError(
-        f"moment integral did not converge to {_QUAD_TOL:g}; achieved {achieved:g}"
+        f"moment integral did not converge to {_QUAD_TOL:g}; "
+        f"achieved {gap / abs(val):g}"
     )
 
 

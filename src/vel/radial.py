@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._io import open_dest
 from .geometry import BallGrid, VectorField, deformation
@@ -44,133 +43,59 @@ class DegenerateProfileError(RuntimeError):
 # summation-by-parts operator pair
 
 
-def _endpoint_extrapolation(x: np.ndarray, target: float, m: int = 5) -> np.ndarray:
-    """Lagrange weights extrapolating nodal values at x[:m] to target."""
-    w = np.zeros(x.size)
-    for i in range(m):
-        li = 1.0
-        for j in range(m):
-            if j != i:
-                li *= (target - x[j]) / (x[i] - x[j])
-        w[i] = li
-    return w
+# Boundary weights H/h and the upper triangle of the antisymmetric corner
+# S[:6, :6] of H D - E/2 at the left end, in units free of h.  The corner is
+# the 96-node numerical solution of the SBP constraints (boundary rows
+# exact to degree 2, weights to degree 3), projected in exact arithmetic so
+# that its rows are exact to degree 2 with these weights.
+_W_CORNER = np.array([1633 / 1536, 3677 / 3840, 3677 / 3840, 1841 / 1920,
+                      8489 / 7680, 3677 / 3840])
+_S_UPPER = np.array([
+    2.447829805750416, -1.6142335645195314, 0.5985929528060978,
+    -0.4413773517219325, 0.23965690768494993, -0.04756503773388904,
+    0.9668265040391605, 0.4672015505420928, -0.5792582110969482,
+    -0.5491451424319805, 0.0004039779974150415, 0.36350506218114514,
+    0.3867936862245231, -0.07364437181124525, 0.6330739463754318])
+# exact five-point extrapolation from the first midpoints to s = 0
+_V_END = np.array([315.0, -420.0, 378.0, -180.0, 35.0]) / 128.0
 
 
 @lru_cache(maxsize=32)
 def _build_sbp(n: int, h: float):
     """Reflection-symmetric derivative/weight pair on the midpoint grid.
 
-    Returns (D, H, v0, vL) with diagonal H > 0, interior 4th order rows,
-    nb = 6 boundary rows of width wb = 12, and the exact summation-by-parts
-    identity H D + D^T H = -v0 v0^T + vL vL^T where v0, vL extrapolate to
-    the two interval ends.  Boundary derivative rows are exact to degree
-    bdeg = 2 and the weights match moments to degree qdeg = 3.
+    Returns (D, H, v0, vL) with H D = E/2 + S, E = -v0 v0^T + vL vL^T and S
+    antisymmetric, so the summation-by-parts identity H D + D^T H = E holds
+    by construction; v0, vL extrapolate to the two interval ends.  S is the
+    fourth-order central stencil (2/3, -1/12) with a tabulated 6x6 corner
+    at each end, the right one the reflection of the left.  H is h in the
+    interior and h times six positive rationals at each end.  Boundary
+    derivative rows are exact to degree 2 and the weights match moments to
+    degree 3.
     """
-    nb, wb, bdeg, qdeg = 6, 12, 2, 3
-    if n < 2 * wb:
-        raise ValueError(f"need at least {2 * wb} cells, got {n}")
-    s = (np.arange(n) + 0.5) * h
-    length = n * h
-    v0 = _endpoint_extrapolation(s, 0.0)
-    vL = _endpoint_extrapolation(s[::-1], length)[::-1]
+    if n < 24:
+        raise ValueError(f"need at least 24 cells, got {n}")
+    nb = _W_CORNER.size
+    v0 = np.zeros(n)
+    v0[:_V_END.size] = _V_END
+    vL = v0[::-1].copy()
     E = -np.outer(v0, v0) + np.outer(vL, vL)
-
-    D_int = np.zeros((n, n))
-    for q in range(nb, n - nb):
-        D_int[q, q - 2:q + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-
-    n_grid = nb * wb
-    n_unknown = n_grid + nb
-    h_base = n_grid
-
-    def gidx(r, c):
-        return r * wb + c
-
-    def gcoef(row, a, c, fac):
-        # contribution of (H D)_{a, c}: unknown on the left block, the
-        # mirrored negative on the right block, known in the interior
-        if a < nb and c < wb:
-            row[gidx(a, c)] += fac
-            return 0.0
-        if a >= n - nb and c >= n - wb:
-            row[gidx(n - 1 - a, n - 1 - c)] -= fac
-            return 0.0
-        if nb <= a < n - nb:
-            return fac * h * D_int[a, c]
-        raise RuntimeError(f"unreachable stencil entry ({a}, {c})")
-
-    pairs = set()
-    for r in range(nb):
-        for c in range(wb):
-            pairs |= {(r, c), (c, r), (n - 1 - r, n - 1 - c), (n - 1 - c, n - 1 - r)}
-    for p in range(nb, n - nb):
-        for dq in (-2, -1, 0, 1, 2):
-            pairs |= {(p, p + dq), (p + dq, p)}
-
-    rows, rhs = [], []
-    for p, q in sorted({(p, q) for (p, q) in pairs if p <= q}):
-        row = np.zeros(n_unknown)
-        b = E[p, q]
-        b -= gcoef(row, p, q, 1.0)
-        b -= gcoef(row, q, p, 1.0)
-        rows.append(row)
-        rhs.append(b)
-    for r in range(nb):
-        for k in range(bdeg + 1):
-            row = np.zeros(n_unknown)
-            for c in range(wb):
-                row[gidx(r, c)] = s[c] ** k
-            row[h_base + r] = -(k * s[r] ** (k - 1) if k else 0.0)
-            rows.append(row)
-            rhs.append(0.0)
-    for k in range(qdeg + 1):
-        row = np.zeros(n_unknown)
-        b = length ** (k + 1) / (k + 1) - sum(h * s[p] ** k for p in range(nb, n - nb))
-        for r in range(nb):
-            row[h_base + r] = s[r] ** k + s[n - 1 - r] ** k
-        rows.append(row)
-        rhs.append(b)
-
-    A = np.array(rows)
-    bv = np.array(rhs)
-    x0, *_ = np.linalg.lstsq(A, bv, rcond=None)
-    _, sv, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int((sv > sv[0] * 1e-11).sum())
-    null = Vt[rank:].T
-    if null.shape[1]:
-        # spend the null space pushing the boundary weights up, capped at
-        # 3 h, then re-pin them and solve once more
-        h_rows = np.arange(h_base, h_base + nb)
-        a_ub = np.hstack([-null[h_rows], np.ones((nb, 1))])
-        b_ub = x0[h_rows]
-        cost = np.zeros(null.shape[1] + 1)
-        cost[-1] = -1.0
-        lp = linprog(cost, A_ub=a_ub, b_ub=b_ub,
-                     bounds=[(None, None)] * null.shape[1] + [(None, 3.0 * h)],
-                     method="highs")
-        if not lp.success:
-            raise RuntimeError("weight optimization failed")
-        x1 = x0 + null @ lp.x[:-1]
-        A2 = np.vstack([A, np.eye(n_unknown)[h_rows]])
-        b2 = np.concatenate([bv, x1[h_rows]])
-        x2, *_ = np.linalg.lstsq(A2, b2, rcond=None)
-    else:
-        x2 = x0
-    if np.abs(A @ x2 - bv).max() > 1e-10:
-        raise RuntimeError("derivative pair constraints not satisfied")
-
+    S = np.zeros((n, n))
+    for k, c in ((1, 2.0 / 3.0), (2, -1.0 / 12.0)):
+        i = np.arange(n - k)
+        S[i, i + k] = c
+        S[i + k, i] = -c
+    corner = np.zeros((nb, nb))
+    corner[np.triu_indices(nb, 1)] = _S_UPPER
+    corner -= corner.T
+    S[:nb, :nb] = corner
+    S[-nb:, -nb:] = -corner[::-1, ::-1]
     H = np.full(n, h)
-    H[:nb] = x2[h_base:h_base + nb]
-    H[-nb:] = x2[h_base:h_base + nb][::-1]
-    if H.min() <= 0.0:
-        raise RuntimeError("quadrature weights must stay positive")
-    D = D_int.copy()
-    for r in range(nb):
-        for c in range(wb):
-            D[r, c] = x2[gidx(r, c)] / H[r]
-            D[n - 1 - r, n - 1 - c] = -x2[gidx(r, c)] / H[n - 1 - r]
-    sbp_defect = np.abs(np.diag(H) @ D + D.T @ np.diag(H) - E).max()
-    if sbp_defect > 1e-10:
+    H[:nb] = _W_CORNER * h
+    H[-nb:] = H[nb - 1::-1]
+    D = (0.5 * E + S) / H[:, None]
+    HD = H[:, None] * D
+    if np.abs(HD + HD.T - E).max() > 1e-10:
         raise RuntimeError("summation-by-parts identity violated")
     for arr in (D, H, v0, vL):
         arr.setflags(write=False)

@@ -41,6 +41,13 @@ class TestMomentIntegral:
         with pytest.raises(RuntimeError, match="did not converge"):
             params.moment_integral(1.5)
 
+    def test_non_convergence_reports_the_last_gap(self):
+        # near gamma = 1 the last two orders differ by a few 1e-13
+        with pytest.raises(RuntimeError, match="did not converge") as info:
+            params.moment_integral(1.0 / (1.01 - 1.0))
+        achieved = float(str(info.value).rsplit("achieved ", 1)[1])
+        assert math.isfinite(achieved) and achieved > 0.0
+
 
 class TestDeriveConstants:
     def test_b_bar_closed_form_gamma_two(self):

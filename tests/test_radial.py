@@ -29,13 +29,23 @@ def poly_profile(solver, amplitude=1e-3, exponent=2):
 # derivative/weight pair
 
 
+# 2n nodes at h = r0/n, as the radial solver builds them for n cells; the
+# steps differ by powers of 2, so scaling by h is exact and the scaled
+# closures can be compared bit for bit
+SBP_SIZES = [(2 * n, CONSTANTS.r0 / n) for n in (16, 64, 256, 1024)]
+# boundary weights H/h of the closure, the same at every size
+SBP_WEIGHTS = [1633 / 1536, 3677 / 3840, 3677 / 3840, 1841 / 1920, 8489 / 7680,
+               3677 / 3840]
+
+
 class TestSbpOperator:
     def test_identity_exact(self):
-        n, h = 64, 0.02
-        D, H, v0, vL = _build_sbp(n, h)
-        E = -np.outer(v0, v0) + np.outer(vL, vL)
-        defect = np.abs(np.diag(H) @ D + D.T @ np.diag(H) - E).max()
-        assert defect <= 1e-11
+        for n, h in [(64, 0.02)] + SBP_SIZES:
+            D, H, v0, vL = _build_sbp(n, h)
+            E = -np.outer(v0, v0) + np.outer(vL, vL)
+            HD = H[:, None] * D
+            defect = np.abs(HD + HD.T - E).max()
+            assert defect <= 1e-15, n
 
     def test_weights_positive_uniform_interior(self):
         n, h = 96, 0.01
@@ -43,15 +53,30 @@ class TestSbpOperator:
         assert H.min() > 0.0
         assert_allclose(H[6:-6], h, rtol=0, atol=1e-15)
         assert abs(H.min() / h - 0.957552) < 1e-4
+        # the weights integrate polynomials of degree 3 exactly
+        s = (np.arange(n) + 0.5) * h
+        for k in range(4):
+            assert_allclose(H @ s**k, (n * h) ** (k + 1) / (k + 1), rtol=1e-14)
+
+    def test_closure_bit_stable(self):
+        blocks, weights = [], []
+        for n, h in SBP_SIZES:
+            D, H, _, _ = _build_sbp(n, h)
+            blocks.append(h * D[:6, :12])
+            weights.append(H[:6] / h)
+        for block, w in zip(blocks[1:], weights[1:]):
+            assert np.array_equal(block, blocks[0])
+            assert np.array_equal(w, weights[0])
+        assert_allclose(weights[0], SBP_WEIGHTS, rtol=2.3e-16, atol=0)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_low_degree_exact(self, k):
-        n, h = 48, 0.03
-        D, _, _, _ = _build_sbp(n, h)
-        s = (np.arange(n) + 0.5) * h
-        expect = k * s ** (k - 1) if k else np.zeros(n)
-        scale = max(np.abs(expect).max(), 1.0)
-        assert np.abs(D @ s**k - expect).max() <= 1e-9 * scale
+        for n, h in [(48, 0.03)] + SBP_SIZES:
+            D, _, _, _ = _build_sbp(n, h)
+            s = (np.arange(n) + 0.5) * h
+            expect = k * s ** (k - 1) if k else np.zeros(n)
+            scale = max(np.abs(expect).max(), 1.0)
+            assert np.abs(D @ s**k - expect).max() <= 1e-10 * scale, n
 
     def test_interior_fourth_order(self):
         errs = []
