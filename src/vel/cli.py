@@ -65,34 +65,30 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ConfigError("gamma must exceed 1")
-        if not self.mass > 0.0:
-            raise ConfigError("mass must be positive")
-        if self.resolution < 4:
-            raise ConfigError("resolution must be at least 4")
-        if self.n_mu < 4 or self.n_psi < 4:
-            raise ConfigError("angular resolutions must be at least 4")
-        if self.t_end is not None and not self.t_end > 0.0:
-            raise ConfigError("t_end must be positive")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ConfigError("cfl must lie in (0, 1]")
-        if self.eps < 0.0:
-            raise ConfigError("eps must be nonnegative")
-        if self.family not in radial.FAMILIES:
-            raise ConfigError(f"family must be one of {radial.FAMILIES}")
-        if not self.eps0 > 0.0:
-            raise ConfigError("eps0 must be positive")
-        if self.J_max < 0 or self.m_max < 0 or self.nl_max < 0:
-            raise ConfigError("norm orders must be nonnegative")
+        # every other field is checked by the object that consumes it
+        try:
+            _run_config(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        if self.records < 2:
-            raise ConfigError("records must be at least 2")
         if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ConfigError("ode tolerances must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+
+
+def _run_config(config: Config) -> radial.RunConfig:
+    """The radial run a configuration describes; t_end defaults to 1e3."""
+    return radial.RunConfig(
+        gamma=config.gamma, mass=config.mass, resolution=config.resolution,
+        cfl=config.cfl, t_end=1e3 if config.t_end is None else config.t_end,
+        family=config.family, family_exponent=config.family_exponent,
+        amplitude=config.eps, records=config.records, eps0=config.eps0,
+        J_max=config.J_max,
+        truncation=norms.Truncation(m_max=config.m_max,
+                                    nl_max=config.nl_max),
+        report_angles=(config.n_mu, config.n_psi))
 
 
 def _coerce(value, want, where):
@@ -446,15 +442,7 @@ def _cmd_hardy(config: Config, out):
 
 def _cmd_radial(config: Config, out):
     checks = _Checks()
-    t_end = config.t_end if config.t_end is not None else 1e3
-    truncation = norms.Truncation(m_max=config.m_max, nl_max=config.nl_max)
-    run_cfg = radial.RunConfig(
-        gamma=config.gamma, mass=config.mass, resolution=config.resolution,
-        cfl=config.cfl, t_end=t_end, family=config.family,
-        family_exponent=config.family_exponent, amplitude=config.eps,
-        records=config.records, eps0=config.eps0, J_max=config.J_max,
-        truncation=truncation,
-        report_angles=(config.n_mu, config.n_psi))
+    run_cfg = _run_config(config)
     result = radial.run(run_cfg)
     series_path = os.path.join(out, "radial_trajectory.csv")
     radial.result_to_csv(result, series_path)
@@ -494,8 +482,8 @@ def _cmd_radial(config: Config, out):
             fit_payload = {"exponent": fit.exponent, "stderr": fit.stderr,
                            "target": target, "window": list(fit.window),
                            "n_points": fit.n_points}
-    _dump_json({"gamma": config.gamma, "eps": config.eps, "t_end": t_end,
-                "resolution": config.resolution,
+    _dump_json({"gamma": config.gamma, "eps": config.eps,
+                "t_end": run_cfg.t_end, "resolution": config.resolution,
                 "truncation": {"m_max": config.m_max,
                                "nl_max": config.nl_max},
                 "J_max": config.J_max,
@@ -582,7 +570,7 @@ def main(argv=None) -> int:
         config = parse_config(args.config, overrides)
         out = _out_dir(config)
         return _COMMANDS[args.command](config, out)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,7 @@ __all__ = [
     "REGIME_THRESHOLD",
     "DegenerateDeformationError",
     "BallGrid",
+    "check_grid_shape",
     "ScalarField",
     "VectorField",
     "DeformationState",
@@ -44,6 +45,11 @@ REGIME_THRESHOLD = 0.1
 _EPS = np.zeros((3, 3, 3))
 _EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
 _EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
+
+
+def _curl(X: np.ndarray) -> np.ndarray:
+    """Flat curl eps_ijk X[k, j] of a 3x3 (component, derivative) stack."""
+    return np.einsum("ijk,kj...->i...", _EPS, X)
 
 
 class DegenerateDeformationError(RuntimeError):
@@ -96,6 +102,19 @@ def _gregory_midpoint_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def check_grid_shape(n_r: int, n_mu: int, n_psi: int,
+                     radial_scheme: str = "gauss") -> None:
+    """Reject node counts the BallGrid differentiation stencils cannot use."""
+    if radial_scheme not in ("gauss", "midpoint"):
+        raise ValueError("radial_scheme must be 'gauss' or 'midpoint'")
+    min_r = 4 if radial_scheme == "gauss" else 8
+    if n_r < min_r or n_mu < 4 or n_psi < 4 or n_psi % 2:
+        raise ValueError(
+            "grid too coarse for the differentiation stencils: need "
+            f"n_r >= {min_r}, n_mu >= 4, n_psi >= 4 and even"
+        )
+
+
 class BallGrid:
     """Tensor-product node set on the ball of radius r0 with quadrature.
 
@@ -115,14 +134,7 @@ class BallGrid:
         n_psi: int = 16,
         radial_scheme: str = "gauss",
     ) -> None:
-        if radial_scheme not in ("gauss", "midpoint"):
-            raise ValueError("radial_scheme must be 'gauss' or 'midpoint'")
-        min_r = 4 if radial_scheme == "gauss" else 8
-        if n_r < min_r or n_mu < 4 or n_psi < 4 or n_psi % 2:
-            raise ValueError(
-                "grid too coarse for the differentiation stencils: need "
-                f"n_r >= {min_r}, n_mu >= 4, n_psi >= 4 and even"
-            )
+        check_grid_shape(n_r, n_mu, n_psi, radial_scheme)
         self.constants = constants
         self.scheme = radial_scheme
         self.r0 = constants.r0
@@ -409,7 +421,7 @@ def deformation(omega: VectorField) -> DeformationState:
     """
     X = gradient(omega)
     div = X[0, 0] + X[1, 1] + X[2, 2]
-    curl = np.einsum("ijk,kj...->i...", _EPS, X)
+    curl = _curl(X)
     adjX = _adjugate_rows(X)
     detX = np.einsum("i...,i...->...", X[:, 0], adjX[0])
 
@@ -468,7 +480,7 @@ def flow_ops_from_partials(
     """flow_ops on precomputed flat partials dF[i, k] = d_k F^i."""
     G = np.einsum("kr...,ik...->ir...", state.a_inv, dF, optimize=True)
     div = G[0, 0] + G[1, 1] + G[2, 2]
-    curl = np.einsum("ijk,kj...->i...", _EPS, G)
+    curl = _curl(G)
     return G, div, curl
 
 
@@ -534,7 +546,7 @@ def identity_nabt_nab(
             "ka...,ab...,bi...->ki...", A, Xdot, A, optimize=True
         )
         G_t = Gt_raw + np.einsum("kr...,ik...->ir...", A_t, dF, optimize=True)
-        curlF_t = np.einsum("ijk,kj...->i...", _EPS, G_t)
+        curlF_t = _curl(G_t)
         dcomposite = 2.0 * (
             np.einsum("ir...,ir...->...", G, G_t, optimize=True)
             - np.einsum("i...,i...->...", curlF, curlF_t)

@@ -26,6 +26,7 @@ from .geometry import (
     _EPS,
     _adjugate_rows,
     _angular,
+    _curl,
     REGIME_THRESHOLD,
     BallGrid,
     DegenerateDeformationError,
@@ -226,7 +227,7 @@ class _GridFields:
 
     def flow(self, state, dp):
         G, div_eta, curl_eta = flow_ops_from_partials(state, dp)
-        curl = np.einsum("ijk,kj...->i...", _EPS, dp)
+        curl = _curl(dp)
         return (np.stack([np.einsum("ir...,ir...->...", G, G), div_eta**2,
                           _sq(curl_eta), _sq(curl)]), curl_eta, curl)
 
@@ -568,7 +569,7 @@ def _m0_pointwise(gamma: float, state: DeformationState):
     part, all formed cancellation-free from the gradient invariants."""
     X = state.grad_omega
     div = X[0, 0] + X[1, 1] + X[2, 2]
-    curl = np.einsum("ijk,kj...->i...", _EPS, X)
+    curl = _curl(X)
     fro2 = np.einsum("ij...,ij...->...", X, X)
     curl2 = np.einsum("i...,i...->...", curl, curl)
     det_x = np.einsum("k...,k...->...", state.adjugate[0], X[:, 0])

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._io import open_dest
-from .geometry import BallGrid, VectorField, deformation
+from .geometry import BallGrid, VectorField, check_grid_shape, deformation
 from .norms import (CallableTrajectory, SeparatedFields, Truncation,
                     energy_functionals, radial_energy_functionals,
                     report_defect)
@@ -121,7 +121,6 @@ class RadialState:
     f_t: np.ndarray
     theta: float
     theta_t: float
-    theta_tt: float
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
@@ -178,12 +177,10 @@ class RunConfig:
     report_angles: tuple = (8, 8)
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if not self.mass > 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        GasParams(self.gamma, self.mass)
         if self.resolution < 16:
             raise ValueError(f"resolution must be at least 16, got {self.resolution}")
+        check_grid_shape(self.resolution, *self.report_angles, "midpoint")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not self.t_end > 0.0:
@@ -328,9 +325,7 @@ class RadialSolver:
             raise ValueError("theta_t must accompany theta")
         state = RadialState(
             time=float(time), f=f, f_t=f_t, theta=float(theta),
-            theta_t=float(theta_t),
-            theta_tt=theta_acceleration(self.gamma, theta, theta_t),
-        )
+            theta_t=float(theta_t))
         self._pq(self.s * state.f)
         return state
 
@@ -361,7 +356,8 @@ class RadialSolver:
         """(f, f_t, f_tt, f_ttt) with the accelerations from the law."""
         g = self.gamma
         F, Ft = self.s * state.f, self.s * state.f_t
-        th, tht, thtt = state.theta, state.theta_t, state.theta_tt
+        th, tht = state.theta, state.theta_t
+        thtt = theta_acceleration(g, th, tht)
         grad = self._grad(F)
         dgrad = self._hess_apply(F, Ft) / self.w_kin
         Ftt = self._accel_F(F, Ft, th, tht, grad)
@@ -404,9 +400,7 @@ class RadialSolver:
             raise FloatingPointError("non-finite state after step")
         return RadialState(
             time=state.time + dt, f=y[:n] / self.s, f_t=y[n:2 * n] / self.s,
-            theta=float(th_new), theta_t=float(tht_new),
-            theta_tt=theta_acceleration(g, float(th_new), float(tht_new)),
-        )
+            theta=float(th_new), theta_t=float(tht_new))
 
     def balance_series(self, state: RadialState, t_end: float, dt: float):
         """Uniform-dt sampling of the zeroth-balance ingredients.

@@ -45,11 +45,11 @@ class TestConfigParsing:
     def test_file_values_applied(self, tmp_path):
         path = write_config(tmp_path, {
             "gas": {"gamma": 3.0, "mass": 2.0},
-            "grid": {"resolution": 32, "n_mu": 6, "n_psi": 5},
+            "grid": {"resolution": 32, "n_mu": 6, "n_psi": 10},
             "ode": {"rtol": 1e-8, "atol": 1e-9, "t_end": 50.0},
             "solver": {"cfl": 0.25, "eps": 1e-4, "family": "bump",
                        "family_exponent": 3, "eps0": 0.2},
-            "norms": {"J_max": 1, "m_max": 3, "nl_max": 4},
+            "norms": {"J_max": 1, "m_max": 3, "nl_max": 3},
             "output": {"directory": "outdir", "format": "json",
                        "records": 10},
             "seed": 7,
@@ -59,7 +59,7 @@ class TestConfigParsing:
         assert config.mass == 2.0
         assert config.resolution == 32
         assert config.n_mu == 6
-        assert config.n_psi == 5
+        assert config.n_psi == 10
         assert config.rtol == 1e-8
         assert config.atol == 1e-9
         assert config.t_end == 50.0
@@ -70,7 +70,7 @@ class TestConfigParsing:
         assert config.eps0 == 0.2
         assert config.J_max == 1
         assert config.m_max == 3
-        assert config.nl_max == 4
+        assert config.nl_max == 3
         assert config.out_dir == "outdir"
         assert config.fmt == "json"
         assert config.records == 10
@@ -133,6 +133,10 @@ class TestConfigParsing:
         ({"solver": {"family": "spike"}}, "family"),
         ({"seed": -1}, "seed"),
         ({"ode": {"rtol": 0.0}}, "tolerances"),
+        ({"grid": {"n_psi": 5}}, "n_psi >= 4 and even"),
+        ({"norms": {"nl_max": 4}}, "nl_max"),
+        ({"solver": {"family_exponent": 1}}, "family_exponent"),
+        ({"grid": {"resolution": 8}}, "resolution must be at least 16"),
     ])
     def test_validation_messages(self, tmp_path, payload, message):
         path = write_config(tmp_path, payload)
@@ -156,6 +160,13 @@ class TestExitCodes:
         code, _, err = run_cli(["constants", "--config", path], capsys)
         assert code == 2
         assert "gamma must exceed 1" in err
+
+    def test_runtime_error_exits_two(self, capsys, tmp_path):
+        # the moment integral overflows this close to gamma = 1
+        code, _, err = run_cli(
+            ["constants", "--gamma", "1.001", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "error:" in err
 
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(["--help"], capsys)

@@ -15,6 +15,7 @@ from vel.radial import (DegenerateProfileError, GrowthFit, OracleReport,
                         RadialSolver, RadialState, RunConfig, _build_sbp,
                         embedded_flux_divergence, fit_growth, profile_family,
                         reduce_equation, result_to_csv, run)
+from vel.theta import theta_acceleration
 
 GAMMA = 2.0
 CONSTANTS = derive_constants(GasParams(gamma=GAMMA, mass=1.0))
@@ -140,7 +141,8 @@ class TestSolverSetup:
         state = solver.make_state(0.0, np.zeros(16), np.zeros(16))
         assert state.theta == 1.0
         assert state.theta_t == pytest.approx(1.0 / (3.0 * GAMMA - 1.0))
-        assert state.theta_tt == pytest.approx(0.0, abs=1e-15)
+        assert theta_acceleration(GAMMA, state.theta, state.theta_t) == \
+            pytest.approx(0.0, abs=1e-15)
 
 
 class TestStateValidation:
@@ -153,7 +155,7 @@ class TestStateValidation:
 
     def test_mismatched_velocity(self):
         with pytest.raises(ValueError, match="matching"):
-            RadialState(0.0, np.zeros(4), np.zeros(5), 1.0, 0.2, 0.0)
+            RadialState(0.0, np.zeros(4), np.zeros(5), 1.0, 0.2)
 
     def test_theta_required_away_from_start(self):
         with pytest.raises(ValueError, match="theta"):
@@ -161,7 +163,7 @@ class TestStateValidation:
 
     def test_nonpositive_theta(self):
         with pytest.raises(ValueError, match="positive"):
-            RadialState(0.0, np.zeros(4), np.zeros(4), -1.0, 0.2, 0.0)
+            RadialState(0.0, np.zeros(4), np.zeros(4), -1.0, 0.2)
 
     def test_nonfinite_profile(self):
         bad = np.zeros(16)
