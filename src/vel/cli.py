@@ -490,6 +490,8 @@ def _cmd_radial(config: Config, out):
                 "stop_reason": result.stop_reason,
                 "stop_time": result.stop_time,
                 "steps": result.steps,
+                "dt_min": result.dt_min,
+                "dt_max": result.dt_max,
                 "sup_energy": result.sup_energy,
                 "mass_defect": mass_worst,
                 "v_add_max": vadd_worst,
@@ -499,6 +501,10 @@ def _cmd_radial(config: Config, out):
                 "series": os.path.basename(series_path),
                 "passed": not checks.failed},
                os.path.join(out, "radial_fit.json"))
+    # wall-clock phases vary between reruns, so they stay out of radial_fit
+    _dump_json({"setup_s": result.setup_s, "stepping_s": result.stepping_s,
+                "reporting_s": result.reporting_s},
+               os.path.join(out, "radial_timing.json"))
     checks.emit(sys.stdout)
     return checks.exit_code
 

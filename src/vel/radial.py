@@ -15,6 +15,7 @@ co-integrated by the same integrator.
 """
 
 import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -369,38 +370,61 @@ class RadialSolver:
                 - thp * (Ft / (3.0 * g - 1.0) + dgrad))
         return state.f, state.f_t, Ftt / self.s, Fttt / self.s
 
-    def step(self, state: RadialState, dt: float) -> RadialState:
-        """One RK4 step of (f, f_t, theta, theta_t)."""
+    # -- RK4 on the packed buffer y = [F, F_t, theta, theta_t], F = s f
+
+    def _pack(self, state: RadialState) -> np.ndarray:
+        return np.concatenate([self.s * state.f, self.s * state.f_t,
+                               [state.theta, state.theta_t]])
+
+    def _unpack(self, t: float, y: np.ndarray) -> RadialState:
+        n = self.n
+        return RadialState(time=t, f=y[:n] / self.s, f_t=y[n:2 * n] / self.s,
+                           theta=float(y[-2]), theta_t=float(y[-1]))
+
+    def _rhs(self, y: np.ndarray) -> np.ndarray:
+        n = self.n
+        F, Ft, th, tht = y[:n], y[n:2 * n], y[-2], y[-1]
+        dy = np.empty_like(y)
+        dy[:n] = Ft
+        dy[n:2 * n] = self._accel_F(F, Ft, th, tht, self._grad(F))
+        dy[-2] = tht
+        dy[-1] = theta_acceleration(self.gamma, th, tht)
+        return dy
+
+    def _advance(self, y: np.ndarray, dt: float) -> np.ndarray:
+        """One RK4 step of the packed buffer; returns a new buffer.
+
+        Raises ValueError for a nonpositive or CFL-violating dt,
+        DegenerateProfileError from any stage or when 1 + f of the result
+        is nonpositive, and FloatingPointError when the result is
+        non-finite or theta nonpositive.
+        """
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        cs = self.sound_speed(state.theta)
+        cs = self.sound_speed(float(y[-2]))
         if dt > self.h / cs * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {dt:.3e} violates the CFL bound {self.h / cs:.3e}")
-        g = self.gamma
-        n = self.n
-
-        def rhs(y):
-            F_, Ft_ = y[:n], y[n:2 * n]
-            th, tht = y[2 * n], y[2 * n + 1]
-            return np.concatenate([
-                Ft_, self._accel_F(F_, Ft_, th, tht, self._grad(F_)),
-                [tht, theta_acceleration(g, th, tht)],
-            ])
-
-        y = np.concatenate([self.s * state.f, self.s * state.f_t,
-                            [state.theta, state.theta_t]])
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
+        k1 = self._rhs(y)
+        k2 = self._rhs(y + 0.5 * dt * k1)
+        k3 = self._rhs(y + 0.5 * dt * k2)
+        k4 = self._rhs(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        th_new, tht_new = y[2 * n], y[2 * n + 1]
-        if not (np.all(np.isfinite(y)) and th_new > 0.0):
+        if not (np.isfinite(y).all() and y[-2] > 0.0):
             raise FloatingPointError("non-finite state after step")
-        return RadialState(
-            time=state.time + dt, f=y[:n] / self.s, f_t=y[n:2 * n] / self.s,
-            theta=float(th_new), theta_t=float(tht_new))
+        # the check RadialState makes, on the f it would hold; 1 + x rounds
+        # monotonically, so testing the smallest f tests every node
+        f = y[:self.n] / self.s
+        if 1.0 + f.min() <= 0.0:
+            idx = int(np.argmin(f))
+            raise DegenerateProfileError(
+                f"1 + f nonpositive at node {idx} (value {f[idx]:.6g})")
+        return y
+
+    def step(self, state: RadialState, dt: float) -> RadialState:
+        """One RK4 step of (f, f_t, theta, theta_t)."""
+        return self._unpack(state.time + dt,
+                            self._advance(self._pack(state), dt))
 
     def balance_series(self, state: RadialState, t_end: float, dt: float):
         """Uniform-dt sampling of the zeroth-balance ingredients.
@@ -518,6 +542,14 @@ class RunResult:
     boundary_monotone: bool
     steps: int
     oracle_defect: float
+    # smallest and largest accepted step; None when no step was taken
+    dt_min: float | None
+    dt_max: float | None
+    # wall-clock seconds of the three phases of run, which together make up
+    # its wall time; unlike every field above they differ between reruns
+    setup_s: float
+    stepping_s: float
+    reporting_s: float
 
     def energy_total(self) -> np.ndarray:
         return np.array([r.E_total for r in self.reports])
@@ -531,12 +563,18 @@ def run(config: RunConfig) -> RunResult:
     the boundary radius at geometric cadence, and enforcing the a-priori
     energy monitors.  Returns a result with a labeled stop reason.
 
+    Between records the run advances the solver's packed buffer
+    [F, F_t, theta, theta_t]; a validated RadialState is built only for a
+    record and for the final state, which after a degenerate or non-finite
+    step is the last accepted one.
+
     Every report is evaluated in separated form.  The first and last
     records are also evaluated by the 3D energy_functionals on the same
     grid, which keeps their curl terms measured independently of the
     radial ansatz; those records keep the 3D report, and the largest
     disagreement between the two is the result's oracle_defect.
     """
+    start = time.perf_counter()
     solver = RadialSolver(config.gamma, config.mass, config.resolution)
     grid = BallGrid(solver.constants, n_r=config.resolution,
                     n_mu=config.report_angles[0], n_psi=config.report_angles[1],
@@ -554,6 +592,8 @@ def run(config: RunConfig) -> RunResult:
     oracle_defect = 0.0
     last_profiles = None
     separated = SeparatedFields(grid)
+    reporting_s = 0.0
+    setup_s = time.perf_counter() - start
 
     def full_report(t: float, profiles):
         traj = CallableTrajectory(grid, tuple(
@@ -567,7 +607,8 @@ def run(config: RunConfig) -> RunResult:
                                          truncation=config.truncation)
 
     def record(st: RadialState):
-        nonlocal sup_energy, last_profiles, oracle_defect
+        nonlocal sup_energy, last_profiles, oracle_defect, reporting_s
+        rec_start = time.perf_counter()
         profiles = solver.time_derivatives(st)
         if reports:
             rep = separated_report(st.time, profiles)
@@ -584,6 +625,7 @@ def run(config: RunConfig) -> RunResult:
         reports.append(rep)
         mass_err.append(abs(solver.mass(st) - total_mass) / total_mass)
         sup_energy = max(sup_energy, rep.E_total)
+        reporting_s += time.perf_counter() - rec_start
         if rep.E_total > config.eps0**2:
             return STOP_MONITOR_E
         if math.log1p(st.time) ** 2 * sup_energy > config.eps0**2:
@@ -591,39 +633,51 @@ def run(config: RunConfig) -> RunResult:
         return None
 
     stop_reason = record(state)
+    t, y = state.time, solver._pack(state)
     next_rec = 0
     steps = 0
+    dt_min, dt_max = math.inf, 0.0
+    loop_start, loop_reporting = time.perf_counter(), reporting_s
     while stop_reason is None:
-        if state.time >= config.t_end - 1e-12 * config.t_end:
+        if t >= config.t_end - 1e-12 * config.t_end:
             stop_reason = STOP_COMPLETED
             break
-        while next_rec < rec_times.size and rec_times[next_rec] <= state.time + 1e-15:
+        while next_rec < rec_times.size and rec_times[next_rec] <= t + 1e-15:
             next_rec += 1
         target = rec_times[next_rec] if next_rec < rec_times.size else config.t_end
         target = min(target, config.t_end)
-        dt = min(config.cfl * solver.h / solver.sound_speed(state.theta),
-                 target - state.time)
+        dt = min(config.cfl * solver.h / solver.sound_speed(float(y[-2])),
+                 target - t)
         try:
-            new_state = solver.step(state, dt)
+            y = solver._advance(y, dt)
         except DegenerateProfileError:
             stop_reason = STOP_DEGENERATE
             break
         except FloatingPointError:
             stop_reason = STOP_NONFINITE
             break
-        state = new_state
+        t += dt
         steps += 1
-        if state.time >= target - 1e-15 and target < config.t_end:
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+        state = None
+        if t >= target - 1e-15 and target < config.t_end:
+            state = solver._unpack(t, y)
             stop_reason = record(state)
-        elif state.time >= config.t_end - 1e-12 * config.t_end:
+        elif t >= config.t_end - 1e-12 * config.t_end:
+            state = solver._unpack(t, y)
             stop_reason = record(state) or STOP_COMPLETED
+    stepping_s = time.perf_counter() - loop_start - (reporting_s - loop_reporting)
+    if state is None:
+        state = solver._unpack(t, y)
 
     if len(reports) > 1:
+        rec_start = time.perf_counter()
         separated = None  # free the angular factors before the 3D report
         full = full_report(times[-1], last_profiles)
         oracle_defect = max(oracle_defect, report_defect(reports[-1], full))
         reports[-1] = full
         sup_energy = max(rep.E_total for rep in reports)
+        reporting_s += time.perf_counter() - rec_start
     t_arr = np.array(times)
     r_arr = np.array(radii)
     monotone = bool(np.all(np.diff(r_arr) >= -1e-12 * max(r_arr.max(), 1.0))) \
@@ -634,6 +688,9 @@ def run(config: RunConfig) -> RunResult:
         stop_reason=stop_reason, stop_time=float(state.time),
         final_state=state, boundary_monotone=monotone, steps=steps,
         oracle_defect=float(oracle_defect),
+        dt_min=float(dt_min) if steps else None,
+        dt_max=float(dt_max) if steps else None,
+        setup_s=setup_s, stepping_s=stepping_s, reporting_s=reporting_s,
     )
 
 

@@ -373,6 +373,17 @@ class TestRadial:
         payload = json.loads((tmp_path / "radial_fit.json").read_text())
         assert payload["oracle_defect"] > 1e-12
 
+    def test_telemetry_written(self, capsys, tmp_path):
+        config = write_config(tmp_path, SMALL_RADIAL)
+        run_cli(["radial", "--config", config, "--eps", "1e-3", "--t-end", "5",
+                 "--out", str(tmp_path)], capsys)
+        fit = json.loads((tmp_path / "radial_fit.json").read_text())
+        assert fit["steps"] > 0
+        assert 0.0 < fit["dt_min"] <= fit["dt_max"]
+        timing = json.loads((tmp_path / "radial_timing.json").read_text())
+        assert set(timing) == {"setup_s", "stepping_s", "reporting_s"}
+        assert all(v > 0.0 for v in timing.values())
+
     def test_json_format_writes_reports(self, capsys, tmp_path):
         config = write_config(tmp_path, {
             "grid": {"resolution": 32, "n_mu": 6, "n_psi": 6},

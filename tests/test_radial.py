@@ -1,6 +1,7 @@
 """Radial solver: operator identities, stepping, runs, and growth fits."""
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -475,6 +476,17 @@ class TestStepping:
         out = self.solver.step(self.state, 1e-3)
         assert out.time == pytest.approx(1e-3)
 
+    def test_vacuum_crossing_result_degenerate(self, monkeypatch):
+        # stages that never look at the profile, and a result with 1 + f < 0
+        # at one node: the packed step refuses it as RadialState would
+        n, dt = self.solver.n, 1e-3
+        dy = np.zeros(2 * n + 2)
+        dy[n // 2] = -2.0 * self.solver.s[n // 2] / dt
+        monkeypatch.setattr(RadialSolver, "_rhs", lambda self, y: dy)
+        with pytest.raises(DegenerateProfileError,
+                           match=f"1 \\+ f nonpositive at node {n // 2}"):
+            self.solver._advance(self.solver._pack(self.state), dt)
+
 
 # ---------------------------------------------------------------------------
 # zeroth-order balance
@@ -641,6 +653,152 @@ class TestRunDriver:
         base[field] = value
         with pytest.raises(ValueError, match=match):
             RunConfig(**base)
+
+
+def replay_with_step(cfg):
+    """run's stepping rule through the public step, without the reports.
+
+    Records evaluate the time derivatives, as run's do, so a patched force
+    sees the same sequence of calls.  Returns (steps, record states, stop
+    reason, last accepted state); energy monitors are not replayed.
+    """
+    solver = RadialSolver(cfg.gamma, cfg.mass, cfg.resolution)
+    psi = profile_family(cfg, solver.s, solver.constants.r0)
+    state = solver.make_state(0.0, cfg.amplitude * psi,
+                              cfg.velocity_amplitude * psi)
+    rec_times = np.geomspace(min(1e-2, cfg.t_end / cfg.records), cfg.t_end,
+                             cfg.records)
+    records = [state]
+    solver.time_derivatives(state)
+    next_rec, steps, reason = 0, 0, "completed"
+    while state.time < cfg.t_end - 1e-12 * cfg.t_end:
+        while next_rec < rec_times.size and rec_times[next_rec] <= state.time + 1e-15:
+            next_rec += 1
+        target = min(rec_times[next_rec] if next_rec < rec_times.size
+                     else cfg.t_end, cfg.t_end)
+        dt = min(cfg.cfl * solver.h / solver.sound_speed(state.theta),
+                 target - state.time)
+        try:
+            new_state = solver.step(state, dt)
+        except DegenerateProfileError:
+            reason = "degenerate"
+            break
+        except FloatingPointError:
+            reason = "nonfinite"
+            break
+        state = new_state
+        steps += 1
+        if state.time >= target - 1e-15 or state.time >= cfg.t_end - 1e-12 * cfg.t_end:
+            records.append(state)
+            solver.time_derivatives(state)
+    return steps, records, reason, state
+
+
+def assert_states_match(got, want, velocity_scale=None):
+    # the packed run keeps F = s f between records, the step replay rounds
+    # it through f = F / s on every step: the two may differ at round-off,
+    # f_t on the scale of the run's velocities (f_t itself may have decayed)
+    assert got.time == want.time
+    assert got.theta == want.theta
+    assert got.theta_t == want.theta_t
+    assert np.abs(got.f - want.f).max() <= 1e-10 * np.abs(want.f).max()
+    if velocity_scale is None:
+        velocity_scale = np.abs(want.f_t).max()
+    assert np.abs(got.f_t - want.f_t).max() <= 1e-10 * velocity_scale
+
+
+def recorded_states(monkeypatch):
+    """States run passes to its records, captured at time_derivatives."""
+    states = []
+    original = RadialSolver.time_derivatives
+
+    def capture(self, state):
+        states.append(state)
+        return original(self, state)
+
+    monkeypatch.setattr(RadialSolver, "time_derivatives", capture)
+    return states
+
+
+class TestPackedRun:
+    """run advances a packed buffer; the public step is its oracle."""
+
+    @pytest.mark.parametrize("resolution,t_end", [(32, 5.0), (64, 100.0)])
+    def test_matches_step_replay(self, monkeypatch, resolution, t_end):
+        cfg = RunConfig(gamma=GAMMA, resolution=resolution, t_end=t_end,
+                        amplitude=1e-3, velocity_amplitude=5e-4, records=12,
+                        J_max=0, report_angles=(4, 4))
+        seen = recorded_states(monkeypatch)
+        res = run(cfg)
+        monkeypatch.undo()
+        steps, records, reason, last = replay_with_step(cfg)
+        assert res.stop_reason == reason == "completed"
+        assert res.steps == steps
+        assert_array_equal(res.times, [st.time for st in records])
+        assert [st.theta for st in seen] == [st.theta for st in records]
+        assert res.stop_time == last.time
+        velocity_scale = max(np.abs(st.f_t).max() for st in records)
+        assert_states_match(res.final_state, last, velocity_scale)
+        for got, want in zip(seen, records, strict=True):
+            assert_states_match(got, want, velocity_scale)
+
+    def test_degenerate_stop_keeps_last_accepted_state(self):
+        cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=50.0,
+                        amplitude=0.9, records=10, J_max=0, eps0=10.0,
+                        report_angles=(4, 4))
+        res = run(cfg)
+        steps, _, reason, last = replay_with_step(cfg)
+        assert res.stop_reason == reason == "degenerate"
+        assert res.final_state.time == res.stop_time
+        assert res.steps == steps > 0
+        assert_states_match(res.final_state, last)
+
+    def test_nonfinite_stop_keeps_last_accepted_state(self, monkeypatch):
+        # the poisoned force of test_nan_force_stops_nonfinite
+        original = RadialSolver._grad
+        calls = []
+
+        def poisoned(self, F):
+            calls.append(1)
+            out = original(self, F)
+            return out * np.nan if len(calls) > 6 else out
+
+        monkeypatch.setattr(RadialSolver, "_grad", poisoned)
+        cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0,
+                        amplitude=1e-3, records=4, J_max=0,
+                        report_angles=(4, 4))
+        res = run(cfg)
+        calls.clear()
+        steps, _, reason, last = replay_with_step(cfg)
+        assert res.stop_reason == reason == "nonfinite"
+        assert res.final_state.time == res.stop_time
+        assert res.steps == steps > 0
+        assert_states_match(res.final_state, last)
+
+    def test_telemetry(self):
+        cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0,
+                        amplitude=1e-3, records=8, J_max=1,
+                        report_angles=(4, 4))
+        start = time.perf_counter()
+        res = run(cfg)
+        wall = time.perf_counter() - start
+        phases = (res.setup_s, res.stepping_s, res.reporting_s)
+        assert all(p > 0.0 for p in phases)
+        assert abs(sum(phases) - wall) <= 0.05 * wall
+        solver = RadialSolver(GAMMA, resolution=32)
+        assert 0.0 < res.dt_min <= res.dt_max
+        # the CFL step grows with theta, so the final theta bounds every dt
+        assert res.dt_max <= cfg.cfl * solver.h / solver.sound_speed(
+            res.final_state.theta)
+
+    def test_no_step_no_dt_range(self):
+        cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=50.0,
+                        amplitude=1e-3, records=10, J_max=1, eps0=1e-5,
+                        report_angles=(4, 4))
+        res = run(cfg)
+        assert res.stop_reason == "monitor_E"
+        assert res.steps == 0
+        assert res.dt_min is None and res.dt_max is None
 
 
 class TestReportOracle:
