@@ -271,7 +271,7 @@ def _cmd_liu(config: Config, out):
     series_path = os.path.join(out, "liu_deviation.csv")
     with open_dest(series_path) as fh:
         fh.write("t,deviation\n")
-        for t, d in zip(rep.times, rep.deviation):
+        for t, d in zip(rep.times.tolist(), rep.deviation.tolist()):
             fh.write(f"{t!r},{d!r}\n")
     checks.record(
         "asymptotic-equivalence", rep.passed,

@@ -16,6 +16,7 @@ momentum balance, and mass conservation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,14 @@ def moment_integral(iota):
     The Jacobi weight absorbs the (1-y)^iota endpoint factor, so the
     remaining integrand is analytic and the rule converges exponentially.
     Order is doubled up to _MAX_ORDER until two successive values agree to
-    _QUAD_TOL relative; raises RuntimeError with the achieved tolerance.
+    _QUAD_TOL relative; raises RuntimeError with the achieved tolerance,
+    or, before any quadrature, when 4^iota (the largest (3+x)^iota) is
+    past the float range.
     """
+    if 2.0 * iota >= sys.float_info.max_exp:
+        raise RuntimeError(
+            f"moment integral overflows: 4^iota is not finite at "
+            f"iota = {iota:g} (gamma too close to 1)")
     # substitute y = (1+x)/2:  integrand = (1-x)^iota (1+x)^2 (3+x)^iota / 2^(2 iota + 3)
     scale = 2.0 ** -(2.0 * iota + 3.0)
     prev = None

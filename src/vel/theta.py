@@ -12,11 +12,11 @@ to three coupled ODEs; `_liu_law` states the derived system, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._io import open_dest
 from .params import BarenblattConstants, GasParams, derive_constants, moment_integral
@@ -187,6 +187,139 @@ def _default_forcing(gamma: float) -> Callable[[float], float]:
     return lambda t: -nu_tt(t)
 
 
+def _log_grid(t_end: float, num_samples: int) -> np.ndarray:
+    """Sample times from 0 to t_end, geometric in 1 + t, with exact ends."""
+    times = np.geomspace(1.0, 1.0 + t_end, num_samples) - 1.0
+    times[0] = 0.0
+    times[-1] = t_end
+    return times
+
+
+# Shampine's quartic dense output for the Dormand-Prince pair: row j holds
+# the weights of stage j in the coefficients of x, x^2, x^3, x^4.
+_DOPRI_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+_DOPRI_P_COLS = tuple(zip(*_DOPRI_P))
+
+
+def _dopri5(
+    rhs: Callable[[float, Sequence[float]], Sequence[float]],
+    y0: Sequence[float],
+    t_end: float,
+    rtol: float,
+    atol: float,
+    times: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Dormand-Prince 5(4) from t = 0 to t_end on Python floats.
+
+    rhs(t, y) takes and returns a short sequence of floats.  The step
+    control is scipy's RK45 term for term: the Hairer-Norsett-Wanner
+    initial step at error order 4, the RMS error over atol + max(|y|,
+    |y_new|) rtol, the factor 0.9 err^(-1/5) kept within [0.2, 10] and
+    below 1 right after a rejection, a minimum step of 10 ulp(t), and the
+    last step clipped to t_end.  Each sample time is read from the quartic
+    interpolant of the accepted step (t_old, t_new] that holds it (the
+    first step also holds t = 0).  Returns the samples, shape
+    (len(times), len(y0)), and the number of accepted steps.  Raises
+    RuntimeError when the step falls below its minimum or is NaN; a NaN
+    from rhs fails the error test, so it shrinks the step until then.
+    """
+    rtol = max(rtol, 100.0 * np.finfo(float).eps)  # scipy's floor
+    root_n = len(y0) ** 0.5
+    t, y = 0.0, list(y0)
+    f = rhs(t, y)
+
+    # initial step (Hairer, Norsett, Wanner, Sec. II.4)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = math.sqrt(sum([(v / s) ** 2 for v, s in zip(y, scale)])) / root_n
+    d1 = math.sqrt(sum([(v / s) ** 2 for v, s in zip(f, scale)])) / root_n
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = rhs(t + h0, [v + h0 * a for v, a in zip(y, f)])
+    d2 = math.sqrt(sum([((a - b) / s) ** 2 for a, b, s in zip(f1, f, scale)]))
+    d2 /= root_n * h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, t_end)
+
+    ts = times.tolist()
+    samples: list[list[float]] = []
+    i = steps = 0
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also a NaN step
+                raise RuntimeError(
+                    "integration failed: required step size is less than "
+                    f"the spacing of floats at t = {t:.6g}")
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            k1 = f
+            k2 = rhs(t + 1 / 5 * h, [v + (1 / 5 * a) * h
+                                     for v, a in zip(y, k1)])
+            k3 = rhs(t + 3 / 10 * h, [v + (3 / 40 * a + 9 / 40 * b) * h
+                                      for v, a, b in zip(y, k1, k2)])
+            k4 = rhs(t + 4 / 5 * h, [
+                v + (44 / 45 * a - 56 / 15 * b + 32 / 9 * c) * h
+                for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = rhs(t + 8 / 9 * h, [
+                v + (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
+                     - 212 / 729 * d) * h
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = rhs(t + h, [
+                v + (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
+                     + 49 / 176 * d - 5103 / 18656 * e) * h
+                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [
+                v + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
+                         - 2187 / 6784 * e + 11 / 84 * g)
+                for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+            f_new = rhs(t + h, y_new)
+            err = math.sqrt(sum([
+                ((-71 / 57600 * a + 71 / 16695 * c - 71 / 1920 * d
+                  + 17253 / 339200 * e - 22 / 525 * g + 1 / 40 * k) * h
+                 / (atol + max(abs(v), abs(w)) * rtol)) ** 2
+                for v, w, a, c, d, e, g, k
+                in zip(y, y_new, k1, k3, k4, k5, k6, f_new)])) / root_n
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            # a NaN err gives max(0.2, nan) = 0.2, the largest cut
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+
+        if i < len(ts) and ts[i] <= t_new:
+            q = [[sum([k * p for k, p in zip(kc, col)]) for col in _DOPRI_P_COLS]
+                 for kc in zip(k1, k2, k3, k4, k5, k6, f_new)]
+            while i < len(ts) and ts[i] <= t_new:
+                x = (ts[i] - t) / h
+                x2 = x * x
+                x3 = x2 * x
+                samples.append([h * (c1 * x + c2 * x2 + c3 * x3 + c4 * (x3 * x)) + v
+                                for v, (c1, c2, c3, c4) in zip(y, q)])
+                i += 1
+        t, y, f = t_new, y_new, f_new
+        steps += 1
+    return np.array(samples), steps
+
+
 def integrate_h(
     gamma: float,
     t_end: float,
@@ -213,41 +346,18 @@ def integrate_h(
     force = _default_forcing(gamma) if forcing is None else forcing
     base_at = _scalar_nu(gamma, 0)
 
-    def rhs(t: float, y: np.ndarray):
+    def rhs(t: float, y: Sequence[float]) -> tuple[float, float]:
         h, h_t = y
         base = base_at(t)
         lifted = base + h
-        # positivity enforced by the terminal event; clip only guards the power
-        lifted = lifted if lifted > 0.0 else np.nan
+        # theta <= 0 turns into NaN, which fails the step's error test
+        lifted = lifted if lifted > 0.0 else math.nan
         h_tt = -h_t + c * (lifted**q - base**q) + force(t)
         return (h_t, h_tt)
 
-    def hit_zero(t: float, y: np.ndarray) -> float:
-        return base_at(t) + y[0]
-
-    hit_zero.terminal = True  # type: ignore[attr-defined]
-    hit_zero.direction = -1  # type: ignore[attr-defined]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        (0.0, 0.0),
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=hit_zero,
-    )
-    if sol.status == 1:
-        t_hit = float(sol.t_events[0][0])
-        raise RuntimeError(f"theta reached zero at t = {t_hit:.6g}")
-    if sol.status != 0:
-        raise RuntimeError(f"integration failed: {sol.message}")
-
-    times = np.geomspace(1.0, 1.0 + float(t_end), num_samples) - 1.0
-    times[0] = 0.0
-    times[-1] = float(t_end)
-    h, h_t = sol.sol(times)
+    times = _log_grid(float(t_end), num_samples)
+    samples, _ = _dopri5(rhs, (0.0, 0.0), float(t_end), rtol, atol, times)
+    h, h_t = samples.T
     base = nu(gamma, times)
     theta = base + h
     if np.any(~np.isfinite(theta)) or np.any(theta <= 0.0):
@@ -369,25 +479,14 @@ def liu_integrate(
     if not t_end > 0.0:
         raise ValueError("t_end must be positive")
 
-    def rhs(t: float, y: np.ndarray):
+    def rhs(t: float, y: Sequence[float]) -> tuple[float, float, float]:
         a, b, e = y
         return _liu_law(gamma, a, b, e)
 
-    times = np.geomspace(1.0, 1.0 + float(t_end), 1001) - 1.0
-    times[0] = 0.0
-    times[-1] = float(t_end)
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        (initial.a, initial.b, initial.e),
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        t_eval=times,
-    )
-    if sol.status != 0:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    a, b, e = sol.y
+    times = _log_grid(float(t_end), 1001)
+    samples, _ = _dopri5(rhs, (initial.a, initial.b, initial.e), float(t_end),
+                         rtol, atol, times)
+    a, b, e = samples.T
     if np.any(b <= 0.0) or np.any(e <= 0.0):
         raise RuntimeError("trajectory left the admissible cone b, e > 0")
     return times, a, b, e

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -162,11 +163,15 @@ class TestExitCodes:
         assert "gamma must exceed 1" in err
 
     def test_runtime_error_exits_two(self, capsys, tmp_path):
-        # the moment integral overflows this close to gamma = 1
-        code, _, err = run_cli(
-            ["constants", "--gamma", "1.001", "--out", str(tmp_path)], capsys)
+        # the moment integral would overflow this close to gamma = 1; the
+        # overflow is caught before it happens, so no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(
+                ["constants", "--gamma", "1.001", "--out", str(tmp_path)],
+                capsys)
         assert code == 2
-        assert "error:" in err
+        assert "error: moment integral overflows: 4^iota is not finite" in err
 
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(["--help"], capsys)
@@ -252,6 +257,9 @@ class TestSuites:
         series = (tmp_path / "liu_deviation.csv").read_text().splitlines()
         assert series[0] == "t,deviation"
         assert len(series) > 100
+        # plain float literals, not numpy scalar reprs
+        rows = [[float(v) for v in line.split(",")] for line in series[1:]]
+        assert rows[0] == [0.0, 0.0]
 
     def test_identities(self, capsys, tmp_path):
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 """Radial solver: operator identities, stepping, runs, and growth fits."""
 
 import io
+import math
 import time
 
 import numpy as np
@@ -457,6 +458,17 @@ class TestStepping:
         with pytest.raises(ValueError, match="CFL"):
             self.solver.step(late, 1.01 * dt)
 
+    def test_damping_guard(self):
+        # late enough that the CFL step exceeds the damping bound
+        late = self.solver.make_state(1e5, self.state.f, self.state.f_t,
+                                      theta=10.0, theta_t=0.0)
+        cap = self.solver.damping_step(late.theta, late.theta_t)
+        assert cap == radial_module.DAMPING_BOUND
+        assert self.solver.h / self.solver.sound_speed(late.theta) > 2.0 * cap
+        self.solver.step(late, cap)
+        with pytest.raises(ValueError, match="damping"):
+            self.solver.step(late, 1.01 * cap)
+
     def test_positive_dt_required(self):
         with pytest.raises(ValueError, match="positive"):
             self.solver.step(self.state, 0.0)
@@ -486,6 +498,73 @@ class TestStepping:
         with pytest.raises(DegenerateProfileError,
                            match=f"1 \\+ f nonpositive at node {n // 2}"):
             self.solver._advance(self.solver._pack(self.state), dt)
+
+
+class TestDampingBound:
+    """dt (1 + 2 theta_t/theta) <= DAMPING_BOUND on the 2x2 model
+    x'' + d x' + w^2 x = 0 and in a run past the CFL step's onset."""
+
+    # largest w dt for which the bound is claimed stable
+    W_STABLE = 2.63
+
+    @staticmethod
+    def rk4_amplification(z, w):
+        # one RK4 step of the model with dt = 1, z = dt d, w = dt omega,
+        # applied to the identity: stacked 2x2 amplification matrices
+        m = np.zeros(np.shape(z) + (2, 2))
+        m[..., 0, 1] = 1.0
+        m[..., 1, 0] = -np.square(w)
+        m[..., 1, 1] = -np.asarray(z)
+        eye = np.broadcast_to(np.eye(2), m.shape)
+        k1 = m @ eye
+        k2 = m @ (eye + 0.5 * k1)
+        k3 = m @ (eye + 0.5 * k2)
+        k4 = m @ (eye + k3)
+        return eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+    def norms_after(self, z, w, steps):
+        amp = np.linalg.matrix_power(self.rk4_amplification(z, w), steps)
+        return np.linalg.norm(amp, axis=(-2, -1))
+
+    def test_no_growth_at_the_bound(self):
+        # d >= 1 in a run, so z = dt d > 0 (z = w = 0 is the free particle)
+        z, w = np.meshgrid(np.linspace(0.05, radial_module.DAMPING_BOUND, 50),
+                           np.linspace(0.0, self.W_STABLE, 51))
+        early, late = self.norms_after(z, w, 1000), self.norms_after(z, w, 2000)
+        assert np.all(np.isfinite(late))
+        assert np.all(late <= early * (1.0 + 1e-9))
+
+    def test_growth_past_the_real_axis_limit(self):
+        # the check can fail: dt d = 2.9 lies outside RK4's interval
+        z, w = np.array(2.9), np.array(0.0)
+        assert self.norms_after(z, w, 2000) > 1e10 * self.norms_after(z, w, 1000)
+
+    @pytest.mark.parametrize("gamma", [5.0 / 3.0, 2.0])
+    @pytest.mark.parametrize("resolution", [32, 64, 256])
+    def test_stiffest_mode_inside_the_stable_range(self, gamma, resolution):
+        # F_tt = -theta^{1-3g} K F at F = 0; w = sqrt(max eig K) scales
+        # with the sound speed, so w h/cs is the same at every theta
+        solver = RadialSolver(gamma, resolution=resolution)
+        zero = np.zeros(resolution)
+        stiffness = np.column_stack(
+            [solver._hess_apply(zero, e) / solver.w_kin
+             for e in np.eye(resolution)])
+        stiffness += np.eye(resolution) / (3.0 * gamma - 1.0)
+        omega = math.sqrt(np.linalg.eigvals(stiffness).real.max())
+        ratio = omega * solver.h / solver.sound_speed(1.0)
+        assert RunConfig.cfl * ratio <= self.W_STABLE
+
+    def test_run_past_the_onset_completes(self):
+        # at 32 cells the CFL step alone leaves RK4's interval near
+        # t = 8.8e3 (the bound binds from t = 7.1e3), and without the
+        # bound this run stops degenerate at t = 1.93e4
+        cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=2e4, records=4,
+                        J_max=0, truncation=Truncation(0, 0),
+                        report_angles=(4, 4))
+        res = run(cfg)
+        assert res.stop_reason == "completed"
+        assert res.dt_max == pytest.approx(radial_module.DAMPING_BOUND,
+                                           rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +756,7 @@ def replay_with_step(cfg):
         target = min(rec_times[next_rec] if next_rec < rec_times.size
                      else cfg.t_end, cfg.t_end)
         dt = min(cfg.cfl * solver.h / solver.sound_speed(state.theta),
+                 solver.damping_step(state.theta, state.theta_t),
                  target - state.time)
         try:
             new_state = solver.step(state, dt)

@@ -1,6 +1,7 @@
 """Tests for the time scaling paths: correction ODE and coefficient system."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -107,8 +108,92 @@ class TestIntegrateH:
     def test_unintegrable_forcing_aborts(self):
         # theta = 0 itself is shielded by the repulsive theta^{2-3g} term for
         # gamma > 1, so exercise the failure diagnostic with a broken forcing
-        with pytest.raises(RuntimeError, match="failed"):
+        with pytest.raises(RuntimeError, match="integration failed"):
             theta.integrate_h(2.0, 5.0, forcing=lambda t: float("nan"))
+
+
+def _scipy_rk45(rhs, y0, t_end, rtol, atol, times):
+    """scipy's RK45 with the signature and return of theta._dopri5."""
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=rtol,
+                    atol=atol, dense_output=True)
+    assert sol.status == 0
+    return sol.sol(times).T, sol.t.size - 1
+
+
+@pytest.fixture(scope="module")
+def acceptance_runs():
+    """The acceptance-02/03 problems through theta._dopri5 and through
+    scipy's RK45: (decay report, Liu report, accepted steps) per side."""
+    real = theta._dopri5
+    out = {}
+    for name, solver in (("dopri5", real), ("scipy", _scipy_rk45)):
+        steps = []
+
+        def counted(*args, solver=solver, steps=steps):
+            samples, n = solver(*args)
+            steps.append(n)
+            return samples, n
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(theta, "_dopri5", counted)
+            decay = theta.verify_decay(theta.integrate_h(4.0 / 3.0, 1e4))
+            liu = theta.liu_vs_barenblatt(2.0, 1.0, 1e5)
+        out[name] = (decay, liu, steps)
+    return out
+
+
+class TestDopri5:
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-8, 1e-10])
+    def test_decay_matches_closed_form(self, rtol):
+        times = np.linspace(0.0, 5.0, 51)
+        samples, _ = theta._dopri5(lambda t, y: (-y[0],), (1.0,), 5.0, rtol,
+                                   1e-14, times)
+        assert samples.shape == (51, 1)
+        assert np.max(np.abs(samples[:, 0] - np.exp(-times))) <= 10.0 * rtol
+
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-8, 1e-10])
+    def test_rotation_matches_closed_form(self, rtol):
+        # y'' = -y from (1, 0): (cos t, -sin t) over three turns
+        times = np.linspace(0.0, 20.0, 201)
+        samples, _ = theta._dopri5(lambda t, y: (y[1], -y[0]), (1.0, 0.0),
+                                   20.0, rtol, 1e-14, times)
+        exact = np.stack([np.cos(times), -np.sin(times)], axis=1)
+        assert np.max(np.abs(samples - exact)) <= 10.0 * rtol
+
+    def test_first_sample_is_the_initial_value(self):
+        times = theta._log_grid(10.0, 11)
+        samples, _ = theta._dopri5(lambda t, y: (y[1], -y[0]), (0.3, 0.7),
+                                   10.0, 1e-8, 1e-10, times)
+        assert samples[0].tolist() == [0.3, 0.7]
+
+    def test_log_grid_ends_exact(self):
+        times = theta._log_grid(1e5, 1001)
+        assert times[0] == 0.0 and times[-1] == 1e5
+        assert np.all(np.diff(times) > 0.0)
+
+    def test_step_count_matches_scipy(self, acceptance_runs):
+        ours, ref = acceptance_runs["dopri5"][2], acceptance_runs["scipy"][2]
+        assert len(ours) == len(ref) == 2
+        for n, m in zip(ours, ref):
+            assert abs(n - m) <= 0.005 * m
+
+    def test_decay_fits_match_scipy(self, acceptance_runs):
+        ours, ref = acceptance_runs["dopri5"][0], acceptance_runs["scipy"][0]
+        assert ours.K_fit == pytest.approx(ref.K_fit, rel=1e-8)
+        assert ours.Cn_fit[2] == pytest.approx(ref.Cn_fit[2], rel=1e-8)
+
+    def test_liu_report_matches_scipy(self, acceptance_runs):
+        ours, ref = acceptance_runs["dopri5"][1], acceptance_runs["scipy"][1]
+        assert ours.slope == pytest.approx(ref.slope, rel=1e-7)
+        assert ours.mass_drift == pytest.approx(ref.mass_drift, rel=1e-3)
+
+    def test_nan_rhs_fails(self):
+        with pytest.raises(RuntimeError, match="integration failed"):
+            theta._dopri5(lambda t, y: (math.nan,), (1.0,), 1.0, 1e-8, 1e-10,
+                          np.array([0.0, 1.0]))
+
+    def test_no_scipy_integrator(self):
+        assert not hasattr(theta, "solve_ivp")
 
 
 class TestVerifyDecay:
