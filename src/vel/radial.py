@@ -239,14 +239,19 @@ class RadialSolver:
         n = self.n
         self.D, H, _, self._vL = _build_sbp(2 * n, self.h)
         self.Dh = self.D[n:, n:] - self.D[n:, n - 1::-1]
-        # a contiguous transpose: products with the strided view run slower
-        self._DhT = np.ascontiguousarray(self.Dh.T)
         self.H = H[n:]
         self.sigma = c.a_bar - c.b_bar * self.s**2
         self.w_u = self.H * 4.0 * np.pi * self.s**2 * self.sigma ** (c.iota + 1.0)
         self.w_kin = self.H * 4.0 * np.pi * self.s**2 * self.sigma**c.iota
-        for arr in (self.s, self.Dh, self._DhT, self.sigma, self.w_u,
-                    self.w_kin):
+        # the force per kinetic weight is A2 m + G q for pointwise factors
+        # m, q (see _grad): the weights are folded into A2 and into the
+        # weighted transpose G = diag(1/w_kin) Dh^T diag(w_u), stored
+        # contiguous because products with a strided view run slower
+        self._inv_s = 1.0 / self.s
+        self._A2 = 2.0 * self.w_u / (self.s * self.w_kin)
+        self._G = np.ascontiguousarray(self.Dh.T * self.w_u / self.w_kin[:, None])
+        for arr in (self.s, self.Dh, self.sigma, self.w_u, self.w_kin,
+                    self._inv_s, self._A2, self._G):
             arr.setflags(write=False)
 
     def boundary_value(self, f: np.ndarray) -> float:
@@ -256,9 +261,12 @@ class RadialSolver:
     # -- discrete energy and its gradient
 
     def _pq(self, F: np.ndarray):
-        gp = 1.0 + F / self.s
-        gq = 1.0 + self.Dh @ F
-        jac = gp * gp * gq
+        gp = F * self._inv_s
+        gp += 1.0
+        gq = self.Dh @ F
+        gq += 1.0
+        jac = gp * gp
+        jac *= gq
         # NaN compares false here, so non-finite states pass on to the
         # finiteness check of step
         if np.minimum(jac, gp).min() <= 0.0:
@@ -278,11 +286,7 @@ class RadialSolver:
 
     def _force_gradient(self, F: np.ndarray) -> np.ndarray:
         # exact gradient of the internal energy with respect to F
-        gp, gq, jac = self._pq(F)
-        jg = jac ** (-self.gamma)
-        m0_p = -jg * 2.0 * gp * gq + 2.0
-        m0_q = -jg * gp * gp + 1.0
-        return self.w_u * m0_p / self.s + self._DhT @ (self.w_u * m0_q)
+        return self.w_kin * self._grad(F)
 
     def _hess_apply(self, F: np.ndarray, V: np.ndarray) -> np.ndarray:
         # directional derivative of _force_gradient along V
@@ -296,19 +300,34 @@ class RadialSolver:
         m0_qq = self.gamma * jg1 * gp**4
         dmp = m0_pp * pv + m0_pq * qv
         dmq = m0_pq * pv + m0_qq * qv
-        return self.w_u * dmp / self.s + self._DhT @ (self.w_u * dmq)
+        return self.w_u * dmp / self.s + self.w_kin * (self._G @ dmq)
 
     def _grad(self, F: np.ndarray) -> np.ndarray:
-        # force gradient per kinetic weight
-        return self._force_gradient(F) / self.w_kin
+        # force gradient per kinetic weight, A2 m + G q with jg = jac^-gamma,
+        # m = 1 - jg gp gq and q = 1 - jg gp^2; both vanish exactly at F = 0,
+        # which a precomputed A2 + G 1 minus the rest would not
+        gp, gq, jac = self._pq(F)
+        jg = np.power(jac, -self.gamma, out=jac)
+        jg *= gp
+        q = jg * gp
+        np.subtract(1.0, q, out=q)
+        jg *= gq
+        m = np.subtract(1.0, jg, out=jg)
+        m *= self._A2
+        out = self._G @ q
+        out += m
+        return out
 
     def _accel_F(self, F: np.ndarray, Ft: np.ndarray, th: float, tht: float,
-                 grad: np.ndarray) -> np.ndarray:
-        # the radial law for F_tt given the force gradient
+                 grad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # the radial law for F_tt given the force gradient, written to out
+        # when given; th and tht are floats
         g = self.gamma
-        thp = th ** (1.0 - 3.0 * g)
-        return (-(1.0 + 2.0 * tht / th) * Ft
-                - thp * (F / (3.0 * g - 1.0) + grad))
+        acc = np.divide(F, 3.0 * g - 1.0, out=out)
+        acc += grad
+        acc *= -th ** (1.0 - 3.0 * g)
+        acc -= Ft * (1.0 + 2.0 * tht / th)
+        return acc
 
     # -- public operations
 
@@ -394,18 +413,23 @@ class RadialSolver:
         return RadialState(time=t, f=y[:n] / self.s, f_t=y[n:2 * n] / self.s,
                            theta=float(y[-2]), theta_t=float(y[-1]))
 
-    def _rhs(self, y: np.ndarray) -> np.ndarray:
+    def _rhs(self, y: np.ndarray, out: np.ndarray) -> None:
+        # the packed derivative of y, written to out
         n = self.n
-        F, Ft, th, tht = y[:n], y[n:2 * n], y[-2], y[-1]
-        dy = np.empty_like(y)
-        dy[:n] = Ft
-        dy[n:2 * n] = self._accel_F(F, Ft, th, tht, self._grad(F))
-        dy[-2] = tht
-        dy[-1] = theta_acceleration(self.gamma, th, tht)
-        return dy
+        F, Ft = y[:n], y[n:2 * n]
+        th, tht = y[-2:].tolist()
+        # theta <= 0 leaves the law's domain; NaN carries it to the
+        # finiteness check of the step
+        if not th > 0.0:
+            th = math.nan
+        out[:n] = Ft
+        self._accel_F(F, Ft, th, tht, self._grad(F), out=out[n:2 * n])
+        out[-2] = tht
+        out[-1] = theta_acceleration(self.gamma, th, tht)
 
     def _advance(self, y: np.ndarray, dt: float) -> np.ndarray:
-        """One RK4 step of the packed buffer; returns a new buffer.
+        """One RK4 step of the packed buffer; returns a new buffer and
+        never writes to y.
 
         Raises ValueError for a nonpositive dt or one above the CFL or
         damping bound, DegenerateProfileError from any stage or when 1 + f
@@ -414,29 +438,45 @@ class RadialSolver:
         """
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        cs = self.sound_speed(float(y[-2]))
+        th, tht = y[-2:].tolist()
+        cs = self.sound_speed(th)
         if dt > self.h / cs * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {dt:.3e} violates the CFL bound {self.h / cs:.3e}")
-        cap = self.damping_step(float(y[-2]), float(y[-1]))
+        cap = self.damping_step(th, tht)
         if dt > cap * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {dt:.3e} violates the damping bound {cap:.3e}")
-        k1 = self._rhs(y)
-        k2 = self._rhs(y + 0.5 * dt * k1)
-        k3 = self._rhs(y + 0.5 * dt * k2)
-        k4 = self._rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (np.isfinite(y).all() and y[-2] > 0.0):
+        k1, k2, k3, k4, stage = np.empty((5, y.size))
+        self._rhs(y, k1)
+        np.multiply(k1, 0.5 * dt, out=stage)
+        stage += y
+        self._rhs(stage, k2)
+        np.multiply(k2, 0.5 * dt, out=stage)
+        stage += y
+        self._rhs(stage, k3)
+        np.multiply(k3, dt, out=stage)
+        stage += y
+        self._rhs(stage, k4)
+        # y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
+        y_new = k2
+        y_new *= 2.0
+        y_new += k1
+        k3 *= 2.0
+        y_new += k3
+        y_new += k4
+        y_new *= dt / 6.0
+        y_new += y
+        if not (np.isfinite(y_new).all() and y_new[-2] > 0.0):
             raise FloatingPointError("non-finite state after step")
         # the check RadialState makes, on the f it would hold; 1 + x rounds
         # monotonically, so testing the smallest f tests every node
-        f = y[:self.n] / self.s
+        f = y_new[:self.n] / self.s
         if 1.0 + f.min() <= 0.0:
             idx = int(np.argmin(f))
             raise DegenerateProfileError(
                 f"1 + f nonpositive at node {idx} (value {f[idx]:.6g})")
-        return y
+        return y_new
 
     def step(self, state: RadialState, dt: float) -> RadialState:
         """One RK4 step of (f, f_t, theta, theta_t)."""

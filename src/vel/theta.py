@@ -235,7 +235,11 @@ def _dopri5(
     (len(times), len(y0)), and the number of accepted steps.  Raises
     RuntimeError when the step falls below its minimum or is NaN; a NaN
     from rhs fails the error test, so it shrinks the step until then.
+    Raises ValueError unless rtol and atol are positive and finite.
     """
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {tol}")
     rtol = max(rtol, 100.0 * np.finfo(float).eps)  # scipy's floor
     root_n = len(y0) ** 0.5
     t, y = 0.0, list(y0)

@@ -133,10 +133,12 @@ class TestSolverSetup:
         assert_allclose(solver.w_u, solver.w_kin * solver.sigma,
                         rtol=1e-13, atol=0)
 
-    def test_transpose_stored_contiguous(self):
+    def test_weighted_transpose(self):
+        # G = diag(1/w_kin) Dh^T diag(w_u), the one stored transpose
         solver = RadialSolver(GAMMA, resolution=48)
-        assert solver._DhT.flags.c_contiguous
-        assert_array_equal(solver._DhT, solver.Dh.T)
+        want = solver.Dh.T * solver.w_u / solver.w_kin[:, None]
+        assert solver._G.flags.c_contiguous
+        assert np.abs(solver._G - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_default_theta_context(self):
         solver = RadialSolver(GAMMA, resolution=16)
@@ -365,6 +367,8 @@ class TestFoldedOperator:
         for got, want in zip(solver._pq(F), ref.pq(F)):
             close(got, want[n:])
         close(solver._force_gradient(F), ref.force_gradient(F)[n:])
+        # the folded force per kinetic weight, as every RK4 stage uses it
+        close(solver._grad(F), ref.force_gradient(F)[n:] / ref.w_kin[n:])
         close(solver._hess_apply(F, Ft), ref.hess_apply(F, Ft)[n:])
         close(solver.internal_energy(state.f), ref.internal_energy(state.f))
         for got, want in zip(solver.zeroth_energy(state),
@@ -494,10 +498,64 @@ class TestStepping:
         n, dt = self.solver.n, 1e-3
         dy = np.zeros(2 * n + 2)
         dy[n // 2] = -2.0 * self.solver.s[n // 2] / dt
-        monkeypatch.setattr(RadialSolver, "_rhs", lambda self, y: dy)
+
+        def rhs(self, y, out):
+            out[:] = dy
+
+        monkeypatch.setattr(RadialSolver, "_rhs", rhs)
         with pytest.raises(DegenerateProfileError,
                            match=f"1 \\+ f nonpositive at node {n // 2}"):
             self.solver._advance(self.solver._pack(self.state), dt)
+
+    def advance_keeps_input(self, dt, raises=None, match=None):
+        # run keeps y as the last accepted state, so no stage may write it
+        y = self.solver._pack(self.state)
+        before = y.copy()
+        if raises is None:
+            assert not np.array_equal(self.solver._advance(y, dt), y)
+        else:
+            with pytest.raises(raises, match=match):
+                self.solver._advance(y, dt)
+        assert_array_equal(y, before)
+
+    def test_advance_keeps_input_on_success(self):
+        self.advance_keeps_input(1e-3)
+
+    def test_advance_keeps_input_on_cfl_error(self):
+        dt = 2.0 * self.solver.h / self.solver.sound_speed(self.state.theta)
+        self.advance_keeps_input(dt, ValueError, "CFL")
+
+    def test_advance_keeps_input_on_stage_degeneracy(self, monkeypatch):
+        # the first stage sees f = 0; the second, at f = -2 psi, is degenerate
+        dt = 1e-3
+        psi = poly_profile(self.solver, amplitude=1.0)
+        self.state = self.solver.make_state(0.0, np.zeros(32), -4.0 / dt * psi)
+        calls = []
+        original = RadialSolver._grad
+
+        def counted(self, F):
+            calls.append(1)
+            return original(self, F)
+
+        monkeypatch.setattr(RadialSolver, "_grad", counted)
+        self.advance_keeps_input(dt, DegenerateProfileError,
+                                 "jacobian nonpositive")
+        assert len(calls) == 2
+
+    def test_advance_keeps_input_on_nonfinite_result(self, monkeypatch):
+        monkeypatch.setattr(RadialSolver, "_grad",
+                            lambda self, F: np.full(F.shape, np.nan))
+        self.advance_keeps_input(1e-3, FloatingPointError, "non-finite")
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0])
+    def test_stage_theta_crossing_zero_is_nonfinite(self, gamma):
+        # the second stage has theta = 1 - 0.5 dt 1e4 < 0, outside the
+        # law's domain whether or not theta^(1 - 3 gamma) has a real value
+        solver = RadialSolver(gamma, resolution=32)
+        state = solver.make_state(0.0, poly_profile(solver), np.zeros(32),
+                                  theta=1.0, theta_t=-1e4)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            solver.step(state, 1e-3)
 
 
 class TestDampingBound:

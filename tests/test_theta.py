@@ -192,6 +192,16 @@ class TestDopri5:
             theta._dopri5(lambda t, y: (math.nan,), (1.0,), 1.0, 1e-8, 1e-10,
                           np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("name", ["rtol", "atol"])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_tolerances_checked_for_both_callers(self, name, tol):
+        # atol = 0 makes the error scale zero at the start h = h_t = 0
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            theta.integrate_h(2.0, 10.0, **{name: tol})
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            theta.liu_integrate(2.0, theta.LiuState(a=0.05, b=0.2, e=0.8),
+                                10.0, **{name: tol})
+
     def test_no_scipy_integrator(self):
         assert not hasattr(theta, "solve_ivp")
 
