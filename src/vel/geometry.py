@@ -56,32 +56,26 @@ class DegenerateDeformationError(RuntimeError):
     """Raised when a displacement field folds the ball (J <= 0 somewhere)."""
 
 
-def _barycentric_diffmat(x: np.ndarray) -> np.ndarray:
-    """Collocation first-derivative matrix on arbitrary distinct nodes."""
-    n = len(x)
+# Boundary closure of the midpoint scheme, times 12h: the 5-node
+# interpolatory derivative rows at the last two nodes from the last five.
+_RIM_ROWS = np.array([[-1.0, 6.0, -18.0, 10.0, 3.0],
+                      [3.0, -16.0, 36.0, -48.0, 25.0]])
+
+
+def _legendre_diffmat(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Collocation first-derivative matrix on the Gauss-Legendre nodes x
+    (quadrature weights w) of [-1, 1].
+
+    The barycentric weights have the closed form (-1)^j sqrt((1-x_j^2) w_j),
+    accurate to round-off; products of node gaps lose digits with the order.
+    """
+    bary = (-1.0) ** np.arange(len(x)) * np.sqrt((1.0 - x * x) * w)
     span = x[:, None] - x[None, :]
     np.fill_diagonal(span, 1.0)
-    logw = -np.sum(np.log(np.abs(span)), axis=1)
-    sign = np.prod(np.sign(span), axis=1)
-    w = sign * np.exp(logw - logw.max())
-    D = (w[None, :] / w[:, None]) / span
+    D = (bary[None, :] / bary[:, None]) / span
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -D.sum(axis=1))
     return D
-
-
-def _one_sided_rows(n: int, h: float) -> np.ndarray:
-    """Boundary closure for the midpoint scheme: 5-node interpolatory rows."""
-    rows = np.zeros((2, 5))
-    idx = np.arange(n - 5, n)
-    x = (idx + 0.5) * h
-    for pos, q in enumerate((n - 2, n - 1)):
-        xq = (q + 0.5) * h
-        V = np.vander(x - xq, 5, increasing=True).T
-        rhs = np.zeros(5)
-        rhs[1] = 1.0
-        rows[pos] = np.linalg.solve(V, rhs)
-    return rows
 
 
 def _gregory_midpoint_weights(n: int, h: float) -> np.ndarray:
@@ -142,7 +136,7 @@ class BallGrid:
             xr, wr = np.polynomial.legendre.leggauss(n_r)
             self.s = 0.5 * self.r0 * (xr + 1.0)
             self.w_s = 0.5 * self.r0 * wr
-            self._Ds = _barycentric_diffmat(self.s)
+            self._Ds = _legendre_diffmat(xr, wr) * (2.0 / self.r0)
             self._h = None
             self._side_rows = None
         else:
@@ -151,11 +145,11 @@ class BallGrid:
             self.w_s = _gregory_midpoint_weights(n_r, h)
             self._Ds = None
             self._h = h
-            self._side_rows = _one_sided_rows(n_r, h)
+            self._side_rows = _RIM_ROWS / (12.0 * h)
 
         xm, wm = np.polynomial.legendre.leggauss(n_mu)
         self.mu, self.w_mu = xm, wm
-        self._Dmu = _barycentric_diffmat(self.mu)
+        self._Dmu = _legendre_diffmat(xm, wm)
         self.psi = 2.0 * np.pi * np.arange(n_psi) / n_psi
         self.w_psi = 2.0 * np.pi / n_psi
         self.shape = (n_r, n_mu, n_psi)

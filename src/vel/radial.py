@@ -141,6 +141,8 @@ class RadialState:
             raise ValueError("time must be finite")
         if not (self.theta > 0.0 and math.isfinite(self.theta)):
             raise ValueError("theta must be positive and finite")
+        if not math.isfinite(self.theta_t):
+            raise ValueError("theta_t must be finite")
         if np.any(1.0 + f <= 0.0):
             idx = int(np.argmin(1.0 + f))
             raise DegenerateProfileError(
@@ -191,14 +193,14 @@ class RunConfig:
         check_grid_shape(self.resolution, *self.report_angles, "midpoint")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.family_exponent < 2:
             raise ValueError("family_exponent must be at least 2")
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be nonnegative and finite")
         if self.records < 2:
             raise ValueError("need at least 2 records")
         if not self.eps0 > 0.0:
@@ -243,6 +245,10 @@ class RadialSolver:
         self.sigma = c.a_bar - c.b_bar * self.s**2
         self.w_u = self.H * 4.0 * np.pi * self.s**2 * self.sigma ** (c.iota + 1.0)
         self.w_kin = self.H * 4.0 * np.pi * self.s**2 * self.sigma**c.iota
+        if not np.all(self.w_kin > 0.0):
+            raise ValueError(
+                f"kinetic weight sigma^iota underflows at gamma = {self.gamma:g} "
+                f"with {self.n} cells")
         # the force per kinetic weight is A2 m + G q for pointwise factors
         # m, q (see _grad): the weights are folded into A2 and into the
         # weighted transpose G = diag(1/w_kin) Dh^T diag(w_u), stored

@@ -341,8 +341,8 @@ def integrate_h(
     nu_t = c nu^{2-3g} exactly, so the default forcing is F = -nu_tt.
     Overriding F with zero must reproduce h == 0 (integrator sanity).
     """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     if num_samples < 2:
         raise ValueError("need at least two samples")
     c = 1.0 / (3.0 * gamma - 1.0)
@@ -480,8 +480,8 @@ def liu_integrate(
     atol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate the coefficient system; returns (times, a, b, e) samples."""
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
 
     def rhs(t: float, y: Sequence[float]) -> tuple[float, float, float]:
         a, b, e = y

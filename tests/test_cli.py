@@ -144,6 +144,20 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match=message):
             cli.parse_config(path)
 
+    @pytest.mark.parametrize("override, message", [
+        ({"gamma": math.inf}, "gamma must exceed 1 and be finite"),
+        ({"gamma": math.nan}, "gamma must exceed 1 and be finite"),
+        ({"mass": math.inf}, "mass must be positive and finite"),
+        ({"t_end": math.inf}, "t_end must be positive and finite"),
+        ({"t_end": math.nan}, "t_end must be positive and finite"),
+        ({"eps": math.inf}, "amplitude must be nonnegative and finite"),
+    ])
+    def test_nonfinite_overrides_rejected(self, override, message):
+        # every subcommand reads its t_end through this check, so
+        # theta, liu and radial all stop here instead of running forever
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.parse_config(None, override)
+
 
 class TestExitCodes:
     def test_unknown_command(self, capsys):
@@ -162,16 +176,29 @@ class TestExitCodes:
         assert code == 2
         assert "gamma must exceed 1" in err
 
-    def test_runtime_error_exits_two(self, capsys, tmp_path):
-        # the moment integral would overflow this close to gamma = 1; the
-        # overflow is caught before it happens, so no RuntimeWarning
+    def test_runtime_error_exits_two(self, capsys, tmp_path, monkeypatch):
+        def fail(_):
+            raise RuntimeError("constants unavailable")
+
+        monkeypatch.setattr(params, "derive_constants", fail)
+        code, _, err = run_cli(
+            ["constants", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "error: constants unavailable" in err
+
+    def test_constants_near_gamma_one_exit_zero(self, capsys, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, _, err = run_cli(
+            code, _, _ = run_cli(
                 ["constants", "--gamma", "1.001", "--out", str(tmp_path)],
                 capsys)
+        assert code == 0
+
+    def test_radial_weight_underflow_exits_two(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["radial", "--gamma", "1.001", "--out", str(tmp_path)], capsys)
         assert code == 2
-        assert "error: moment integral overflows: 4^iota is not finite" in err
+        assert "gamma = 1.001 with 64 cells" in err
 
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(["--help"], capsys)

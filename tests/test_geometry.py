@@ -173,6 +173,20 @@ class TestGradient:
         assert errs[0] / errs[1] > 12.0
         assert errs[1] / errs[2] > 12.0
 
+    @pytest.mark.parametrize("n_r", [8, 64, 256])
+    def test_rim_rows_are_the_exact_rationals(self, n_r):
+        grid = make_grid(n_r=n_r, n_mu=4, n_psi=4, scheme="midpoint")
+        h = grid.r0 / n_r
+        exact = np.array([[-1.0, 6.0, -18.0, 10.0, 3.0],
+                          [3.0, -16.0, 36.0, -48.0, 25.0]]) / (12.0 * h)
+        assert np.array_equal(grid._side_rows, exact)
+        # the rows differentiate quartics exactly at the last two nodes
+        s = grid.s[-5:]
+        for k in range(5):
+            want = k * s[-2:] ** (k - 1) if k else np.zeros(2)
+            assert_allclose(grid._side_rows @ s**k, want,
+                            rtol=1e-9, atol=1e-9 * n_r)
+
 
 class TestAngularDerivative:
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -334,6 +348,20 @@ class TestPiola:
         y1, y2, y3 = grid.y
         w = geo.VectorField(grid,
                             0.05 * np.stack([y1 * y2 + y3**2, y1**2, y2 * y3]))
+        st = geo.deformation(w)
+        assert np.abs(geo.piola_residual(st).values).max() < 1e-10
+
+    @pytest.mark.parametrize("gamma", [1.05, 4.0 / 3.0, 2.0, 3.0])
+    def test_quadratic_displacement_exact_at_64_gauss_nodes(self, gamma):
+        # the residual is pure round-off, amplified most at the innermost
+        # node; the diffmat's barycentric weights must not add to it
+        c = derive_constants(GasParams(gamma=gamma, mass=1.0))
+        grid = geo.BallGrid(c, n_r=64, n_mu=8, n_psi=8)
+        y1, y2, y3 = grid.y
+        w = geo.VectorField(grid, 0.05 * np.stack([
+            0.3 * y1 + 0.2 * y2 * y3 - 0.1 * y1**2,
+            0.25 * y2 - 0.15 * y1 * y3 + 0.05 * y3**2,
+            0.2 * y3 + 0.1 * y1 * y2 - 0.2 * y2**2]))
         st = geo.deformation(w)
         assert np.abs(geo.piola_residual(st).values).max() < 1e-10
 

@@ -127,6 +127,11 @@ class TestSolverSetup:
         with pytest.raises(ValueError, match="resolution"):
             RadialSolver(GAMMA, resolution=8)
 
+    def test_underflowing_weight_rejected(self):
+        # sigma^iota with iota = 1000 is 0.0 at the rim nodes
+        with pytest.raises(ValueError, match="gamma = 1.001 with 64 cells"):
+            RadialSolver(1.001, 1.0, 64)
+
     def test_weight_structure(self):
         solver = RadialSolver(GAMMA, resolution=32)
         assert solver.w_kin.min() > 0.0
@@ -168,6 +173,10 @@ class TestStateValidation:
     def test_nonpositive_theta(self):
         with pytest.raises(ValueError, match="positive"):
             RadialState(0.0, np.zeros(4), np.zeros(4), -1.0, 0.2)
+
+    def test_nonfinite_theta_t(self):
+        with pytest.raises(ValueError, match="theta_t must be finite"):
+            RadialState(0.0, np.zeros(4), np.zeros(4), 1.0, np.nan)
 
     def test_nonfinite_profile(self):
         bad = np.zeros(16)
@@ -778,9 +787,13 @@ class TestRunDriver:
         ("cfl", 0.0, "cfl"),
         ("cfl", 1.5, "cfl"),
         ("t_end", 0.0, "t_end"),
+        ("t_end", math.inf, "t_end must be positive and finite"),
+        ("t_end", math.nan, "t_end must be positive and finite"),
         ("family", "star", "family"),
         ("family_exponent", 1, "family_exponent"),
         ("amplitude", -1.0, "amplitude"),
+        ("amplitude", math.inf, "amplitude must be nonnegative and finite"),
+        ("mass", math.inf, "mass must be positive and finite"),
         ("records", 1, "records"),
         ("eps0", 0.0, "eps0"),
         ("J_max", -1, "J_max"),

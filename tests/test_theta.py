@@ -105,6 +105,14 @@ class TestIntegrateH:
         with pytest.raises(ValueError):
             theta.integrate_h(2.0, 0.0)
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_nonfinite_horizon_rejected(self, t_end):
+        with pytest.raises(ValueError, match="positive and finite"):
+            theta.integrate_h(2.0, t_end)
+        with pytest.raises(ValueError, match="positive and finite"):
+            theta.liu_integrate(2.0, theta.LiuState(a=0.05, b=0.2, e=0.8),
+                                t_end)
+
     def test_unintegrable_forcing_aborts(self):
         # theta = 0 itself is shielded by the repulsive theta^{2-3g} term for
         # gamma > 1, so exercise the failure diagnostic with a broken forcing
