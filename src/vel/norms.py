@@ -40,6 +40,9 @@ from .geometry import (
 
 DECOMPOSITION_TOL = 1e-12
 MARGIN_SLACK = 1e-13
+# Most entries of one QR: OpenBLAS threads larger ones, and on a 2-core
+# host a threaded skinny QR has been seen to stall for about 90 ms
+_QR_SIZE = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +235,17 @@ class _GridFields:
                           _sq(curl_eta), _sq(curl)]), curl_eta, curl)
 
 
+def _tall_qr_r(a: np.ndarray) -> np.ndarray:
+    """R of a = Q R up to row signs, from the R's of row blocks of at most
+    _QR_SIZE entries, stacked and factored again until one QR is small."""
+    k = a.shape[1]
+    rows = _QR_SIZE // k
+    while a.shape[0] > rows > 2 * k:
+        a = np.vstack([np.linalg.qr(a[i:i + rows], mode="r")
+                       for i in range(0, a.shape[0], rows)])
+    return np.linalg.qr(a, mode="r")
+
+
 class _Terms(NamedTuple):
     """Separated field: the sum over a of radial[a](s) angular[a](yhat).
 
@@ -305,8 +319,8 @@ class SeparatedFields:
         # arrays' level, where the Gram form g^T R^T R g would square it
         def build():
             k = x.angular.shape[0]
-            return np.linalg.qr((x.angular * np.sqrt(self.w_sphere))
-                                .reshape(k, -1).T, mode="r")
+            return _tall_qr_r((x.angular * np.sqrt(self.w_sphere))
+                              .reshape(k, -1).T)
 
         tri = self._once(("R", x.key), build)[1]
         coef = tri @ x.radial

@@ -114,13 +114,18 @@ def boundary_radius(c: BarenblattConstants, gamma, t):
     return c.r0 * (1.0 + t) ** (1.0 / (3.0 * gamma - 1.0))
 
 
+def _profile(c: BarenblattConstants, gamma, t, r2):
+    """a_bar - b_bar (1+t)^(-2/(3g-1)) r^2 at squared radius r2, negative
+    outside the support; the density is (1+t)^(-3/(3g-1)) profile^iota."""
+    return c.a_bar - c.b_bar * (1.0 + t) ** (-2.0 / (3.0 * gamma - 1.0)) * r2
+
+
 def _density(c: BarenblattConstants, gamma, t, x):
     """Closed-form density, valid for any t > -1; 0 outside the support."""
-    g = gamma
-    profile = c.a_bar - c.b_bar * (1.0 + t) ** (-2.0 / (3.0 * g - 1.0)) * np.dot(x, x)
+    profile = _profile(c, gamma, t, np.dot(x, x))
     if profile <= 0.0:
         return 0.0, False
-    return (1.0 + t) ** (-3.0 / (3.0 * g - 1.0)) * profile**c.iota, True
+    return (1.0 + t) ** (-3.0 / (3.0 * gamma - 1.0)) * profile**c.iota, True
 
 
 def barenblatt_eval(c: BarenblattConstants, gamma, t, x) -> BarenblattEval:
@@ -196,9 +201,7 @@ def mass_check(c: BarenblattConstants, gamma, t):
     w = 0.5 * w
     r = rad * np.sin(0.5 * math.pi * u)
     dr = rad * 0.5 * math.pi * np.cos(0.5 * math.pi * u)
-    scale = (1.0 + t) ** (-2.0 / (3.0 * gamma - 1.0))
-    profile = c.a_bar - c.b_bar * scale * r**2
-    profile = np.maximum(profile, 0.0)
+    profile = np.maximum(_profile(c, gamma, t, r**2), 0.0)
     rho = (1.0 + t) ** (-3.0 / (3.0 * gamma - 1.0)) * profile**c.iota
     return float(4.0 * math.pi * np.sum(w * rho * r**2 * dr))
 
@@ -212,10 +215,12 @@ def sound_speed_slope(c: BarenblattConstants, gamma, t):
     """
     rad = boundary_radius(c, gamma, t)
     h = _SLOPE_STEP * rad
+    # c^2 = g rho^(g-1), linear in the profile as iota (g-1) = 1; through
+    # rho, profile^iota would underflow near g = 1
+    scale = gamma * (1.0 + t) ** (-3.0 * (gamma - 1.0) / (3.0 * gamma - 1.0))
 
     def csq(r):
-        ev = _density(c, gamma, t, np.array([r, 0.0, 0.0]))
-        return gamma * ev[0] ** (gamma - 1.0)
+        return scale * _profile(c, gamma, t, r * r)
 
     # csq is linear in r^2, so the secant at rad-h has O(h) bias only
     return (csq(rad - h) - csq(rad - 2.0 * h)) / h

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 
 from ._io import open_dest
 from .geometry import BallGrid, VectorField, check_grid_shape, deformation
@@ -66,6 +67,8 @@ _S_UPPER = np.array([
     0.3867936862245231, -0.07364437181124525, 0.6330739463754318])
 # exact five-point extrapolation from the first midpoints to s = 0
 _V_END = np.array([315.0, -420.0, 378.0, -180.0, 35.0]) / 128.0
+# half-bandwidth of D and of its fold Dh, set by the 6x6 corner
+_BAND = _W_CORNER.size - 1
 
 
 @lru_cache(maxsize=32)
@@ -108,6 +111,18 @@ def _build_sbp(n: int, h: float):
     for arr in (D, H, v0, vL):
         arr.setflags(write=False)
     return D, H, v0, vL
+
+
+def _to_band(A: np.ndarray) -> np.ndarray:
+    """Fortran-ordered LAPACK band storage ab[_BAND + i - j, j] = A[i, j] of
+    the square A; RuntimeError if A has a nonzero outside the band."""
+    n = A.shape[0]
+    ab = np.zeros((2 * _BAND + 1, n), order="F")
+    for k in range(-_BAND, _BAND + 1):
+        ab[_BAND - k, max(k, 0):n + min(k, 0)] = np.diagonal(A, k)
+    if np.count_nonzero(A) > np.count_nonzero(ab):  # ab holds each once
+        raise RuntimeError(f"operator has nonzeros outside |i - j| <= {_BAND}")
+    return ab
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +255,7 @@ class RadialSolver:
         # for even v, (D.T @ [v[::-1], v])[n:] = Dh.T @ v
         n = self.n
         self.D, H, _, self._vL = _build_sbp(2 * n, self.h)
-        self.Dh = self.D[n:, n:] - self.D[n:, n - 1::-1]
+        Dh = self.D[n:, n:] - self.D[n:, n - 1::-1]
         self.H = H[n:]
         self.sigma = c.a_bar - c.b_bar * self.s**2
         self.w_u = self.H * 4.0 * np.pi * self.s**2 * self.sigma ** (c.iota + 1.0)
@@ -251,13 +266,14 @@ class RadialSolver:
                 f"with {self.n} cells")
         # the force per kinetic weight is A2 m + G q for pointwise factors
         # m, q (see _grad): the weights are folded into A2 and into the
-        # weighted transpose G = diag(1/w_kin) Dh^T diag(w_u), stored
-        # contiguous because products with a strided view run slower
+        # weighted transpose G = diag(1/w_kin) Dh^T diag(w_u); Dh and G
+        # are kept only in band storage
         self._inv_s = 1.0 / self.s
         self._A2 = 2.0 * self.w_u / (self.s * self.w_kin)
-        self._G = np.ascontiguousarray(self.Dh.T * self.w_u / self.w_kin[:, None])
-        for arr in (self.s, self.Dh, self.sigma, self.w_u, self.w_kin,
-                    self._inv_s, self._A2, self._G):
+        self._Dh = _to_band(Dh)
+        self._G = _to_band(Dh.T * self.w_u / self.w_kin[:, None])
+        for arr in (self.s, self.sigma, self.w_u, self.w_kin, self._inv_s,
+                    self._A2, self._Dh, self._G):
             arr.setflags(write=False)
 
     def boundary_value(self, f: np.ndarray) -> float:
@@ -266,10 +282,16 @@ class RadialSolver:
 
     # -- discrete energy and its gradient
 
+    def _apply_Dh(self, x: np.ndarray) -> np.ndarray:
+        return dgbmv(self.n, self.n, _BAND, _BAND, 1.0, self._Dh, x)
+
+    def _apply_G(self, x: np.ndarray) -> np.ndarray:
+        return dgbmv(self.n, self.n, _BAND, _BAND, 1.0, self._G, x)
+
     def _pq(self, F: np.ndarray):
         gp = F * self._inv_s
         gp += 1.0
-        gq = self.Dh @ F
+        gq = self._apply_Dh(F)
         gq += 1.0
         jac = gp * gp
         jac *= gq
@@ -300,13 +322,13 @@ class RadialSolver:
         jg = jac ** (-self.gamma)
         jg1 = jac ** (-self.gamma - 1.0)
         pv = V / self.s
-        qv = self.Dh @ V
+        qv = self._apply_Dh(V)
         m0_pp = self.gamma * jg1 * (2.0 * gp * gq) ** 2 - 2.0 * jg * gq
         m0_pq = self.gamma * jg1 * (2.0 * gp * gq) * gp * gp - 2.0 * jg * gp
         m0_qq = self.gamma * jg1 * gp**4
         dmp = m0_pp * pv + m0_pq * qv
         dmq = m0_pq * pv + m0_qq * qv
-        return self.w_u * dmp / self.s + self.w_kin * (self._G @ dmq)
+        return self.w_u * dmp / self.s + self.w_kin * self._apply_G(dmq)
 
     def _grad(self, F: np.ndarray) -> np.ndarray:
         # force gradient per kinetic weight, A2 m + G q with jg = jac^-gamma,
@@ -320,7 +342,7 @@ class RadialSolver:
         jg *= gq
         m = np.subtract(1.0, jg, out=jg)
         m *= self._A2
-        out = self._G @ q
+        out = self._apply_G(q)
         out += m
         return out
 

@@ -243,6 +243,14 @@ class TestSuites:
         assert payload["mass_defect"] <= 1e-7
         assert payload["vacuum_slope_defect"] <= 1e-5
 
+    @pytest.mark.parametrize("gamma", ["1.01", "1.005"])
+    def test_vacuum_slope_near_gamma_one(self, capsys, tmp_path, gamma):
+        code, out, _ = run_cli(
+            ["barenblatt-check", "--gamma", gamma, "--out", str(tmp_path)],
+            capsys)
+        assert "PASS vacuum-slope" in out
+        assert code == 0
+
     def test_vacuum_slope_gate_fails_a_wrong_slope(self, capsys, tmp_path,
                                                    monkeypatch):
         slope = params.sound_speed_slope

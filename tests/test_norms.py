@@ -570,6 +570,32 @@ class TestSeparatedReport:
         moved = separated(grid, 2.5, 2.0, nudged, J_max=3, truncation=tr)
         assert norms.report_defect(moved, base) <= 1e-13
 
+    def test_tall_qr_in_blocks(self, monkeypatch):
+        # at the CLI defaults every factorization stays within _QR_SIZE
+        # entries, and the report matches one made from one-shot R factors
+        grid = BallGrid(CONSTANTS, n_r=64, n_mu=8, n_psi=8,
+                        radial_scheme="midpoint")
+        profiles = radial_profiles(grid)
+        qr = np.linalg.qr
+        sizes = []
+
+        def record(a, mode="reduced"):
+            sizes.append(a.shape[-2] * a.shape[-1])
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", record)
+        blocked = separated(grid, 1.0, 2.0, profiles, J_max=2)
+        assert max(sizes) <= norms._QR_SIZE
+        sizes.clear()
+        monkeypatch.setattr(norms, "_tall_qr_r",
+                            lambda a: np.linalg.qr(a, mode="r"))
+        one_shot = separated(grid, 1.0, 2.0, profiles, J_max=2)
+        assert max(sizes) > 4 * norms._QR_SIZE
+        for name in ENERGY_FIELDS:
+            for (key, a), (_, b) in zip(_entries(blocked, name),
+                                        _entries(one_shot, name)):
+                assert abs(a - b) <= 1e-14 * abs(b), (name, key)
+
     def test_zero_profiles_give_zero_report(self):
         grid = BallGrid(CONSTANTS, n_r=48, n_mu=4, n_psi=4,
                         radial_scheme="midpoint")

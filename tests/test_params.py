@@ -158,7 +158,9 @@ class TestMass:
 
 
 class TestVacuumSlope:
-    @pytest.mark.parametrize("gamma", [4.0 / 3.0, 2.0, 3.0])
+    # near gamma = 1 the density's profile^iota underflows at the secant's
+    # points, so the slope must come from the profile itself
+    @pytest.mark.parametrize("gamma", [1.005, 1.01, 4.0 / 3.0, 2.0, 3.0])
     @pytest.mark.parametrize("t", [0.0, 3.0])
     def test_slope_matches_closed_form(self, gamma, t):
         c = consts(gamma)

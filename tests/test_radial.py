@@ -138,12 +138,39 @@ class TestSolverSetup:
         assert_allclose(solver.w_u, solver.w_kin * solver.sigma,
                         rtol=1e-13, atol=0)
 
-    def test_weighted_transpose(self):
-        # G = diag(1/w_kin) Dh^T diag(w_u), the one stored transpose
+    @pytest.mark.parametrize("n", [16, 24, 48, 256, 512])
+    def test_band_operators(self, n):
+        # the band products against the dense fold of the full-grid D:
+        # Dh F = (D @ odd F)[n:] and G v = Dh^T (w_u v) / w_kin
+        solver = RadialSolver(GAMMA, resolution=n)
+        D = solver.D
+        Dh = D[n:, n:] - D[n:, n - 1::-1]
+        rng = np.random.default_rng(n)
+        F, v = rng.standard_normal((2, n))
+
+        def close(got, want):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+        close(solver._apply_Dh(F), (D @ np.concatenate([-F[::-1], F]))[n:])
+        close(solver._apply_G(v), (Dh.T @ (solver.w_u * v)) / solver.w_kin)
+
+    def test_band_rejects_out_of_band_entry(self):
         solver = RadialSolver(GAMMA, resolution=48)
-        want = solver.Dh.T * solver.w_u / solver.w_kin[:, None]
-        assert solver._G.flags.c_contiguous
-        assert np.abs(solver._G - want).max() <= 1e-15 * np.abs(want).max()
+        n = solver.n
+        Dh = solver.D[n:, n:] - solver.D[n:, n - 1::-1]
+        assert_array_equal(radial_module._to_band(Dh), solver._Dh)
+        Dh[30, 24] = 1e-300  # |i - j| = 6
+        with pytest.raises(RuntimeError, match="outside"):
+            radial_module._to_band(Dh)
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_memory_linear_in_cells(self, n):
+        # besides the full-grid D, no array grows faster than the band
+        solver = RadialSolver(GAMMA, resolution=n)
+        sizes = {name: val.size for name, val in vars(solver).items()
+                 if isinstance(val, np.ndarray) and name != "D"}
+        assert "_G" in sizes
+        assert max(sizes.values()) <= 11 * n, sizes
 
     def test_default_theta_context(self):
         solver = RadialSolver(GAMMA, resolution=16)
