@@ -452,7 +452,7 @@ def _cmd_radial(config: Config, out):
 
     checks.record(
         "run-outcome", result.stop_reason == "completed",
-        f"stop reason '{result.stop_reason}' at t={result.stop_time:.6g}")
+        f"stop reason '{result.stop_reason}' at t={result.final_state.time:.6g}")
     mass_worst = float(result.mass_error.max())
     checks.record("mass-conservation", mass_worst <= 1e-6,
                   f"max relative defect {mass_worst:.2e} (budget 1e-06)")
@@ -488,7 +488,7 @@ def _cmd_radial(config: Config, out):
                                "nl_max": config.nl_max},
                 "J_max": config.J_max,
                 "stop_reason": result.stop_reason,
-                "stop_time": result.stop_time,
+                "stop_time": result.final_state.time,
                 "steps": result.steps,
                 "dt_min": result.dt_min,
                 "dt_max": result.dt_max,

@@ -120,6 +120,14 @@ def _profile(c: BarenblattConstants, gamma, t, r2):
     return c.a_bar - c.b_bar * (1.0 + t) ** (-2.0 / (3.0 * gamma - 1.0)) * r2
 
 
+def _sound_speed_sq(c: BarenblattConstants, gamma, t, r2):
+    """c^2 = g rho^(g-1) = g (1+t)^(-3(g-1)/(3g-1)) profile at squared
+    radius r2 inside the support: linear in the profile, as iota (g-1) = 1,
+    so it stays exact near g = 1, where rho = profile^iota underflows."""
+    return (gamma * (1.0 + t) ** (-3.0 * (gamma - 1.0) / (3.0 * gamma - 1.0))
+            * _profile(c, gamma, t, r2))
+
+
 def _density(c: BarenblattConstants, gamma, t, x):
     """Closed-form density, valid for any t > -1; 0 outside the support."""
     profile = _profile(c, gamma, t, np.dot(x, x))
@@ -145,7 +153,8 @@ def barenblatt_eval(c: BarenblattConstants, gamma, t, x) -> BarenblattEval:
     return BarenblattEval(
         density=rho,
         velocity=vel,
-        sound_speed_sq=gamma * rho ** (gamma - 1.0) if inside else 0.0,
+        sound_speed_sq=(_sound_speed_sq(c, gamma, t, np.dot(x, x))
+                        if inside else 0.0),
         inside=inside,
     )
 
@@ -215,12 +224,7 @@ def sound_speed_slope(c: BarenblattConstants, gamma, t):
     """
     rad = boundary_radius(c, gamma, t)
     h = _SLOPE_STEP * rad
-    # c^2 = g rho^(g-1), linear in the profile as iota (g-1) = 1; through
-    # rho, profile^iota would underflow near g = 1
-    scale = gamma * (1.0 + t) ** (-3.0 * (gamma - 1.0) / (3.0 * gamma - 1.0))
-
-    def csq(r):
-        return scale * _profile(c, gamma, t, r * r)
-
-    # csq is linear in r^2, so the secant at rad-h has O(h) bias only
-    return (csq(rad - h) - csq(rad - 2.0 * h)) / h
+    # c^2 is linear in r^2, so the secant at rad-h has O(h) bias only
+    r1, r2 = rad - h, rad - 2.0 * h
+    return (_sound_speed_sq(c, gamma, t, r1 * r1)
+            - _sound_speed_sq(c, gamma, t, r2 * r2)) / h

@@ -622,7 +622,6 @@ class RunResult:
     mass_error: np.ndarray
     sup_energy: float
     stop_reason: str
-    stop_time: float
     final_state: RadialState
     boundary_monotone: bool
     steps: int
@@ -648,16 +647,17 @@ def run(config: RunConfig) -> RunResult:
     the boundary radius at geometric cadence, and enforcing the a-priori
     energy monitors.  Returns a result with a labeled stop reason.
 
-    Between records the run advances the solver's packed buffer
-    [F, F_t, theta, theta_t]; a validated RadialState is built only for a
-    record and for the final state, which after a degenerate or non-finite
-    step is the last accepted one.
+    The run steps the solver's packed buffer [F, F_t, theta, theta_t] up
+    to each record time in turn, the last step cut to end on it, and
+    builds a validated RadialState only for a record and for the final
+    state, which after a degenerate or non-finite step is the last
+    accepted one.
 
-    Every report is evaluated in separated form.  The first and last
-    records are also evaluated by the 3D energy_functionals on the same
-    grid, which keeps their curl terms measured independently of the
-    radial ansatz; those records keep the 3D report, and the largest
-    disagreement between the two is the result's oracle_defect.
+    Every record is reported in separated form.  After the loop the
+    first and last records are also reported by the 3D energy_functionals
+    on the same grid, which keeps their curl terms measured independently
+    of the radial ansatz; those records keep the 3D report, and the
+    largest disagreement between the two is the result's oracle_defect.
     """
     start = time.perf_counter()
     solver = RadialSolver(config.gamma, config.mass, config.resolution)
@@ -667,48 +667,26 @@ def run(config: RunConfig) -> RunResult:
     psi = profile_family(config, solver.s, solver.constants.r0)
     state = solver.make_state(0.0, config.amplitude * psi,
                               config.velocity_amplitude * psi)
-
     rec_times = np.geomspace(min(1e-2, config.t_end / config.records),
                              config.t_end, config.records)
     times, radii, reports, mass_err = [], [], [], []
-    sup_energy = 0.0
-    stop_reason = None
-    total_mass = config.mass
-    oracle_defect = 0.0
-    last_profiles = None
+    profiles = []  # time derivatives at the first and the latest record
+    sup_energy = reporting_s = 0.0
     separated = SeparatedFields(grid)
-    reporting_s = 0.0
     setup_s = time.perf_counter() - start
 
-    def full_report(t: float, profiles):
-        traj = CallableTrajectory(grid, tuple(
-            (lambda _, y, p=p: p[:, None, None] * y) for p in profiles))
-        return energy_functionals(traj, t, config.gamma, J_max=config.J_max,
-                                  truncation=config.truncation)
-
-    def separated_report(t: float, profiles):
-        return radial_energy_functionals(separated, t, config.gamma, profiles,
-                                         J_max=config.J_max,
-                                         truncation=config.truncation)
-
     def record(st: RadialState):
-        nonlocal sup_energy, last_profiles, oracle_defect, reporting_s
+        nonlocal sup_energy, reporting_s
         rec_start = time.perf_counter()
-        profiles = solver.time_derivatives(st)
-        if reports:
-            rep = separated_report(st.time, profiles)
-        else:
-            # the 3D report runs before the separated one builds its
-            # angular factors, so the two never hold memory at once
-            rep = full_report(st.time, profiles)
-            oracle_defect = report_defect(separated_report(st.time, profiles),
-                                          rep)
-        last_profiles = profiles
-        radius = st.theta * (1.0 + solver.boundary_value(st.f)) * solver.constants.r0
+        profiles[1:] = [solver.time_derivatives(st)]
+        rep = radial_energy_functionals(separated, st.time, config.gamma,
+                                        profiles[-1], J_max=config.J_max,
+                                        truncation=config.truncation)
         times.append(st.time)
-        radii.append(radius)
+        radii.append(st.theta * (1.0 + solver.boundary_value(st.f))
+                     * solver.constants.r0)
         reports.append(rep)
-        mass_err.append(abs(solver.mass(st) - total_mass) / total_mass)
+        mass_err.append(abs(solver.mass(st) - config.mass) / config.mass)
         sup_energy = max(sup_energy, rep.E_total)
         reporting_s += time.perf_counter() - rec_start
         if rep.E_total > config.eps0**2:
@@ -719,64 +697,55 @@ def run(config: RunConfig) -> RunResult:
 
     stop_reason = record(state)
     t, y = state.time, solver._pack(state)
-    next_rec = 0
-    steps = 0
-    dt_min, dt_max = math.inf, 0.0
-    loop_start, loop_reporting = time.perf_counter(), reporting_s
-    while stop_reason is None:
-        if t >= config.t_end - 1e-12 * config.t_end:
-            stop_reason = STOP_COMPLETED
+    steps, dt_min, dt_max = 0, math.inf, 0.0
+    for target in rec_times:
+        while stop_reason is None and t < target:
+            th, tht = y[-2:].tolist()
+            dt = min(config.cfl * solver.h / solver.sound_speed(th),
+                     solver.damping_step(th, tht), target - t)
+            try:
+                y = solver._advance(y, dt)
+            except DegenerateProfileError:
+                stop_reason = STOP_DEGENERATE
+            except FloatingPointError:
+                stop_reason = STOP_NONFINITE
+            else:
+                t += dt
+                steps += 1
+                dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+        if stop_reason is not None:
             break
-        while next_rec < rec_times.size and rec_times[next_rec] <= t + 1e-15:
-            next_rec += 1
-        target = rec_times[next_rec] if next_rec < rec_times.size else config.t_end
-        target = min(target, config.t_end)
-        th, tht = float(y[-2]), float(y[-1])
-        dt = min(config.cfl * solver.h / solver.sound_speed(th),
-                 solver.damping_step(th, tht), target - t)
-        try:
-            y = solver._advance(y, dt)
-        except DegenerateProfileError:
-            stop_reason = STOP_DEGENERATE
-            break
-        except FloatingPointError:
-            stop_reason = STOP_NONFINITE
-            break
-        t += dt
-        steps += 1
-        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-        state = None
-        if t >= target - 1e-15 and target < config.t_end:
-            state = solver._unpack(t, y)
-            stop_reason = record(state)
-        elif t >= config.t_end - 1e-12 * config.t_end:
-            state = solver._unpack(t, y)
-            stop_reason = record(state) or STOP_COMPLETED
-    stepping_s = time.perf_counter() - loop_start - (reporting_s - loop_reporting)
-    if state is None:
         state = solver._unpack(t, y)
+        stop_reason = record(state)
 
-    if len(reports) > 1:
-        rec_start = time.perf_counter()
-        separated = None  # free the angular factors before the 3D report
-        full = full_report(times[-1], last_profiles)
-        oracle_defect = max(oracle_defect, report_defect(reports[-1], full))
-        reports[-1] = full
-        sup_energy = max(rep.E_total for rep in reports)
-        reporting_s += time.perf_counter() - rec_start
-    t_arr = np.array(times)
+    rec_start = time.perf_counter()
+    separated = None  # free the angular factors before the 3D reports
+    oracle_defect = 0.0
+    # one pass when the run stopped at its first record
+    for i, derivs in zip((0, len(reports) - 1), profiles):
+        traj = CallableTrajectory(grid, tuple(
+            (lambda _, pos, p=p: p[:, None, None] * pos) for p in derivs))
+        full = energy_functionals(traj, times[i], config.gamma,
+                                  J_max=config.J_max,
+                                  truncation=config.truncation)
+        oracle_defect = max(oracle_defect, report_defect(reports[i], full))
+        reports[i] = full
+    sup_energy = max(rep.E_total for rep in reports)
+    reporting_s += time.perf_counter() - rec_start
     r_arr = np.array(radii)
-    monotone = bool(np.all(np.diff(r_arr) >= -1e-12 * max(r_arr.max(), 1.0))) \
-        if r_arr.size > 1 else True
+    monotone = bool(np.all(np.diff(r_arr) >= -1e-12 * max(r_arr.max(), 1.0)))
     return RunResult(
-        config=config, times=t_arr, radii=r_arr, reports=tuple(reports),
-        mass_error=np.array(mass_err), sup_energy=float(sup_energy),
-        stop_reason=stop_reason, stop_time=float(state.time),
-        final_state=state, boundary_monotone=monotone, steps=steps,
-        oracle_defect=float(oracle_defect),
+        config=config, times=np.array(times), radii=r_arr,
+        reports=tuple(reports), mass_error=np.array(mass_err),
+        sup_energy=float(sup_energy),
+        stop_reason=stop_reason or STOP_COMPLETED,
+        final_state=state if state.time == t else solver._unpack(t, y),
+        boundary_monotone=monotone,
+        steps=steps, oracle_defect=float(oracle_defect),
         dt_min=float(dt_min) if steps else None,
-        dt_max=float(dt_max) if steps else None,
-        setup_s=setup_s, stepping_s=stepping_s, reporting_s=reporting_s,
+        dt_max=float(dt_max) if steps else None, setup_s=setup_s,
+        stepping_s=time.perf_counter() - start - setup_s - reporting_s,
+        reporting_s=reporting_s,
     )
 
 

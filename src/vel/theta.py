@@ -182,11 +182,6 @@ def theta_acceleration(gamma: float, theta, theta_t):
     return -theta_t + theta ** (2.0 - 3.0 * gamma) / (3.0 * gamma - 1.0)
 
 
-def _default_forcing(gamma: float) -> Callable[[float], float]:
-    nu_tt = _scalar_nu(gamma, 2)
-    return lambda t: -nu_tt(t)
-
-
 def _log_grid(t_end: float, num_samples: int) -> np.ndarray:
     """Sample times from 0 to t_end, geometric in 1 + t, with exact ends."""
     times = np.geomspace(1.0, 1.0 + t_end, num_samples) - 1.0
@@ -330,7 +325,6 @@ def integrate_h(
     rtol: float = 1e-10,
     atol: float = 1e-10,
     num_samples: int = 2001,
-    forcing: Callable[[float], float] | None = None,
 ) -> ThetaPath:
     """Integrate the correction law from rest and sample on a log grid.
 
@@ -338,8 +332,7 @@ def integrate_h(
         h_tt = -h_t + c [(nu+h)^{2-3g} - nu^{2-3g}] + F(t),
     with c = 1/(3g-1), which reassembles theta_tt + theta_t = c theta^{2-3g}
     for theta = nu + h when F = c nu^{2-3g} - nu_tt - nu_t.  nu solves
-    nu_t = c nu^{2-3g} exactly, so the default forcing is F = -nu_tt.
-    Overriding F with zero must reproduce h == 0 (integrator sanity).
+    nu_t = c nu^{2-3g} exactly, so F = -nu_tt.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -347,8 +340,8 @@ def integrate_h(
         raise ValueError("need at least two samples")
     c = 1.0 / (3.0 * gamma - 1.0)
     q = 2.0 - 3.0 * gamma
-    force = _default_forcing(gamma) if forcing is None else forcing
     base_at = _scalar_nu(gamma, 0)
+    nu_tt_at = _scalar_nu(gamma, 2)
 
     def rhs(t: float, y: Sequence[float]) -> tuple[float, float]:
         h, h_t = y
@@ -356,7 +349,7 @@ def integrate_h(
         lifted = base + h
         # theta <= 0 turns into NaN, which fails the step's error test
         lifted = lifted if lifted > 0.0 else math.nan
-        h_tt = -h_t + c * (lifted**q - base**q) + force(t)
+        h_tt = -h_t + c * (lifted**q - base**q) - nu_tt_at(t)
         return (h_t, h_tt)
 
     times = _log_grid(float(t_end), num_samples)
@@ -367,9 +360,9 @@ def integrate_h(
     if np.any(~np.isfinite(theta)) or np.any(theta <= 0.0):
         raise RuntimeError("theta left the positive cone on the sample grid")
     theta_t = nu(gamma, times, 1) + h_t
-    forced = np.array([force(t) for t in times])
-    h_tt = -h_t + c * (theta**q - base**q) + forced
-    theta_tt = nu(gamma, times, 2) + h_tt
+    nu_tt = nu(gamma, times, 2)
+    h_tt = -h_t + c * (theta**q - base**q) - nu_tt
+    theta_tt = nu_tt + h_tt
     err_est = rtol * float(np.max(np.abs(theta))) + atol
     return ThetaPath(
         gamma=gamma,

@@ -120,6 +120,40 @@ class TestBarenblattEval:
         with pytest.raises(ValueError, match="t"):
             params.barenblatt_eval(c, 2.0, -0.5, np.zeros(3))
 
+    @pytest.mark.parametrize("gamma", [1.005, 1.01])
+    @pytest.mark.parametrize("frac", [0.5, 0.9, 0.99, 0.999])
+    def test_sound_speed_near_gamma_one(self, gamma, frac):
+        # c^2 = g (1+t)^(-3(g-1)/(3g-1)) profile: through rho = profile^iota
+        # it would underflow to 0 at iota = 1/(g-1)
+        c = consts(gamma)
+        t = 1.0
+        x = np.array([frac * params.boundary_radius(c, gamma, t), 0.0, 0.0])
+        profile = (c.a_bar - c.b_bar * (1.0 + t) ** (-2.0 / (3.0 * gamma - 1.0))
+                   * (x @ x))
+        exact = (gamma * (1.0 + t) ** (-3.0 * (gamma - 1.0) / (3.0 * gamma - 1.0))
+                 * profile)
+        ev = params.barenblatt_eval(c, gamma, t, x)
+        assert ev.inside and exact > 0.0
+        assert_allclose(ev.sound_speed_sq, exact, rtol=1e-14)
+
+    def test_sound_speed_where_the_density_underflows(self):
+        c = consts(1.005)
+        x = np.array([0.99 * params.boundary_radius(c, 1.005, 1.0), 0.0, 0.0])
+        # rho = profile^iota underflows to 0 here, iota = 200
+        ev = params.barenblatt_eval(c, 1.005, 1.0, x)
+        assert ev.inside
+        assert_allclose(ev.sound_speed_sq, 0.019524, rtol=1e-4)
+
+    @pytest.mark.parametrize("gamma", [5.0 / 3.0, 2.0])
+    def test_sound_speed_is_gamma_rho_power(self, gamma):
+        c = consts(gamma)
+        for t in (0.0, 3.0):
+            rad = params.boundary_radius(c, gamma, t)
+            for frac in (0.0, 0.5, 0.9, 0.99):
+                ev = params.barenblatt_eval(c, gamma, t, [0.0, frac * rad, 0.0])
+                assert_allclose(ev.sound_speed_sq,
+                                gamma * ev.density ** (gamma - 1.0), rtol=1e-13)
+
 
 class TestPmeDarcy:
     @pytest.mark.parametrize("gamma", [4.0 / 3.0, 2.0, 3.0])

@@ -702,6 +702,12 @@ class TestBalance:
 # run driver
 
 
+def record_grid(cfg):
+    """The geometric record times a run documents, after t = 0."""
+    return np.geomspace(min(1e-2, cfg.t_end / cfg.records), cfg.t_end,
+                        cfg.records)
+
+
 class TestRunDriver:
     def test_zero_amplitude_invariant(self):
         cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=100.0,
@@ -738,9 +744,19 @@ class TestRunDriver:
         assert res.times[0] == 0.0
         assert res.times[-1] == pytest.approx(5.0)
         assert np.all(np.diff(res.times) > 0.0)
-        assert res.times.size <= cfg.records + 2
+        assert res.times.size == cfg.records + 1
+        assert_array_equal(res.times[1:], record_grid(cfg))
         assert len(res.reports) == res.times.size
         assert res.steps > 0
+
+    def test_records_land_on_the_grid_at_256_cells(self):
+        cfg = RunConfig(gamma=GAMMA, resolution=256, t_end=5.0,
+                        amplitude=1e-4, records=8, J_max=0,
+                        report_angles=(4, 4))
+        res = run(cfg)
+        assert res.stop_reason == "completed"
+        assert res.times.size == cfg.records + 1
+        assert_array_equal(res.times[1:], record_grid(cfg))
 
     def test_monitor_energy_stop(self):
         cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=50.0,
@@ -748,7 +764,7 @@ class TestRunDriver:
                         report_angles=(4, 4))
         res = run(cfg)
         assert res.stop_reason == "monitor_E"
-        assert res.stop_time == 0.0
+        assert res.final_state.time == 0.0
 
     def test_monitor_log_weighted_stop(self):
         cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=200.0,
@@ -756,8 +772,8 @@ class TestRunDriver:
                         report_angles=(4, 4))
         res = run(cfg)
         assert res.stop_reason == "monitor_logE"
-        assert 0.0 < res.stop_time < 200.0
-        bound = np.log1p(res.stop_time) ** 2 * res.sup_energy
+        assert 0.0 < res.final_state.time < 200.0
+        bound = np.log1p(res.final_state.time) ** 2 * res.sup_energy
         assert bound > cfg.eps0**2
 
     def test_degenerate_stop(self):
@@ -766,7 +782,7 @@ class TestRunDriver:
                         report_angles=(4, 4))
         res = run(cfg)
         assert res.stop_reason == "degenerate"
-        assert res.stop_time < 1.0
+        assert res.final_state.time < 1.0
         assert np.all(np.isfinite(res.final_state.f))
 
     def test_nan_force_stops_nonfinite(self, monkeypatch):
@@ -914,7 +930,7 @@ class TestPackedRun:
         assert res.steps == steps
         assert_array_equal(res.times, [st.time for st in records])
         assert [st.theta for st in seen] == [st.theta for st in records]
-        assert res.stop_time == last.time
+        assert res.final_state.time == last.time
         velocity_scale = max(np.abs(st.f_t).max() for st in records)
         assert_states_match(res.final_state, last, velocity_scale)
         for got, want in zip(seen, records, strict=True):
@@ -927,7 +943,7 @@ class TestPackedRun:
         res = run(cfg)
         steps, _, reason, last = replay_with_step(cfg)
         assert res.stop_reason == reason == "degenerate"
-        assert res.final_state.time == res.stop_time
+        assert res.final_state.time == last.time
         assert res.steps == steps > 0
         assert_states_match(res.final_state, last)
 
@@ -949,7 +965,7 @@ class TestPackedRun:
         calls.clear()
         steps, _, reason, last = replay_with_step(cfg)
         assert res.stop_reason == reason == "nonfinite"
-        assert res.final_state.time == res.stop_time
+        assert res.final_state.time == last.time
         assert res.steps == steps > 0
         assert_states_match(res.final_state, last)
 
@@ -1045,6 +1061,23 @@ class TestReportOracle:
         assert len(res.reports) >= records
         assert calls["full"] == 2
         assert calls["partials"] <= 2 * per_report
+
+    def test_stop_at_the_first_record_makes_one_3d_report(self, monkeypatch):
+        cfg = RunConfig(records=6, eps0=1e-5, **self.CONFIG)
+        full = []
+        energy = radial_module.energy_functionals
+
+        def kept(*args, **kwargs):
+            full.append(energy(*args, **kwargs))
+            return full[-1]
+
+        monkeypatch.setattr(radial_module, "energy_functionals", kept)
+        res = run(cfg)
+        assert res.stop_reason == "monitor_E" and res.steps == 0
+        assert len(full) == 1 and len(res.reports) == 1
+        assert res.reports[0] is full[0]
+        assert res.sup_energy == full[0].E_total
+        assert res.oracle_defect <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,9 @@ class TestNu:
 class TestIntegrateH:
     def test_initial_acceleration(self):
         # h = h_t = 0 at t = 0, so h_tt(0) is the forcing p(1-p) with p = 0.2
-        force = theta._default_forcing(2.0)
-        assert_allclose(force(0.0), 0.16, rtol=1e-12)
+        path = theta.integrate_h(2.0, 10.0, num_samples=201)
+        h_tt = path.theta_tt - theta.nu(2.0, path.times, 2)
+        assert_allclose(h_tt[0], 0.16, rtol=1e-12)
 
     @pytest.mark.parametrize("gamma", [4.0 / 3.0, 2.0, 3.0])
     @pytest.mark.parametrize("t", [0.0, 1e2, 1e4, 1e5])
@@ -58,17 +59,23 @@ class TestIntegrateH:
         # nu_t = c nu^{2-3g} holds exactly, so only -nu_tt is left
         p = 1.0 / (3.0 * gamma - 1.0)
         expected = p * (1.0 - p) * (1.0 + t) ** (p - 2.0)
-        assert_allclose(theta._default_forcing(gamma)(t), expected, rtol=1e-14)
+        assert_allclose(-theta._scalar_nu(gamma, 2)(t), expected, rtol=1e-14)
 
     @pytest.mark.parametrize("gamma", [4.0 / 3.0, 2.0])
     def test_default_forcing_path_matches_nu_calls(self, gamma):
-        # the scalar nu of the right-hand side is nu bit for bit
+        # the scalar nu of the right-hand side is nu bit for bit: the law
+        # written with nu itself gives the same path
+        c, q = 1.0 / (3.0 * gamma - 1.0), 2.0 - 3.0 * gamma
+
+        def rhs(t, y):
+            base = theta.nu(gamma, t)
+            return (y[1], -y[1] + c * ((base + y[0]) ** q - base**q)
+                    - theta.nu(gamma, t, 2))
+
         fast = theta.integrate_h(gamma, 1e3)
-        slow = theta.integrate_h(gamma, 1e3,
-                                 forcing=lambda t: -theta.nu(gamma, t, 2))
-        for name in ("times", "h", "h_t", "theta", "theta_t", "theta_tt"):
-            assert np.array_equal(getattr(fast, name), getattr(slow, name))
-        assert fast.err_est == slow.err_est
+        slow, _ = theta._dopri5(rhs, (0.0, 0.0), 1e3, 1e-10, 1e-10, fast.times)
+        assert np.array_equal(fast.h, slow[:, 0])
+        assert np.array_equal(fast.h_t, slow[:, 1])
 
     @pytest.mark.parametrize("gamma", [4.0 / 3.0, 5.0 / 3.0, 2.0, 3.0])
     def test_scalar_nu_is_nu(self, gamma):
@@ -92,9 +99,17 @@ class TestIntegrateH:
         assert_allclose(ratio, 1.0001640238040403, atol=1e-8)
 
     def test_zero_forcing_keeps_h_zero(self):
-        path = theta.integrate_h(2.0, 100.0, forcing=lambda t: 0.0, num_samples=301)
-        assert np.max(np.abs(path.h)) <= 1e-12
-        assert np.max(np.abs(path.h_t)) <= 1e-12
+        # the correction law without its forcing keeps h == 0 (integrator
+        # sanity)
+        c, q = 1.0 / 5.0, -4.0
+
+        def rhs(t, y):
+            base = theta.nu(2.0, t)
+            return (y[1], -y[1] + c * ((base + y[0]) ** q - base**q))
+
+        times = np.linspace(0.0, 100.0, 301)
+        samples, _ = theta._dopri5(rhs, (0.0, 0.0), 100.0, 1e-10, 1e-10, times)
+        assert np.max(np.abs(samples)) <= 1e-12
 
     def test_tolerance_halving_within_error_estimate(self):
         coarse = theta.integrate_h(2.0, 1e4)
@@ -116,8 +131,12 @@ class TestIntegrateH:
     def test_unintegrable_forcing_aborts(self):
         # theta = 0 itself is shielded by the repulsive theta^{2-3g} term for
         # gamma > 1, so exercise the failure diagnostic with a broken forcing
+        def rhs(t, y):
+            return (y[1], -y[1] + float("nan"))
+
         with pytest.raises(RuntimeError, match="integration failed"):
-            theta.integrate_h(2.0, 5.0, forcing=lambda t: float("nan"))
+            theta._dopri5(rhs, (0.0, 0.0), 5.0, 1e-10, 1e-10,
+                          np.linspace(0.0, 5.0, 11))
 
 
 def _scipy_rk45(rhs, y0, t_end, rtol, atol, times):
