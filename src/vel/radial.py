@@ -701,8 +701,9 @@ def run(config: RunConfig) -> RunResult:
     for target in rec_times:
         while stop_reason is None and t < target:
             th, tht = y[-2:].tolist()
+            rest = target - t
             dt = min(config.cfl * solver.h / solver.sound_speed(th),
-                     solver.damping_step(th, tht), target - t)
+                     solver.damping_step(th, tht), rest)
             try:
                 y = solver._advance(y, dt)
             except DegenerateProfileError:
@@ -710,7 +711,8 @@ def run(config: RunConfig) -> RunResult:
             except FloatingPointError:
                 stop_reason = STOP_NONFINITE
             else:
-                t += dt
+                # t + (target - t) can round off the target
+                t = target if dt == rest else t + dt
                 steps += 1
                 dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         if stop_reason is not None:

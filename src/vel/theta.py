@@ -12,6 +12,7 @@ to three coupled ODEs; `_liu_law` states the derived system, and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -167,11 +168,19 @@ def _nu_law(gamma: float, order: int) -> tuple[float, float]:
     return float(np.prod(p - np.arange(order))), p - order
 
 
-def _scalar_nu(gamma: float, order: int) -> Callable[[float], float]:
-    """nu(gamma, t, order) for scalar t >= 0, bit for bit, without the
-    argument checks: for right-hand sides called many thousand times."""
-    coef, power = _nu_law(gamma, order)
-    return lambda t: float(coef * np.power(1.0 + t, power))
+def _nu_and_nu_tt(gamma: float) -> Callable[[float], tuple[float, float]]:
+    """t -> (nu(gamma, t), nu(gamma, t, 2)) for scalar t >= 0, bit for bit,
+    from one np.power call and without the argument checks: for
+    right-hand sides called many thousand times."""
+    _, p = _nu_law(gamma, 0)
+    coef, p_tt = _nu_law(gamma, 2)
+    powers = np.array([p, p_tt])
+
+    def pair(t: float) -> tuple[float, float]:
+        base, scaled = np.power(1.0 + t, powers).tolist()
+        return base, coef * scaled
+
+    return pair
 
 
 def theta_acceleration(gamma: float, theta, theta_t):
@@ -190,8 +199,23 @@ def _log_grid(t_end: float, num_samples: int) -> np.ndarray:
     return times
 
 
-# Shampine's quartic dense output for the Dormand-Prince pair: row j holds
-# the weights of stage j in the coefficients of x, x^2, x^3, x^4.
+# The Dormand-Prince 5(4) pair.  Stage s = 2..6 is taken at t + c h from
+# y + h sum_r a_r k_r over the stages before it; y_new = y + h sum_r b_r k_r,
+# stage 7 is f(t + h, y_new), and the error weights are b - b_hat over all
+# seven stages.
+_DOPRI_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DOPRI_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DOPRI_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DOPRI_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
+            -22 / 525, 1 / 40)
+# Shampine's quartic dense output for the pair: row j holds the weights of
+# stage j in the coefficients of x, x^2, x^3, x^4.
 _DOPRI_P = (
     (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
      -12715105075 / 11282082432),
@@ -206,7 +230,106 @@ _DOPRI_P = (
      -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
-_DOPRI_P_COLS = tuple(zip(*_DOPRI_P))
+
+# The step loop of _dopri5 with its per-component lines left as fields:
+# scipy's RK45 step control, the samples read from the quartic interpolant.
+_DOPRI_LOOP = """
+def loop(rhs, t, y, f, h_abs, t_end, rtol, atol, ts):
+    {y} = y
+    {k1} = f
+    samples = []
+    i = steps = 0
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also a NaN step
+                raise RuntimeError(
+                    "integration failed: required step size is less than "
+                    f"the spacing of floats at t = {{t:.6g}}")
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+{stages}
+            err = math.sqrt(sum(({err}))) / {root_n!r}
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            # a NaN err gives max(0.2, nan) = 0.2, the largest cut
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+
+        if i < len(ts) and ts[i] <= t_new:
+{dense}
+            while i < len(ts) and ts[i] <= t_new:
+                x = (ts[i] - t) / h
+                x2 = x * x
+                x3 = x2 * x
+                samples.append(({sample}))
+                i += 1
+        t, {y}{k1} = t_new, {y_new}{k7}
+        steps += 1
+    return samples, steps
+"""
+
+
+def _weighted(weights: Sequence[float], names: Sequence[str]) -> str:
+    """Source of the sum of weights[i] * names[i], left to right, without
+    the zero weights: '0.075 * a + 0.225 * b' for (3/40, 9/40), (a, b).
+    (x + -c * b is x - c * b to the bit.)"""
+    return " + ".join(f"{w!r} * {name}"
+                      for w, name in zip(weights, names) if w != 0.0)
+
+
+def _tuple(items) -> str:
+    """Source of the items as a tuple display or target, without brackets."""
+    return "".join(f"{item}, " for item in items)
+
+
+@functools.lru_cache(maxsize=8)
+def _dopri5_loop(n: int) -> Callable:
+    """The step loop of `_dopri5` for n components, compiled on first use.
+
+    The state is unpacked into floats y_j, the stages into k2_j ... k7_j,
+    and each component's update is the tableau's expression in the
+    tableau's order, so the loop does the float operations of a loop over
+    lists of components, without building the lists.
+    """
+    comps = range(n)
+    y = [f"y_{j}" for j in comps]
+    y_new = [f"yn_{j}" for j in comps]
+    k = [[f"k{s}_{j}" for s in range(1, 8)] for j in comps]
+    stages = []
+    for s, (c, a) in enumerate(zip(_DOPRI_C, _DOPRI_A), start=2):
+        args = _tuple(f"{y[j]} + ({_weighted(a, k[j])}) * h" for j in comps)
+        stages.append(f"{_tuple(k[j][s - 1] for j in comps)}"
+                      f"= rhs(t + {c!r} * h, ({args}))")
+    stages += [f"{y_new[j]} = {y[j]} + h * ({_weighted(_DOPRI_B, k[j])})"
+               for j in comps]
+    stages.append(f"{_tuple(k[j][6] for j in comps)}"
+                  f"= rhs(t + h, ({_tuple(y_new)}))")
+    err = _tuple(f"(({_weighted(_DOPRI_E, k[j])}) * h"
+                 f" / (atol + max(abs({y[j]}), abs({y_new[j]})) * rtol)) ** 2"
+                 for j in comps)
+    dense = []  # q{col}_j: the coefficient of x^(col + 1) in component j
+    for j in comps:
+        for col in range(4):
+            terms = _tuple(f"{k[j][s]} * {p[col]!r}"
+                           for s, p in enumerate(_DOPRI_P) if p[col] != 0.0)
+            dense.append(f"q{col}_{j} = sum(({terms}))")
+    sample = _tuple(f"h * (q0_{j} * x + q1_{j} * x2 + q2_{j} * x3"
+                    f" + q3_{j} * (x3 * x)) + {y[j]}" for j in comps)
+    indent = " " * 12
+    src = _DOPRI_LOOP.format(
+        y=_tuple(y), k1=_tuple(k[j][0] for j in comps),
+        y_new=_tuple(y_new), k7=_tuple(k[j][6] for j in comps),
+        stages="\n".join(indent + line for line in stages),
+        dense="\n".join(indent + line for line in dense),
+        err=err, root_n=n ** 0.5, sample=sample)
+    namespace = {"math": math}
+    exec(compile(src, f"<dopri5 loop, {n} components>", "exec"), namespace)
+    return namespace["loop"]
 
 
 def _dopri5(
@@ -226,11 +349,14 @@ def _dopri5(
     below 1 right after a rejection, a minimum step of 10 ulp(t), and the
     last step clipped to t_end.  Each sample time is read from the quartic
     interpolant of the accepted step (t_old, t_new] that holds it (the
-    first step also holds t = 0).  Returns the samples, shape
-    (len(times), len(y0)), and the number of accepted steps.  Raises
-    RuntimeError when the step falls below its minimum or is NaN; a NaN
-    from rhs fails the error test, so it shrinks the step until then.
-    Raises ValueError unless rtol and atol are positive and finite.
+    first step also holds t = 0).  The step loop is generated from the
+    tableau once per system size (`_dopri5_loop`); its floats are those of
+    the loop over lists kept in the tests as its reference, bit for bit.
+    Returns the samples, shape (len(times), len(y0)), and the number of
+    accepted steps.  Raises RuntimeError when the step falls below its
+    minimum or is NaN; a NaN from rhs fails the error test, so it shrinks
+    the step until then.  Raises ValueError unless rtol and atol are
+    positive and finite.
     """
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not 0.0 < tol < math.inf:
@@ -255,67 +381,8 @@ def _dopri5(
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100.0 * h0, h1, t_end)
 
-    ts = times.tolist()
-    samples: list[list[float]] = []
-    i = steps = 0
-    while t < t_end:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:  # also a NaN step
-                raise RuntimeError(
-                    "integration failed: required step size is less than "
-                    f"the spacing of floats at t = {t:.6g}")
-            t_new = min(t + h_abs, t_end)
-            h = h_abs = t_new - t
-            k1 = f
-            k2 = rhs(t + 1 / 5 * h, [v + (1 / 5 * a) * h
-                                     for v, a in zip(y, k1)])
-            k3 = rhs(t + 3 / 10 * h, [v + (3 / 40 * a + 9 / 40 * b) * h
-                                      for v, a, b in zip(y, k1, k2)])
-            k4 = rhs(t + 4 / 5 * h, [
-                v + (44 / 45 * a - 56 / 15 * b + 32 / 9 * c) * h
-                for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = rhs(t + 8 / 9 * h, [
-                v + (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
-                     - 212 / 729 * d) * h
-                for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = rhs(t + h, [
-                v + (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
-                     + 49 / 176 * d - 5103 / 18656 * e) * h
-                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [
-                v + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
-                         - 2187 / 6784 * e + 11 / 84 * g)
-                for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-            f_new = rhs(t + h, y_new)
-            err = math.sqrt(sum([
-                ((-71 / 57600 * a + 71 / 16695 * c - 71 / 1920 * d
-                  + 17253 / 339200 * e - 22 / 525 * g + 1 / 40 * k) * h
-                 / (atol + max(abs(v), abs(w)) * rtol)) ** 2
-                for v, w, a, c, d, e, g, k
-                in zip(y, y_new, k1, k3, k4, k5, k6, f_new)])) / root_n
-            if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            # a NaN err gives max(0.2, nan) = 0.2, the largest cut
-            h_abs *= max(0.2, 0.9 * err ** -0.2)
-            rejected = True
-
-        if i < len(ts) and ts[i] <= t_new:
-            q = [[sum([k * p for k, p in zip(kc, col)]) for col in _DOPRI_P_COLS]
-                 for kc in zip(k1, k2, k3, k4, k5, k6, f_new)]
-            while i < len(ts) and ts[i] <= t_new:
-                x = (ts[i] - t) / h
-                x2 = x * x
-                x3 = x2 * x
-                samples.append([h * (c1 * x + c2 * x2 + c3 * x3 + c4 * (x3 * x)) + v
-                                for v, (c1, c2, c3, c4) in zip(y, q)])
-                i += 1
-        t, y, f = t_new, y_new, f_new
-        steps += 1
+    samples, steps = _dopri5_loop(len(y))(rhs, t, y, f, h_abs, t_end, rtol,
+                                          atol, times.tolist())
     return np.array(samples), steps
 
 
@@ -340,16 +407,15 @@ def integrate_h(
         raise ValueError("need at least two samples")
     c = 1.0 / (3.0 * gamma - 1.0)
     q = 2.0 - 3.0 * gamma
-    base_at = _scalar_nu(gamma, 0)
-    nu_tt_at = _scalar_nu(gamma, 2)
+    nu_pair = _nu_and_nu_tt(gamma)
 
     def rhs(t: float, y: Sequence[float]) -> tuple[float, float]:
         h, h_t = y
-        base = base_at(t)
+        base, nu_tt = nu_pair(t)
         lifted = base + h
         # theta <= 0 turns into NaN, which fails the step's error test
         lifted = lifted if lifted > 0.0 else math.nan
-        h_tt = -h_t + c * (lifted**q - base**q) - nu_tt_at(t)
+        h_tt = -h_t + c * (lifted**q - base**q) - nu_tt
         return (h_t, h_tt)
 
     times = _log_grid(float(t_end), num_samples)

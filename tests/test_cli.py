@@ -416,13 +416,10 @@ class TestRadial:
         payload = json.loads((tmp_path / "radial_fit.json").read_text())
         assert payload["oracle_defect"] > 1e-12
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "M0_integral is an O(|grad omega|^2) remainder formed with "
-        "cancellation, but the gate measures it relative to itself: the "
-        "last record reads 3.89e-12 on a correct run"))
     def test_report_oracle_passes_at_gamma_five_thirds(self, capsys, tmp_path):
         # the CLI defaults with 12 records, the radial-report benchmark's
-        # configuration, at gamma = 5/3
+        # configuration, at gamma = 5/3: M0_integral, a remainder of about
+        # 1e-13 there, read 3.89e-12 when measured relative to itself
         config = write_config(tmp_path, {"output": {"records": 12}})
         _, out, _ = run_cli(
             ["radial", "--config", config, "--gamma", "1.6666666666666667",

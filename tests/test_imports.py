@@ -6,6 +6,9 @@ import time in every fresh process.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,16 @@ def _unused_imports(path):
 def test_module_imports_are_used(path):
     assert _unused_imports(path) == []
 
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only vel hardy integrates with quad; every other command would pay
+    # scipy.integrate's import time and memory for nothing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vel.cli; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

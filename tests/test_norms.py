@@ -648,6 +648,18 @@ class TestSeparatedReport:
         assert norms.report_defect(
             rep, dataclasses.replace(rep, J_max=1)) == math.inf
 
+    def test_M0_integral_counts_against_E_total(self):
+        # the remainder M0_integral is measured on the energy's scale: a
+        # disagreement of 1e-10 E_total is 1e-10, above the 1e-12 budget
+        grid = BallGrid(CONSTANTS, n_r=48, n_mu=4, n_psi=4,
+                        radial_scheme="midpoint")
+        rep = separated(grid, 1.0, 2.0, radial_profiles(grid))
+        moved = dataclasses.replace(
+            rep, M0_integral=rep.M0_integral + 1e-10 * rep.E_total)
+        assert norms.report_defect(moved, rep) == pytest.approx(1e-10,
+                                                                rel=1e-3)
+        assert norms.report_defect(moved, rep) > 1e-12
+
 
 class TestM0E0:
     def test_zero_state(self):

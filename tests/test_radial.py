@@ -1,5 +1,6 @@
 """Radial solver: operator identities, stepping, runs, and growth fits."""
 
+import dataclasses
 import io
 import math
 import time
@@ -784,6 +785,10 @@ class TestRunDriver:
         assert res.stop_reason == "degenerate"
         assert res.final_state.time < 1.0
         assert np.all(np.isfinite(res.final_state.f))
+        # records before the stop sit on the geometric grid, not an ulp off
+        assert res.times.size > 2
+        assert_array_equal(res.times[1:],
+                           record_grid(cfg)[:res.times.size - 1])
 
     def test_nan_force_stops_nonfinite(self, monkeypatch):
         # the degeneracy scan lets NaN through, so a poisoned force ends
@@ -869,11 +874,13 @@ def replay_with_step(cfg):
             next_rec += 1
         target = min(rec_times[next_rec] if next_rec < rec_times.size
                      else cfg.t_end, cfg.t_end)
+        rest = target - state.time
         dt = min(cfg.cfl * solver.h / solver.sound_speed(state.theta),
-                 solver.damping_step(state.theta, state.theta_t),
-                 target - state.time)
+                 solver.damping_step(state.theta, state.theta_t), rest)
         try:
             new_state = solver.step(state, dt)
+            if dt == rest:  # a step cut to end on the target lands on it
+                new_state = dataclasses.replace(new_state, time=target)
         except DegenerateProfileError:
             reason = "degenerate"
             break

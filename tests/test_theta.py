@@ -59,7 +59,8 @@ class TestIntegrateH:
         # nu_t = c nu^{2-3g} holds exactly, so only -nu_tt is left
         p = 1.0 / (3.0 * gamma - 1.0)
         expected = p * (1.0 - p) * (1.0 + t) ** (p - 2.0)
-        assert_allclose(-theta._scalar_nu(gamma, 2)(t), expected, rtol=1e-14)
+        assert_allclose(-theta._nu_and_nu_tt(gamma)(t)[1], expected,
+                        rtol=1e-14)
 
     @pytest.mark.parametrize("gamma", [4.0 / 3.0, 2.0])
     def test_default_forcing_path_matches_nu_calls(self, gamma):
@@ -79,11 +80,12 @@ class TestIntegrateH:
 
     @pytest.mark.parametrize("gamma", [4.0 / 3.0, 5.0 / 3.0, 2.0, 3.0])
     def test_scalar_nu_is_nu(self, gamma):
-        times = np.linspace(0.0, 1e4, 301)
-        for order in (0, 2):
-            fast = theta._scalar_nu(gamma, order)
-            assert all(fast(float(t)) == theta.nu(gamma, float(t), order)
-                       for t in times)
+        # one np.power call for both orders gives the two nu calls' floats
+        pair = theta._nu_and_nu_tt(gamma)
+        times = np.concatenate([np.linspace(0.0, 1e4, 301),
+                                theta._log_grid(1e5, 2001)])
+        for t in times.tolist():
+            assert pair(t) == (theta.nu(gamma, t), theta.nu(gamma, t, 2))
 
     def test_initial_values(self):
         path = theta.integrate_h(2.0, 10.0, num_samples=201)
@@ -145,6 +147,181 @@ def _scipy_rk45(rhs, y0, t_end, rtol, atol, times):
                     atol=atol, dense_output=True)
     assert sol.status == 0
     return sol.sol(times).T, sol.t.size - 1
+
+
+# Shampine's quartic dense output, as columns: the weights of the seven
+# stages in the coefficients of x, x^2, x^3, x^4.
+_REF_P_COLS = tuple(zip(
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+))
+
+
+def reference_dopri5(rhs, y0, t_end, rtol, atol, times):
+    """theta._dopri5 as a loop over lists of components: the reference
+    the generated loop must match bit for bit."""
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {tol}")
+    rtol = max(rtol, 100.0 * np.finfo(float).eps)
+    root_n = len(y0) ** 0.5
+    t, y = 0.0, list(y0)
+    f = rhs(t, y)
+
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = math.sqrt(sum([(v / s) ** 2 for v, s in zip(y, scale)])) / root_n
+    d1 = math.sqrt(sum([(v / s) ** 2 for v, s in zip(f, scale)])) / root_n
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = rhs(t + h0, [v + h0 * a for v, a in zip(y, f)])
+    d2 = math.sqrt(sum([((a - b) / s) ** 2 for a, b, s in zip(f1, f, scale)]))
+    d2 /= root_n * h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, t_end)
+
+    ts = times.tolist()
+    samples = []
+    i = steps = 0
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise RuntimeError(
+                    "integration failed: required step size is less than "
+                    f"the spacing of floats at t = {t:.6g}")
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            k1 = f
+            k2 = rhs(t + 1 / 5 * h, [v + (1 / 5 * a) * h
+                                     for v, a in zip(y, k1)])
+            k3 = rhs(t + 3 / 10 * h, [v + (3 / 40 * a + 9 / 40 * b) * h
+                                      for v, a, b in zip(y, k1, k2)])
+            k4 = rhs(t + 4 / 5 * h, [
+                v + (44 / 45 * a - 56 / 15 * b + 32 / 9 * c) * h
+                for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = rhs(t + 8 / 9 * h, [
+                v + (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
+                     - 212 / 729 * d) * h
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = rhs(t + h, [
+                v + (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
+                     + 49 / 176 * d - 5103 / 18656 * e) * h
+                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [
+                v + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
+                         - 2187 / 6784 * e + 11 / 84 * g)
+                for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+            f_new = rhs(t + h, y_new)
+            err = math.sqrt(sum([
+                ((-71 / 57600 * a + 71 / 16695 * c - 71 / 1920 * d
+                  + 17253 / 339200 * e - 22 / 525 * g + 1 / 40 * k) * h
+                 / (atol + max(abs(v), abs(w)) * rtol)) ** 2
+                for v, w, a, c, d, e, g, k
+                in zip(y, y_new, k1, k3, k4, k5, k6, f_new)])) / root_n
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+
+        if i < len(ts) and ts[i] <= t_new:
+            q = [[sum([k * p for k, p in zip(kc, col)]) for col in _REF_P_COLS]
+                 for kc in zip(k1, k2, k3, k4, k5, k6, f_new)]
+            while i < len(ts) and ts[i] <= t_new:
+                x = (ts[i] - t) / h
+                x2 = x * x
+                x3 = x2 * x
+                samples.append([h * (c1 * x + c2 * x2 + c3 * x3 + c4 * (x3 * x)) + v
+                                for v, (c1, c2, c3, c4) in zip(y, q)])
+                i += 1
+        t, y, f = t_new, y_new, f_new
+        steps += 1
+    return np.array(samples), steps
+
+
+def solves_of(call, solver):
+    """(samples, steps) of every _dopri5 solve that call() makes, with
+    theta._dopri5 replaced by solver; call()'s own result is dropped."""
+    solves = []
+
+    def recorded(*args):
+        solves.append(solver(*args))
+        return solves[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theta, "_dopri5", recorded)
+        call()
+    return solves
+
+
+def _damped_pair(t, y):
+    # two coupled damped oscillators, a four-component system
+    x1, v1, x2, v2 = y
+    return (v1, -x1 - 0.1 * v1 + 0.3 * x2, v2, -2.0 * x2 - 0.05 * v2 + 0.3 * x1)
+
+
+LOOP_CASES = {
+    "decay-1d": lambda: theta._dopri5(
+        lambda t, y: (-y[0],), (1.0,), 5.0, 1e-8, 1e-14,
+        np.linspace(0.0, 5.0, 51)),
+    "rotation-2d": lambda: theta._dopri5(
+        lambda t, y: (y[1], -y[0]), (1.0, 0.0), 20.0, 1e-8, 1e-14,
+        np.linspace(0.0, 20.0, 201)),
+    "oscillators-4d": lambda: theta._dopri5(
+        _damped_pair, (1.0, 0.0, -0.5, 0.2), 30.0, 1e-9, 1e-12,
+        theta._log_grid(30.0, 101)),
+    **{f"integrate_h-{g:.4g}-{scale}": (
+        lambda g=g, scale=scale: theta.integrate_h(
+            g, 1e4, rtol=1e-10 * scale, atol=1e-10 * scale))
+       for g in (4.0 / 3.0, 3.0) for scale in (1.0, 0.5)},
+    **{f"liu-{g:.4g}": (lambda g=g: theta.liu_vs_barenblatt(g, 1.0, 1e5))
+       for g in (5.0 / 3.0, 2.0)},
+}
+
+
+class TestGeneratedLoop:
+    """theta._dopri5's loop, generated per system size, against the loop
+    over lists it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_matches_list_loop_bit_for_bit(self, case):
+        ours = solves_of(LOOP_CASES[case], theta._dopri5)
+        ref = solves_of(LOOP_CASES[case], reference_dopri5)
+        assert len(ours) == len(ref) == 1
+        (samples, steps), (ref_samples, ref_steps) = ours[0], ref[0]
+        assert steps == ref_steps > 0
+        assert samples.shape == ref_samples.shape
+        assert np.array_equal(samples, ref_samples)
+
+    def test_one_loop_per_system_size(self):
+        assert theta._dopri5_loop(4) is theta._dopri5_loop(4)
+        assert theta._dopri5_loop(4) is not theta._dopri5_loop(2)
+
+    def test_nan_rhs_raises_the_reference_error(self):
+        args = (lambda t, y: (y[1], math.nan), (1.0, 0.0), 1.0, 1e-8, 1e-10,
+                np.array([0.0, 1.0]))
+        with pytest.raises(RuntimeError) as ours:
+            theta._dopri5(*args)
+        with pytest.raises(RuntimeError) as ref:
+            reference_dopri5(*args)
+        assert str(ours.value) == str(ref.value)
+        assert "integration failed" in str(ours.value)
 
 
 @pytest.fixture(scope="module")
