@@ -6,14 +6,16 @@ a damped second-order correction law with h(0) = h_t(0) = 0; `integrate_h`
 produces the path and `verify_decay` checks the two-sided power-law bounds on
 theta and its derivatives. Second, the exact-solution coefficient system for
 (a, b, e)(t), quadratic velocity/sound-speed profiles whose evolution reduces
-to three coupled ODEs; `_liu_law` states the derived system, and
+to three coupled ODEs; `_LIU_LAW` states the derived system, and
 `liu_vs_barenblatt` measures its approach to the self-similar coefficients.
+Each law is source text that `_dopri5` writes into its step loop.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -152,8 +154,7 @@ def nu(gamma: float, t, order: int = 0):
     """Background power (1+t)^p with p = 1/(3*gamma - 1), or its derivative."""
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    _check_order(order)
     ts = np.asarray(t, dtype=float)
     if np.any(ts < 0.0):
         raise ValueError("t must be non-negative")
@@ -162,25 +163,17 @@ def nu(gamma: float, t, order: int = 0):
     return float(out) if ts.ndim == 0 else out
 
 
+def _check_order(order) -> None:
+    if (isinstance(order, bool) or not isinstance(order, numbers.Integral)
+            or order < 0):
+        raise ValueError(
+            f"order must be a non-negative integer, got {order!r}")
+
+
 def _nu_law(gamma: float, order: int) -> tuple[float, float]:
     """(coef, power) with d^order nu / dt^order = coef (1+t)^power."""
     p = 1.0 / (3.0 * gamma - 1.0)
     return float(np.prod(p - np.arange(order))), p - order
-
-
-def _nu_and_nu_tt(gamma: float) -> Callable[[float], tuple[float, float]]:
-    """t -> (nu(gamma, t), nu(gamma, t, 2)) for scalar t >= 0, bit for bit,
-    from one np.power call and without the argument checks: for
-    right-hand sides called many thousand times."""
-    _, p = _nu_law(gamma, 0)
-    coef, p_tt = _nu_law(gamma, 2)
-    powers = np.array([p, p_tt])
-
-    def pair(t: float) -> tuple[float, float]:
-        base, scaled = np.power(1.0 + t, powers).tolist()
-        return base, coef * scaled
-
-    return pair
 
 
 def theta_acceleration(gamma: float, theta, theta_t):
@@ -231,46 +224,114 @@ _DOPRI_P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 
-# The step loop of _dopri5 with its per-component lines left as fields:
+
+@dataclass(frozen=True)
+class _Law:
+    """A first-order system y' = f(t, y), stated once as source text.
+
+    `derivatives` holds one expression per component over t, y_0 ... y_{n-1}
+    and the names that the one-line statements of `body` assign first.
+    `constants` are statements over the `parameters` that a solve binds once;
+    `math` and `np` are in scope.  `_dopri5_loop` compiles the text as a
+    callable rhs(t, y) and writes it inline into the step loop, so the text
+    must not assign t or y_j, nor name the loop's own locals (now, u_j, k2_j,
+    q0_j, h, err, x, ...).
+    """
+
+    derivatives: tuple[str, ...]
+    body: tuple[str, ...] = ()
+    parameters: tuple[str, ...] = ()
+    constants: tuple[str, ...] = ()
+
+
+# The correction law of `integrate_h` in its split h-form, (y_0, y_1) =
+# (h, h_t).  nu and nu_tt come from one np.power call, bit for bit the
+# floats of nu(gamma, t) and nu(gamma, t, 2); theta <= 0 turns into NaN,
+# which fails the step's error test.
+_THETA_LAW = _Law(
+    parameters=("gamma",),
+    constants=(
+        "c = 1.0 / (3.0 * gamma - 1.0)",  # also the power of nu
+        "q = 2.0 - 3.0 * gamma",
+        "nu_tt_coef = c * (c - 1.0)",
+        "powers = np.array([c, c - 2.0])",
+    ),
+    body=(
+        "nu, scaled = np.power(1.0 + t, powers).tolist()",
+        "theta = nu + y_0",
+        "theta = theta if theta > 0.0 else math.nan",
+    ),
+    derivatives=("y_1",
+                 "-y_1 + c * (theta ** q - nu ** q) - nu_tt_coef * scaled"),
+)
+
+# The coefficient system of `liu_integrate`, (y_0, y_1, y_2) = (a, b, e).
+# Substituting velocity a*y and squared sound speed e - b*|y|^2 into the
+# damped isentropic flow equations and matching powers of |y| gives
+#     a_t = -a - a^2 + 2 b/(gamma-1),
+#     b_t = -(3*gamma - 1) a b,
+#     e_t = -3 (gamma-1) a e.
+_LIU_LAW = _Law(
+    parameters=("gamma",),
+    constants=(
+        "gm1 = gamma - 1.0",
+        "rate_b = -(3.0 * gamma - 1.0)",
+        "rate_e = -3.0 * (gamma - 1.0)",
+    ),
+    derivatives=("-y_0 - y_0 * y_0 + 2.0 * y_1 / gm1", "rate_b * y_0 * y_1",
+                 "rate_e * y_0 * y_2"),
+)
+
+# A law bound to its parameters, as the callable rhs of the initial step
+# and the step loop of _dopri5 with the law written into each stage:
 # scipy's RK45 step control, the samples read from the quartic interpolant.
 _DOPRI_LOOP = """
-def loop(rhs, t, y, f, h_abs, t_end, rtol, atol, ts):
-    {y} = y
-    {k1} = f
-    samples = []
-    i = steps = 0
-    while t < t_end:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:  # also a NaN step
-                raise RuntimeError(
-                    "integration failed: required step size is less than "
-                    f"the spacing of floats at t = {{t:.6g}}")
-            t_new = min(t + h_abs, t_end)
-            h = h_abs = t_new - t
-{stages}
-            err = math.sqrt(sum(({err}))) / {root_n!r}
-            if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            # a NaN err gives max(0.2, nan) = 0.2, the largest cut
-            h_abs *= max(0.2, 0.9 * err ** -0.2)
-            rejected = True
+def bind({parameters}):
+{constants}
+    def rhs(t, y):
+        {y} = y
+{rhs_body}
+        return ({derivatives})
 
-        if i < len(ts) and ts[i] <= t_new:
+    def loop(now, state, f, h_abs, t_end, rtol, atol, ts):
+        {u} = state
+        {k1} = f
+        samples = []
+        i = steps = 0
+        while now < t_end:
+            min_step = 10.0 * (math.nextafter(now, math.inf) - now)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if not h_abs >= min_step:  # also a NaN step
+                    raise RuntimeError(
+                        "integration failed: required step size is less than "
+                        f"the spacing of floats at t = {{now:.6g}}")
+                t_new = min(now + h_abs, t_end)
+                h = h_abs = t_new - now
+{stages}
+                err = math.sqrt(sum(({err}))) / {root_n!r}
+                if err < 1.0:
+                    factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                # a NaN err gives max(0.2, nan) = 0.2, the largest cut
+                h_abs *= max(0.2, 0.9 * err ** -0.2)
+                rejected = True
+
+            if i < len(ts) and ts[i] <= t_new:
 {dense}
-            while i < len(ts) and ts[i] <= t_new:
-                x = (ts[i] - t) / h
-                x2 = x * x
-                x3 = x2 * x
-                samples.append(({sample}))
-                i += 1
-        t, {y}{k1} = t_new, {y_new}{k7}
-        steps += 1
-    return samples, steps
+                while i < len(ts) and ts[i] <= t_new:
+                    x = (ts[i] - now) / h
+                    x2 = x * x
+                    x3 = x2 * x
+                    samples.append(({sample}))
+                    i += 1
+            now, {u}{k1} = t_new, {y}{k7}
+            steps += 1
+        return samples, steps
+
+    return rhs, loop
 """
 
 
@@ -287,30 +348,43 @@ def _tuple(items) -> str:
     return "".join(f"{item}, " for item in items)
 
 
-@functools.lru_cache(maxsize=8)
-def _dopri5_loop(n: int) -> Callable:
-    """The step loop of `_dopri5` for n components, compiled on first use.
+def _indent(lines: Sequence[str], depth: int) -> str:
+    return "\n".join(" " * depth + line for line in lines)
 
-    The state is unpacked into floats y_j, the stages into k2_j ... k7_j,
-    and each component's update is the tableau's expression in the
-    tableau's order, so the loop does the float operations of a loop over
-    lists of components, without building the lists.
+
+@functools.lru_cache(maxsize=8)
+def _dopri5_loop(law: _Law) -> Callable:
+    """bind(*parameters) -> (rhs, loop) for the law, compiled on first use.
+
+    bind runs the law's constants once per solve.  In the loop the state
+    is unpacked into floats u_j and the stages into k2_j ... k7_j; each
+    stage sets t and y_j to its time and argument and evaluates the law's
+    body and derivatives in place, and each update is the tableau's
+    expression in the tableau's order, so the loop does the float
+    operations of a loop over lists that calls rhs, without the calls or
+    the lists.
     """
+    n = len(law.derivatives)
     comps = range(n)
+    u = [f"u_{j}" for j in comps]
     y = [f"y_{j}" for j in comps]
-    y_new = [f"yn_{j}" for j in comps]
     k = [[f"k{s}_{j}" for s in range(1, 8)] for j in comps]
+
+    def stage(time: str, args: Sequence[str], s: int) -> list[str]:
+        return [f"t = {time}", *(f"{y[j]} = {args[j]}" for j in comps),
+                *law.body,
+                *(f"{k[j][s - 1]} = {d}"
+                  for j, d in enumerate(law.derivatives))]
+
     stages = []
     for s, (c, a) in enumerate(zip(_DOPRI_C, _DOPRI_A), start=2):
-        args = _tuple(f"{y[j]} + ({_weighted(a, k[j])}) * h" for j in comps)
-        stages.append(f"{_tuple(k[j][s - 1] for j in comps)}"
-                      f"= rhs(t + {c!r} * h, ({args}))")
-    stages += [f"{y_new[j]} = {y[j]} + h * ({_weighted(_DOPRI_B, k[j])})"
-               for j in comps]
-    stages.append(f"{_tuple(k[j][6] for j in comps)}"
-                  f"= rhs(t + h, ({_tuple(y_new)}))")
+        stages += stage(f"now + {c!r} * h", [
+            f"{u[j]} + ({_weighted(a, k[j])}) * h" for j in comps], s)
+    # stage 7 is taken at y_new, so y_j holds y_new from here on
+    stages += stage("now + h", [
+        f"{u[j]} + h * ({_weighted(_DOPRI_B, k[j])})" for j in comps], 7)
     err = _tuple(f"(({_weighted(_DOPRI_E, k[j])}) * h"
-                 f" / (atol + max(abs({y[j]}), abs({y_new[j]})) * rtol)) ** 2"
+                 f" / (atol + max(abs({u[j]}), abs({y[j]})) * rtol)) ** 2"
                  for j in comps)
     dense = []  # q{col}_j: the coefficient of x^(col + 1) in component j
     for j in comps:
@@ -319,49 +393,52 @@ def _dopri5_loop(n: int) -> Callable:
                            for s, p in enumerate(_DOPRI_P) if p[col] != 0.0)
             dense.append(f"q{col}_{j} = sum(({terms}))")
     sample = _tuple(f"h * (q0_{j} * x + q1_{j} * x2 + q2_{j} * x3"
-                    f" + q3_{j} * (x3 * x)) + {y[j]}" for j in comps)
-    indent = " " * 12
+                    f" + q3_{j} * (x3 * x)) + {u[j]}" for j in comps)
     src = _DOPRI_LOOP.format(
-        y=_tuple(y), k1=_tuple(k[j][0] for j in comps),
-        y_new=_tuple(y_new), k7=_tuple(k[j][6] for j in comps),
-        stages="\n".join(indent + line for line in stages),
-        dense="\n".join(indent + line for line in dense),
+        parameters=", ".join(law.parameters),
+        constants=_indent(law.constants, 4), y=_tuple(y),
+        rhs_body=_indent(law.body, 8), derivatives=_tuple(law.derivatives),
+        u=_tuple(u), k1=_tuple(k[j][0] for j in comps),
+        k7=_tuple(k[j][6] for j in comps),
+        stages=_indent(stages, 16), dense=_indent(dense, 16),
         err=err, root_n=n ** 0.5, sample=sample)
-    namespace = {"math": math}
+    namespace = {"math": math, "np": np}
     exec(compile(src, f"<dopri5 loop, {n} components>", "exec"), namespace)
-    return namespace["loop"]
+    return namespace["bind"]
 
 
 def _dopri5(
-    rhs: Callable[[float, Sequence[float]], Sequence[float]],
+    law: _Law,
+    parameters: Sequence,
     y0: Sequence[float],
     t_end: float,
     rtol: float,
     atol: float,
     times: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Dormand-Prince 5(4) from t = 0 to t_end on Python floats.
+    """Dormand-Prince 5(4) for the law from t = 0 to t_end on Python floats.
 
-    rhs(t, y) takes and returns a short sequence of floats.  The step
-    control is scipy's RK45 term for term: the Hairer-Norsett-Wanner
-    initial step at error order 4, the RMS error over atol + max(|y|,
-    |y_new|) rtol, the factor 0.9 err^(-1/5) kept within [0.2, 10] and
-    below 1 right after a rejection, a minimum step of 10 ulp(t), and the
-    last step clipped to t_end.  Each sample time is read from the quartic
+    The law is bound to its parameters for this solve.  The step control
+    is scipy's RK45 term for term: the Hairer-Norsett-Wanner initial step
+    at error order 4, the RMS error over atol + max(|y|, |y_new|) rtol,
+    the factor 0.9 err^(-1/5) kept within [0.2, 10] and below 1 right
+    after a rejection, a minimum step of 10 ulp(t), and the last step
+    clipped to t_end.  Each sample time is read from the quartic
     interpolant of the accepted step (t_old, t_new] that holds it (the
-    first step also holds t = 0).  The step loop is generated from the
-    tableau once per system size (`_dopri5_loop`); its floats are those of
-    the loop over lists kept in the tests as its reference, bit for bit.
-    Returns the samples, shape (len(times), len(y0)), and the number of
-    accepted steps.  Raises RuntimeError when the step falls below its
-    minimum or is NaN; a NaN from rhs fails the error test, so it shrinks
-    the step until then.  Raises ValueError unless rtol and atol are
-    positive and finite.
+    first step also holds t = 0).  The step loop is generated once per
+    law, with the law's text in each stage (`_dopri5_loop`); its floats
+    are those of the loop over lists that calls the law's rhs, kept in
+    the tests as its reference, bit for bit.  Returns the samples, shape
+    (len(times), len(y0)), and the number of accepted steps.  Raises
+    RuntimeError when the step falls below its minimum or is NaN; a NaN
+    derivative fails the error test, so it shrinks the step until then.
+    Raises ValueError unless rtol and atol are positive and finite.
     """
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not 0.0 < tol < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {tol}")
     rtol = max(rtol, 100.0 * np.finfo(float).eps)  # scipy's floor
+    rhs, loop = _dopri5_loop(law)(*parameters)
     root_n = len(y0) ** 0.5
     t, y = 0.0, list(y0)
     f = rhs(t, y)
@@ -381,8 +458,7 @@ def _dopri5(
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100.0 * h0, h1, t_end)
 
-    samples, steps = _dopri5_loop(len(y))(rhs, t, y, f, h_abs, t_end, rtol,
-                                          atol, times.tolist())
+    samples, steps = loop(t, y, f, h_abs, t_end, rtol, atol, times.tolist())
     return np.array(samples), steps
 
 
@@ -395,7 +471,7 @@ def integrate_h(
 ) -> ThetaPath:
     """Integrate the correction law from rest and sample on a log grid.
 
-    The law is written in the split form
+    The law (`_THETA_LAW`) is written in the split form
         h_tt = -h_t + c [(nu+h)^{2-3g} - nu^{2-3g}] + F(t),
     with c = 1/(3g-1), which reassembles theta_tt + theta_t = c theta^{2-3g}
     for theta = nu + h when F = c nu^{2-3g} - nu_tt - nu_t.  nu solves
@@ -407,19 +483,9 @@ def integrate_h(
         raise ValueError("need at least two samples")
     c = 1.0 / (3.0 * gamma - 1.0)
     q = 2.0 - 3.0 * gamma
-    nu_pair = _nu_and_nu_tt(gamma)
-
-    def rhs(t: float, y: Sequence[float]) -> tuple[float, float]:
-        h, h_t = y
-        base, nu_tt = nu_pair(t)
-        lifted = base + h
-        # theta <= 0 turns into NaN, which fails the step's error test
-        lifted = lifted if lifted > 0.0 else math.nan
-        h_tt = -h_t + c * (lifted**q - base**q) - nu_tt
-        return (h_t, h_tt)
-
     times = _log_grid(float(t_end), num_samples)
-    samples, _ = _dopri5(rhs, (0.0, 0.0), float(t_end), rtol, atol, times)
+    samples, _ = _dopri5(_THETA_LAW, (gamma,), (0.0, 0.0), float(t_end),
+                         rtol, atol, times)
     h, h_t = samples.T
     base = nu(gamma, times)
     theta = base + h
@@ -448,6 +514,9 @@ def theta_derivative(path: ThetaPath, order: int) -> np.ndarray:
     Orders 0..3 are supported; substitution avoids differencing noise. Order 3
     differentiates theta_tt = -theta_t + c theta^{2-3g} once more.
     """
+    _check_order(order)
+    if order > 3:
+        raise ValueError("derivative order above 3 is not supported")
     g = path.gamma
     if order == 0:
         return np.asarray(path.theta)
@@ -456,10 +525,8 @@ def theta_derivative(path: ThetaPath, order: int) -> np.ndarray:
     theta_tt = theta_acceleration(g, path.theta, path.theta_t)
     if order == 2:
         return theta_tt
-    if order == 3:
-        c, q = 1.0 / (3.0 * g - 1.0), 2.0 - 3.0 * g
-        return -theta_tt + c * q * path.theta ** (q - 1.0) * path.theta_t
-    raise ValueError("derivative order above 3 is not supported")
+    c, q = 1.0 / (3.0 * g - 1.0), 2.0 - 3.0 * g
+    return -theta_tt + c * q * path.theta ** (q - 1.0) * path.theta_t
 
 
 def verify_decay(path: ThetaPath, n: int = 2) -> DecayReport:
@@ -489,22 +556,6 @@ def verify_decay(path: ThetaPath, n: int = 2) -> DecayReport:
         Cn_fit=Cn_fit,
         max_violation=violations,
         passed=passed,
-    )
-
-
-def _liu_law(gamma: float, a: float, b: float, e: float) -> tuple[float, float, float]:
-    """Time derivatives (a_t, b_t, e_t) of the coefficient system.
-
-    Derived by substituting velocity a*y and squared sound speed e - b*|y|^2
-    into the damped isentropic flow equations and matching powers of |y|:
-        a_t = -a - a^2 + 2 b/(gamma-1),
-        b_t = -(3*gamma - 1) a b,
-        e_t = -3 (gamma-1) a e.
-    """
-    return (
-        -a - a * a + 2.0 * b / (gamma - 1.0),
-        -(3.0 * gamma - 1.0) * a * b,
-        -3.0 * (gamma - 1.0) * a * e,
     )
 
 
@@ -541,14 +592,9 @@ def liu_integrate(
     """Integrate the coefficient system; returns (times, a, b, e) samples."""
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
-
-    def rhs(t: float, y: Sequence[float]) -> tuple[float, float, float]:
-        a, b, e = y
-        return _liu_law(gamma, a, b, e)
-
     times = _log_grid(float(t_end), 1001)
-    samples, _ = _dopri5(rhs, (initial.a, initial.b, initial.e), float(t_end),
-                         rtol, atol, times)
+    samples, _ = _dopri5(_LIU_LAW, (gamma,), (initial.a, initial.b, initial.e),
+                         float(t_end), rtol, atol, times)
     a, b, e = samples.T
     if np.any(b <= 0.0) or np.any(e <= 0.0):
         raise RuntimeError("trajectory left the admissible cone b, e > 0")

@@ -1,5 +1,6 @@
 """Tests for the time scaling paths: correction ODE and coefficient system."""
 
+import dataclasses
 import io
 import math
 
@@ -12,6 +13,17 @@ from vel import theta
 from vel.params import GasParams, derive_constants
 
 GAMMAS = (4.0 / 3.0, 5.0 / 3.0, 2.0, 3.0)
+
+
+def law_rhs(law, *parameters):
+    """The callable rhs(t, y) that theta compiles from the law's text."""
+    return theta._dopri5_loop(law)(*parameters)[0]
+
+
+# the theta law's own statements, returning (nu, nu_tt) in place of the
+# derivatives
+NU_PROBE = dataclasses.replace(theta._THETA_LAW,
+                               derivatives=("nu", "nu_tt_coef * scaled"))
 
 
 class TestNu:
@@ -45,6 +57,14 @@ class TestNu:
         with pytest.raises(ValueError):
             theta.nu(2.0, -0.5)
 
+    @pytest.mark.parametrize("order", [-1, 1.5, 2.0, True])
+    def test_invalid_order_rejected(self, order):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            theta.nu(2.0, 1.0, order)
+
+    def test_numpy_integer_order_accepted(self):
+        assert theta.nu(2.0, 31.0, np.int64(1)) == theta.nu(2.0, 31.0, 1)
+
 
 class TestIntegrateH:
     def test_initial_acceleration(self):
@@ -56,36 +76,42 @@ class TestIntegrateH:
     @pytest.mark.parametrize("gamma", [4.0 / 3.0, 2.0, 3.0])
     @pytest.mark.parametrize("t", [0.0, 1e2, 1e4, 1e5])
     def test_default_forcing_is_minus_nu_tt(self, gamma, t):
-        # nu_t = c nu^{2-3g} holds exactly, so only -nu_tt is left
+        # nu_t = c nu^{2-3g} holds exactly, so only -nu_tt is left: the
+        # law's h_tt at rest, and its nu_tt itself
         p = 1.0 / (3.0 * gamma - 1.0)
         expected = p * (1.0 - p) * (1.0 + t) ** (p - 2.0)
-        assert_allclose(-theta._nu_and_nu_tt(gamma)(t)[1], expected,
-                        rtol=1e-14)
+        assert_allclose(law_rhs(theta._THETA_LAW, gamma)(t, (0.0, 0.0))[1],
+                        expected, rtol=1e-14)
+        assert_allclose(-law_rhs(NU_PROBE, gamma)(t, (0.0, 0.0))[1],
+                        expected, rtol=1e-14)
 
     @pytest.mark.parametrize("gamma", [4.0 / 3.0, 2.0])
     def test_default_forcing_path_matches_nu_calls(self, gamma):
         # the scalar nu of the right-hand side is nu bit for bit: the law
         # written with nu itself gives the same path
         c, q = 1.0 / (3.0 * gamma - 1.0), 2.0 - 3.0 * gamma
-
-        def rhs(t, y):
-            base = theta.nu(gamma, t)
-            return (y[1], -y[1] + c * ((base + y[0]) ** q - base**q)
-                    - theta.nu(gamma, t, 2))
+        law = theta._Law(
+            parameters=("nu", "gamma", "c", "q"),
+            body=("base = nu(gamma, t)",),
+            derivatives=("y_1", "-y_1 + c * ((base + y_0) ** q - base ** q)"
+                                " - nu(gamma, t, 2)"))
 
         fast = theta.integrate_h(gamma, 1e3)
-        slow, _ = theta._dopri5(rhs, (0.0, 0.0), 1e3, 1e-10, 1e-10, fast.times)
+        slow, _ = theta._dopri5(law, (theta.nu, gamma, c, q), (0.0, 0.0), 1e3,
+                                1e-10, 1e-10, fast.times)
         assert np.array_equal(fast.h, slow[:, 0])
         assert np.array_equal(fast.h_t, slow[:, 1])
 
     @pytest.mark.parametrize("gamma", [4.0 / 3.0, 5.0 / 3.0, 2.0, 3.0])
     def test_scalar_nu_is_nu(self, gamma):
-        # one np.power call for both orders gives the two nu calls' floats
-        pair = theta._nu_and_nu_tt(gamma)
+        # the law's one np.power call for both orders gives the two nu
+        # calls' floats
+        pair = law_rhs(NU_PROBE, gamma)
         times = np.concatenate([np.linspace(0.0, 1e4, 301),
                                 theta._log_grid(1e5, 2001)])
         for t in times.tolist():
-            assert pair(t) == (theta.nu(gamma, t), theta.nu(gamma, t, 2))
+            assert pair(t, (0.0, 0.0)) == (theta.nu(gamma, t),
+                                           theta.nu(gamma, t, 2))
 
     def test_initial_values(self):
         path = theta.integrate_h(2.0, 10.0, num_samples=201)
@@ -103,14 +129,12 @@ class TestIntegrateH:
     def test_zero_forcing_keeps_h_zero(self):
         # the correction law without its forcing keeps h == 0 (integrator
         # sanity)
-        c, q = 1.0 / 5.0, -4.0
-
-        def rhs(t, y):
-            base = theta.nu(2.0, t)
-            return (y[1], -y[1] + c * ((base + y[0]) ** q - base**q))
-
+        unforced = dataclasses.replace(
+            theta._THETA_LAW,
+            derivatives=("y_1", "-y_1 + c * (theta ** q - nu ** q)"))
         times = np.linspace(0.0, 100.0, 301)
-        samples, _ = theta._dopri5(rhs, (0.0, 0.0), 100.0, 1e-10, 1e-10, times)
+        samples, _ = theta._dopri5(unforced, (2.0,), (0.0, 0.0), 100.0, 1e-10,
+                                   1e-10, times)
         assert np.max(np.abs(samples)) <= 1e-12
 
     def test_tolerance_halving_within_error_estimate(self):
@@ -133,18 +157,16 @@ class TestIntegrateH:
     def test_unintegrable_forcing_aborts(self):
         # theta = 0 itself is shielded by the repulsive theta^{2-3g} term for
         # gamma > 1, so exercise the failure diagnostic with a broken forcing
-        def rhs(t, y):
-            return (y[1], -y[1] + float("nan"))
-
+        law = theta._Law(derivatives=("y_1", "-y_1 + math.nan"))
         with pytest.raises(RuntimeError, match="integration failed"):
-            theta._dopri5(rhs, (0.0, 0.0), 5.0, 1e-10, 1e-10,
+            theta._dopri5(law, (), (0.0, 0.0), 5.0, 1e-10, 1e-10,
                           np.linspace(0.0, 5.0, 11))
 
 
-def _scipy_rk45(rhs, y0, t_end, rtol, atol, times):
+def _scipy_rk45(law, parameters, y0, t_end, rtol, atol, times):
     """scipy's RK45 with the signature and return of theta._dopri5."""
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=rtol,
-                    atol=atol, dense_output=True)
+    sol = solve_ivp(law_rhs(law, *parameters), (0.0, t_end), y0,
+                    method="RK45", rtol=rtol, atol=atol, dense_output=True)
     assert sol.status == 0
     return sol.sol(times).T, sol.t.size - 1
 
@@ -255,6 +277,12 @@ def reference_dopri5(rhs, y0, t_end, rtol, atol, times):
     return np.array(samples), steps
 
 
+def reference_solve(law, parameters, *args):
+    """reference_dopri5 with the signature of theta._dopri5, stepping the
+    callable compiled from the same law text."""
+    return reference_dopri5(law_rhs(law, *parameters), *args)
+
+
 def solves_of(call, solver):
     """(samples, steps) of every _dopri5 solve that call() makes, with
     theta._dopri5 replaced by solver; call()'s own result is dropped."""
@@ -270,21 +298,21 @@ def solves_of(call, solver):
     return solves
 
 
-def _damped_pair(t, y):
-    # two coupled damped oscillators, a four-component system
-    x1, v1, x2, v2 = y
-    return (v1, -x1 - 0.1 * v1 + 0.3 * x2, v2, -2.0 * x2 - 0.05 * v2 + 0.3 * x1)
-
+DECAY = theta._Law(derivatives=("-y_0",))
+ROTATION = theta._Law(derivatives=("y_1", "-y_0"))
+# two coupled damped oscillators, a four-component system
+DAMPED_PAIR = theta._Law(derivatives=(
+    "y_1", "-y_0 - 0.1 * y_1 + 0.3 * y_2",
+    "y_3", "-2.0 * y_2 - 0.05 * y_3 + 0.3 * y_0"))
 
 LOOP_CASES = {
     "decay-1d": lambda: theta._dopri5(
-        lambda t, y: (-y[0],), (1.0,), 5.0, 1e-8, 1e-14,
-        np.linspace(0.0, 5.0, 51)),
+        DECAY, (), (1.0,), 5.0, 1e-8, 1e-14, np.linspace(0.0, 5.0, 51)),
     "rotation-2d": lambda: theta._dopri5(
-        lambda t, y: (y[1], -y[0]), (1.0, 0.0), 20.0, 1e-8, 1e-14,
+        ROTATION, (), (1.0, 0.0), 20.0, 1e-8, 1e-14,
         np.linspace(0.0, 20.0, 201)),
     "oscillators-4d": lambda: theta._dopri5(
-        _damped_pair, (1.0, 0.0, -0.5, 0.2), 30.0, 1e-9, 1e-12,
+        DAMPED_PAIR, (), (1.0, 0.0, -0.5, 0.2), 30.0, 1e-9, 1e-12,
         theta._log_grid(30.0, 101)),
     **{f"integrate_h-{g:.4g}-{scale}": (
         lambda g=g, scale=scale: theta.integrate_h(
@@ -296,30 +324,43 @@ LOOP_CASES = {
 
 
 class TestGeneratedLoop:
-    """theta._dopri5's loop, generated per system size, against the loop
-    over lists it replaced."""
+    """theta._dopri5's loop, generated per law, against the loop over lists
+    that calls the law's rhs."""
 
     @pytest.mark.parametrize("case", sorted(LOOP_CASES))
     def test_matches_list_loop_bit_for_bit(self, case):
         ours = solves_of(LOOP_CASES[case], theta._dopri5)
-        ref = solves_of(LOOP_CASES[case], reference_dopri5)
+        ref = solves_of(LOOP_CASES[case], reference_solve)
         assert len(ours) == len(ref) == 1
         (samples, steps), (ref_samples, ref_steps) = ours[0], ref[0]
         assert steps == ref_steps > 0
         assert samples.shape == ref_samples.shape
         assert np.array_equal(samples, ref_samples)
 
-    def test_one_loop_per_system_size(self):
-        assert theta._dopri5_loop(4) is theta._dopri5_loop(4)
-        assert theta._dopri5_loop(4) is not theta._dopri5_loop(2)
+    def test_one_loop_per_law(self):
+        assert theta._dopri5_loop(DAMPED_PAIR) is theta._dopri5_loop(
+            dataclasses.replace(DAMPED_PAIR))
+        assert theta._dopri5_loop(ROTATION) is not theta._dopri5_loop(
+            theta._Law(derivatives=("y_1", "y_0")))
+
+    def test_parameters_share_the_compiled_loop(self):
+        # the constants are bound per solve, so no parameter adds a loop
+        theta._dopri5_loop.cache_clear()
+        for gamma in (4.0 / 3.0, 2.0, 3.0):
+            for scale in (1.0, 0.5):
+                theta.integrate_h(gamma, 1e2, rtol=1e-10 * scale,
+                                  atol=1e-10 * scale)
+        for gamma in (5.0 / 3.0, 2.0):
+            theta.liu_vs_barenblatt(gamma, 1.0, 1e2)
+        assert theta._dopri5_loop.cache_info().currsize == 2
 
     def test_nan_rhs_raises_the_reference_error(self):
-        args = (lambda t, y: (y[1], math.nan), (1.0, 0.0), 1.0, 1e-8, 1e-10,
-                np.array([0.0, 1.0]))
+        args = (theta._Law(derivatives=("y_1", "math.nan")), (), (1.0, 0.0),
+                1.0, 1e-8, 1e-10, np.array([0.0, 1.0]))
         with pytest.raises(RuntimeError) as ours:
             theta._dopri5(*args)
         with pytest.raises(RuntimeError) as ref:
-            reference_dopri5(*args)
+            reference_solve(*args)
         assert str(ours.value) == str(ref.value)
         assert "integration failed" in str(ours.value)
 
@@ -350,8 +391,8 @@ class TestDopri5:
     @pytest.mark.parametrize("rtol", [1e-6, 1e-8, 1e-10])
     def test_decay_matches_closed_form(self, rtol):
         times = np.linspace(0.0, 5.0, 51)
-        samples, _ = theta._dopri5(lambda t, y: (-y[0],), (1.0,), 5.0, rtol,
-                                   1e-14, times)
+        samples, _ = theta._dopri5(DECAY, (), (1.0,), 5.0, rtol, 1e-14,
+                                   times)
         assert samples.shape == (51, 1)
         assert np.max(np.abs(samples[:, 0] - np.exp(-times))) <= 10.0 * rtol
 
@@ -359,15 +400,15 @@ class TestDopri5:
     def test_rotation_matches_closed_form(self, rtol):
         # y'' = -y from (1, 0): (cos t, -sin t) over three turns
         times = np.linspace(0.0, 20.0, 201)
-        samples, _ = theta._dopri5(lambda t, y: (y[1], -y[0]), (1.0, 0.0),
-                                   20.0, rtol, 1e-14, times)
+        samples, _ = theta._dopri5(ROTATION, (), (1.0, 0.0), 20.0, rtol,
+                                   1e-14, times)
         exact = np.stack([np.cos(times), -np.sin(times)], axis=1)
         assert np.max(np.abs(samples - exact)) <= 10.0 * rtol
 
     def test_first_sample_is_the_initial_value(self):
         times = theta._log_grid(10.0, 11)
-        samples, _ = theta._dopri5(lambda t, y: (y[1], -y[0]), (0.3, 0.7),
-                                   10.0, 1e-8, 1e-10, times)
+        samples, _ = theta._dopri5(ROTATION, (), (0.3, 0.7), 10.0, 1e-8,
+                                   1e-10, times)
         assert samples[0].tolist() == [0.3, 0.7]
 
     def test_log_grid_ends_exact(self):
@@ -393,8 +434,8 @@ class TestDopri5:
 
     def test_nan_rhs_fails(self):
         with pytest.raises(RuntimeError, match="integration failed"):
-            theta._dopri5(lambda t, y: (math.nan,), (1.0,), 1.0, 1e-8, 1e-10,
-                          np.array([0.0, 1.0]))
+            theta._dopri5(theta._Law(derivatives=("math.nan",)), (), (1.0,),
+                          1.0, 1e-8, 1e-10, np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("name", ["rtol", "atol"])
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
@@ -450,6 +491,17 @@ class TestThetaDerivative:
         path = theta.integrate_h(2.0, 100.0, num_samples=401)
         assert_allclose(theta.theta_derivative(path, 2), path.theta_tt, rtol=1e-12)
 
+    @pytest.mark.parametrize("order", [-1, 1.5])
+    def test_invalid_order_rejected(self, order):
+        path = theta.integrate_h(2.0, 10.0, num_samples=11)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            theta.theta_derivative(path, order)
+
+    def test_order_above_three_rejected(self):
+        path = theta.integrate_h(2.0, 10.0, num_samples=11)
+        with pytest.raises(ValueError, match="above 3"):
+            theta.theta_derivative(path, 4)
+
     def test_third_order_matches_difference_quotient(self):
         # uniform-in-log grid is locally smooth enough for a centered check
         path = theta.integrate_h(2.0, 3.0, num_samples=4001)
@@ -462,10 +514,10 @@ class TestThetaDerivative:
 
 
 class TestLiuRhs:
-    """The right-hand side of the coefficient system, theta._liu_law."""
+    """The right-hand side of the coefficient system, theta._LIU_LAW."""
 
     def test_zero_velocity_coefficient(self):
-        a_t, b_t, e_t = theta._liu_law(2.0, 0.0, 0.3, 1.0)
+        a_t, b_t, e_t = law_rhs(theta._LIU_LAW, 2.0)(0.0, (0.0, 0.3, 1.0))
         assert_allclose(a_t, 2.0 * 0.3 / (2.0 - 1.0), rtol=1e-14)
         assert b_t == 0.0 and e_t == 0.0
 
@@ -474,9 +526,9 @@ class TestLiuRhs:
         # b and e equations hold exactly; the a equation carries the
         # undamped defect (2-3g)/((3g-1)^2 (1+t)^2)
         constants = derive_constants(GasParams(gamma=gamma, mass=1.0))
+        rhs = law_rhs(theta._LIU_LAW, gamma)
         for t in (0.0, 1.0, 10.0):
-            a, b, e = theta.barenblatt_path(gamma, constants, t)
-            a_t, b_t, e_t = theta._liu_law(gamma, a, b, e)
+            a_t, b_t, e_t = rhs(t, theta.barenblatt_path(gamma, constants, t))
             s = 3.0 * gamma - 1.0
             assert_allclose(b_t, -gamma * constants.b_bar / (1.0 + t) ** 2, rtol=1e-12)
             assert_allclose(
@@ -499,14 +551,10 @@ class TestLiuRhs:
         # coefficients from the integrated ODEs must satisfy the damped flow
         # equations pointwise, with time derivatives taken by differencing.
         iota = 1.0 / (gamma - 1.0)
-
-        def rhs(t, y):
-            a, b, e = y
-            return theta._liu_law(gamma, a, b, e)
-
         y0 = (0.07, 0.21, 0.9)
-        sol = solve_ivp(rhs, (0.0, 2.0), y0, method="RK45", rtol=1e-12,
-                        atol=1e-14, dense_output=True)
+        sol = solve_ivp(law_rhs(theta._LIU_LAW, gamma), (0.0, 2.0), y0,
+                        method="RK45", rtol=1e-12, atol=1e-14,
+                        dense_output=True)
         assert sol.status == 0
         t0, d = 1.0, 1e-3
         (am, bm, em), (a0, b0, e0), (ap, bp, ep) = (
