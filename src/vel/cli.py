@@ -13,12 +13,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import geometry, norms, params, radial, theta
-from ._io import open_dest
 
 _SCHEMA = {
     "gas": {"gamma": float, "mass": float},
@@ -149,10 +148,25 @@ def _out_dir(config: Config) -> str:
     return out
 
 
+def _write(path, text):
+    """Every artifact: UTF-8 with untranslated newlines, so a rerun writes
+    the same bytes on every platform."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _write_csv(path, columns, rows):
+    """A header line, then one line per row of Python scalars (numpy 2
+    reprs np.float64(0.1) with its type); floats round-trip by repr."""
+    lines = [",".join(columns)]
+    lines += [",".join(c if isinstance(c, str) else repr(c) for c in row)
+              for row in rows]
+    _write(path, "\n".join(lines) + "\n")
+
+
 def _dump_json(obj, dest_path):
     text = json.dumps(obj, sort_keys=True, indent=2)
-    with open_dest(dest_path) as fh:
-        fh.write(text + "\n")
+    _write(dest_path, text + "\n")
     return text
 
 
@@ -169,12 +183,12 @@ class _Checks:
         if not ok:
             self.failed = True
 
-    def emit(self, stream):
+    def finish(self, payload, path):
+        """Write payload with the overall verdict, print the check lines,
+        and return the exit code."""
+        _dump_json({**payload, "passed": not self.failed}, path)
         for line in self.lines:
-            print(line, file=stream)
-
-    @property
-    def exit_code(self):
+            print(line)
         return 1 if self.failed else 0
 
 
@@ -233,12 +247,10 @@ def _cmd_barenblatt_check(config: Config, out):
     checks.record("vacuum-slope", slope_defect <= 1e-5,
                   f"boundary slope of c^2 off -2 gamma b_bar R/(1+t) by "
                   f"{slope_defect:.2e} relative at t=1 (budget 1e-05)")
-    _dump_json({"gamma": gamma, "min_order": min_order,
-                "mass_defect": worst, "vacuum_slope_defect": slope_defect,
-                "passed": not checks.failed},
-               os.path.join(out, "barenblatt_check.json"))
-    checks.emit(sys.stdout)
-    return checks.exit_code
+    return checks.finish(
+        {"gamma": gamma, "min_order": min_order, "mass_defect": worst,
+         "vacuum_slope_defect": slope_defect},
+        os.path.join(out, "barenblatt_check.json"))
 
 
 def _cmd_theta(config: Config, out):
@@ -247,20 +259,22 @@ def _cmd_theta(config: Config, out):
     path = theta.integrate_h(config.gamma, t_end, rtol=config.rtol,
                              atol=config.atol)
     series_path = os.path.join(out, "theta_path.csv")
-    theta.write_csv(path, series_path)
+    series = (path.times, path.h, path.h_t, path.theta, path.theta_t,
+              path.theta_tt)
+    _write_csv(series_path, ("t", "h", "h_t", "theta", "theta_t", "theta_tt"),
+               zip(*(s.tolist() for s in series)))
     rep = theta.verify_decay(path, n=2)
     checks.record(
         "decay-bounds", rep.passed,
         f"lower-bound violation {rep.max_violation['lower']:.2e}, "
         f"monotone violation {rep.max_violation['monotone']:.2e}, "
         f"K_fit={rep.K_fit:.6f}")
-    _dump_json({"gamma": config.gamma, "t_end": t_end, "K_fit": rep.K_fit,
-                "Cn_fit": {str(k): v for k, v in rep.Cn_fit.items()},
-                "max_violation": rep.max_violation, "passed": rep.passed,
-                "series": os.path.basename(series_path)},
-               os.path.join(out, "theta_decay.json"))
-    checks.emit(sys.stdout)
-    return checks.exit_code
+    return checks.finish(
+        {"gamma": config.gamma, "t_end": t_end, "K_fit": rep.K_fit,
+         "Cn_fit": {str(k): v for k, v in rep.Cn_fit.items()},
+         "max_violation": rep.max_violation,
+         "series": os.path.basename(series_path)},
+        os.path.join(out, "theta_decay.json"))
 
 
 def _cmd_liu(config: Config, out):
@@ -269,10 +283,8 @@ def _cmd_liu(config: Config, out):
     rep = theta.liu_vs_barenblatt(config.gamma, config.mass, t_end,
                                   rtol=config.rtol, atol=config.atol)
     series_path = os.path.join(out, "liu_deviation.csv")
-    with open_dest(series_path) as fh:
-        fh.write("t,deviation\n")
-        for t, d in zip(rep.times.tolist(), rep.deviation.tolist()):
-            fh.write(f"{t!r},{d!r}\n")
+    _write_csv(series_path, ("t", "deviation"),
+               zip(rep.times.tolist(), rep.deviation.tolist()))
     checks.record(
         "asymptotic-equivalence", rep.passed,
         f"last-decade slope {rep.slope:.3f} "
@@ -280,13 +292,11 @@ def _cmd_liu(config: Config, out):
         f"bound_fit={rep.bound_fit:.3e}")
     checks.record("mass-drift", rep.mass_drift <= 1e-6,
                   f"relative drift {rep.mass_drift:.2e} (budget 1e-06)")
-    _dump_json({"gamma": config.gamma, "t_end": t_end, "slope": rep.slope,
-                "bound_fit": rep.bound_fit, "mass_drift": rep.mass_drift,
-                "passed": not checks.failed,
-                "series": os.path.basename(series_path)},
-               os.path.join(out, "liu.json"))
-    checks.emit(sys.stdout)
-    return checks.exit_code
+    return checks.finish(
+        {"gamma": config.gamma, "t_end": t_end, "slope": rep.slope,
+         "bound_fit": rep.bound_fit, "mass_drift": rep.mass_drift,
+         "series": os.path.basename(series_path)},
+        os.path.join(out, "liu.json"))
 
 
 def _poly_displacement(grid, scale=0.05):
@@ -367,17 +377,14 @@ def _cmd_identities(config: Config, out):
     checks.record("flow-curl-identity", curl_def <= 1e-9,
                   f"curl of the identity map {curl_def:.2e} (budget 1e-09)")
 
-    _dump_json({"gamma": config.gamma,
-                "resolution": [config.resolution, config.n_mu, config.n_psi],
-                "det_defect": state.det_defect,
-                "expansion_defect": state.expansion_defect,
-                "piola": piola, "nabt": d1, "nab": d2,
-                "commutator": rep.max_commutator,
-                "flow_curl": curl_def,
-                "passed": not checks.failed},
-               os.path.join(out, "identities.json"))
-    checks.emit(sys.stdout)
-    return checks.exit_code
+    return checks.finish(
+        {"gamma": config.gamma,
+         "resolution": [config.resolution, config.n_mu, config.n_psi],
+         "det_defect": state.det_defect,
+         "expansion_defect": state.expansion_defect,
+         "piola": piola, "nabt": d1, "nab": d2,
+         "commutator": rep.max_commutator, "flow_curl": curl_def},
+        os.path.join(out, "identities.json"))
 
 
 def _cmd_hardy(config: Config, out):
@@ -398,7 +405,7 @@ def _cmd_hardy(config: Config, out):
 
         for k in (0.0, iota, iota + 1.0):
             rep = norms.hardy_check(f, k, delta, constant=ceiling)
-            rows.append((trial, k, rep.ratio, rep.passed))
+            rows.append((trial, k, rep.ratio, int(rep.passed)))
             all_ok = all_ok and rep.passed
             worst = max(worst, rep.ratio)
     checks.record(
@@ -425,19 +432,18 @@ def _cmd_hardy(config: Config, out):
         f"10 frequencies, max fractional/weighted ratio {emb_worst:.3f} "
         f"(ceiling 2.5)")
 
-    with open_dest(os.path.join(out, "hardy.csv")) as fh:
-        fh.write("trial,k,ratio,passed\n")
-        for trial, k, ratio, ok in rows:
-            fh.write(f"{trial},{k!r},{ratio!r},{int(ok)}\n")
-    _dump_json({"gamma": config.gamma, "seed": config.seed,
-                "hardy_max_ratio": worst, "hardy_ceiling": ceiling,
-                "embedding_max_ratio": emb_worst,
-                "embedding": [{"frequency": fq, "ratio": r}
-                              for fq, r in emb_rows],
-                "passed": not checks.failed},
-               os.path.join(out, "hardy.json"))
-    checks.emit(sys.stdout)
-    return checks.exit_code
+    _write_csv(os.path.join(out, "hardy.csv"),
+               ("trial", "k", "ratio", "passed"), rows)
+    return checks.finish(
+        {"gamma": config.gamma, "seed": config.seed,
+         "hardy_max_ratio": worst, "hardy_ceiling": ceiling,
+         "embedding_max_ratio": emb_worst,
+         "embedding": [{"frequency": fq, "ratio": r} for fq, r in emb_rows]},
+        os.path.join(out, "hardy.json"))
+
+
+def _triple(key):
+    return ",".join(str(v) for v in key)
 
 
 def _cmd_radial(config: Config, out):
@@ -445,10 +451,23 @@ def _cmd_radial(config: Config, out):
     run_cfg = _run_config(config)
     result = radial.run(run_cfg)
     series_path = os.path.join(out, "radial_trajectory.csv")
-    radial.result_to_csv(result, series_path)
+    _write_csv(
+        series_path,
+        ["t", "R"] + [f"E_{j}" for j in range(config.J_max + 1)]
+        + ["V_add", "stop_reason"],
+        ([t, radius, *map(float, rep.E_j), float(rep.V_add),
+          result.stop_reason]
+         for t, radius, rep in zip(result.times.tolist(),
+                                   result.radii.tolist(), result.reports)))
     if config.fmt == "json":
-        norms.energy_reports_to_json(
-            result.reports, os.path.join(out, "radial_reports.json"))
+        # EnergyReport's fields in order, each (m, n, l) written "m,n,l"
+        payload = [asdict(rep) for rep in result.reports]
+        for entry in payload:
+            for name in ("frakE", "frakD", "frakV"):
+                entry[name] = {_triple(k): v for k, v in entry[name].items()}
+            entry["truncated"] = [_triple(k) for k in entry["truncated"]]
+        _write(os.path.join(out, "radial_reports.json"),
+               json.dumps(payload, indent=2) + "\n")
 
     checks.record(
         "run-outcome", result.stop_reason == "completed",
@@ -482,31 +501,28 @@ def _cmd_radial(config: Config, out):
             fit_payload = {"exponent": fit.exponent, "stderr": fit.stderr,
                            "target": target, "window": list(fit.window),
                            "n_points": fit.n_points}
-    _dump_json({"gamma": config.gamma, "eps": config.eps,
-                "t_end": run_cfg.t_end, "resolution": config.resolution,
-                "truncation": {"m_max": config.m_max,
-                               "nl_max": config.nl_max},
-                "J_max": config.J_max,
-                "stop_reason": result.stop_reason,
-                "stop_time": result.final_state.time,
-                "steps": result.steps,
-                "dt_min": result.dt_min,
-                "dt_max": result.dt_max,
-                "sup_energy": result.sup_energy,
-                "mass_defect": mass_worst,
-                "v_add_max": vadd_worst,
-                "oracle_defect": result.oracle_defect,
-                "boundary_monotone": result.boundary_monotone,
-                "growth_fit": fit_payload,
-                "series": os.path.basename(series_path),
-                "passed": not checks.failed},
-               os.path.join(out, "radial_fit.json"))
     # wall-clock phases vary between reruns, so they stay out of radial_fit
     _dump_json({"setup_s": result.setup_s, "stepping_s": result.stepping_s,
                 "reporting_s": result.reporting_s},
                os.path.join(out, "radial_timing.json"))
-    checks.emit(sys.stdout)
-    return checks.exit_code
+    return checks.finish(
+        {"gamma": config.gamma, "eps": config.eps,
+         "t_end": run_cfg.t_end, "resolution": config.resolution,
+         "truncation": {"m_max": config.m_max, "nl_max": config.nl_max},
+         "J_max": config.J_max,
+         "stop_reason": result.stop_reason,
+         "stop_time": result.final_state.time,
+         "steps": result.steps,
+         "dt_min": result.dt_min,
+         "dt_max": result.dt_max,
+         "sup_energy": result.sup_energy,
+         "mass_defect": mass_worst,
+         "v_add_max": vadd_worst,
+         "oracle_defect": result.oracle_defect,
+         "boundary_monotone": result.boundary_monotone,
+         "growth_fit": fit_payload,
+         "series": os.path.basename(series_path)},
+        os.path.join(out, "radial_fit.json"))
 
 
 def _cmd_report(config: Config, out):

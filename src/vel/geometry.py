@@ -285,10 +285,6 @@ class ScalarField:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _conforming(self.values, self.grid, None))
 
-    @classmethod
-    def sample(cls, grid: BallGrid, fn) -> "ScalarField":
-        return cls(grid, np.asarray(fn(grid.y), dtype=float))
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -297,10 +293,6 @@ class VectorField:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _conforming(self.values, self.grid, 3))
-
-    @classmethod
-    def sample(cls, grid: BallGrid, fn) -> "VectorField":
-        return cls(grid, np.asarray(fn(grid.y), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -602,10 +594,6 @@ def commutator_defect(
     na, nb = sum(alpha), sum(beta)
     if na + nb > 4:
         raise ValueError("total derivative order is capped at 4")
-
-    if nb == 0:
-        return CommutatorReport(
-            alpha=alpha, beta=beta, max_commutator=0.0, C_fit=0.0)
 
     d_first = _apply_multi(f, alpha, spatial_derivative)
     left = _apply_multi(d_first, beta, angular_derivative)

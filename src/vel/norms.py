@@ -13,14 +13,12 @@ returning a VectorField works.  CallableTrajectory wraps analytic
 families; the radial solver provides its own adapter.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._io import open_dest
 from .geometry import (
     _EPS,
     _adjugate_rows,
@@ -75,13 +73,13 @@ def _fd_derivative(f, r, lo, hi, h):
             - f(r + 2 * h)) / (12.0 * h)
 
 
-def hardy_check(f, k: float, delta: float, fprime=None,
+def hardy_check(f, k: float, delta: float,
                 constant: float | None = None) -> HardyReport:
     """Compare the r^k mass of f^2 on (0, delta) against the r^(k+2)
     integral of f^2 + f'^2.
 
-    f (and fprime when given) are callables of the radius.  Without
-    fprime the derivative is formed by 4th order finite differences.
+    f is a callable of the radius; f' is formed by 4th order finite
+    differences.
     With constant=None the check passes whenever the ratio is finite;
     otherwise it passes iff ratio <= constant.
     """
@@ -91,9 +89,8 @@ def hardy_check(f, k: float, delta: float, fprime=None,
         raise ValueError(f"interval length must be positive, got {delta}")
     from scipy.integrate import quad  # here only: 0.25 s and 20 MB to import
 
-    if fprime is None:
-        h = 1e-4 * delta
-        fprime = lambda r: _fd_derivative(f, r, 0.0, delta, h)
+    h = 1e-4 * delta
+    fprime = lambda r: _fd_derivative(f, r, 0.0, delta, h)
     lhs = quad(lambda r: r**k * f(r) ** 2, 0.0, delta, limit=200)[0]
     rhs = quad(lambda r: r ** (k + 2) * (f(r) ** 2 + fprime(r) ** 2),
                0.0, delta, limit=200)[0]
@@ -854,37 +851,3 @@ def zeroth_energy_balance(gamma: float, times, kinetic, potential,
         gamma=gamma, times=times[inner].copy(), defect=defect,
         max_defect=float(np.abs(defect).max()) if defect.size else 0.0,
     )
-
-
-# ---------------------------------------------------------------------------
-# report serialization
-
-
-def energy_reports_to_json(reports, dest) -> None:
-    """JSON list, one object per sample, decompositions keyed "m,n,l"."""
-
-    def key(tpl):
-        return ",".join(str(v) for v in tpl)
-
-    payload = []
-    for r in reports:
-        payload.append({
-            "t": r.t,
-            "gamma": r.gamma,
-            "J_max": r.J_max,
-            "truncation": {"m_max": r.truncation.m_max,
-                           "nl_max": r.truncation.nl_max},
-            "E_j": list(r.E_j),
-            "E_total": r.E_total,
-            "frakE": {key(k): v for k, v in r.frakE.items()},
-            "frakD": {key(k): v for k, v in r.frakD.items()},
-            "frakV": {key(k): v for k, v in r.frakV.items()},
-            "V_add": r.V_add,
-            "scriptV": list(r.scriptV),
-            "M0_integral": r.M0_integral,
-            "curl_l2": r.curl_l2,
-            "truncated": [key(k) for k in r.truncated],
-        })
-    with open_dest(dest) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.blas import dgbmv
 
-from ._io import open_dest
 from .geometry import BallGrid, VectorField, check_grid_shape, deformation
 from .norms import (CallableTrajectory, SeparatedFields, Truncation,
                     energy_functionals, radial_energy_functionals,
@@ -752,7 +751,7 @@ def run(config: RunConfig) -> RunResult:
 
 
 # ---------------------------------------------------------------------------
-# growth-rate fit and serialization
+# growth-rate fit
 
 
 @dataclass(frozen=True)
@@ -798,19 +797,3 @@ def fit_growth(times, radii) -> GrowthFit:
         stderr = 0.0
     return GrowthFit(exponent=float(coef[0]), stderr=stderr,
                      window=(float(cut - 1.0), float(t.max())), n_points=m)
-
-
-def result_to_csv(result: RunResult, dest) -> None:
-    """One row per record: t, R, the retained energies, the additional
-    curl norm, and the stop reason."""
-    j_max = result.config.J_max
-    cols = ["t", "R"] + [f"E_{j}" for j in range(j_max + 1)] + ["V_add",
-                                                                "stop_reason"]
-    with open_dest(dest) as fh:
-        fh.write(",".join(cols) + "\n")
-        for t, radius, rep in zip(result.times, result.radii, result.reports):
-            row = [repr(float(t)), repr(float(radius))]
-            row += [repr(float(e)) for e in rep.E_j]
-            row.append(repr(float(rep.V_add)))
-            row.append(result.stop_reason)
-            fh.write(",".join(row) + "\n")

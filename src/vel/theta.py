@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._io import open_dest
 from .params import BarenblattConstants, GasParams, derive_constants, moment_integral
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "barenblatt_path",
     "liu_integrate",
     "liu_vs_barenblatt",
-    "write_csv",
 ]
 
 # Margin below which a constant-1 bound still counts as holding (rounding slack).
@@ -58,8 +56,7 @@ class ThetaPath:
     """Sampled correction path on a monotone time grid.
 
     theta = nu + h pointwise; theta_tt is evaluated from the evolution law,
-    not by differencing the samples. err_est is the integrator's accuracy
-    scale at the final time (rtol * |theta| + atol).
+    not by differencing the samples.
     """
 
     gamma: float
@@ -69,7 +66,6 @@ class ThetaPath:
     theta: np.ndarray
     theta_t: np.ndarray
     theta_tt: np.ndarray
-    err_est: float
 
     def __post_init__(self) -> None:
         if not self.gamma > 1.0:
@@ -495,7 +491,6 @@ def integrate_h(
     nu_tt = nu(gamma, times, 2)
     h_tt = -h_t + c * (theta**q - base**q) - nu_tt
     theta_tt = nu_tt + h_tt
-    err_est = rtol * float(np.max(np.abs(theta))) + atol
     return ThetaPath(
         gamma=gamma,
         times=times,
@@ -504,29 +499,25 @@ def integrate_h(
         theta=theta,
         theta_t=theta_t,
         theta_tt=theta_tt,
-        err_est=err_est,
     )
 
 
 def theta_derivative(path: ThetaPath, order: int) -> np.ndarray:
     """d^k theta / dt^k on the path grid, by substituting the evolution law.
 
-    Orders 0..3 are supported; substitution avoids differencing noise. Order 3
-    differentiates theta_tt = -theta_t + c theta^{2-3g} once more.
+    Orders 0..3 are supported; substitution avoids differencing noise. Order 2
+    is the path's own theta_tt; order 3 differentiates
+    theta_tt = -theta_t + c theta^{2-3g} once more.
     """
     _check_order(order)
     if order > 3:
         raise ValueError("derivative order above 3 is not supported")
+    series = (path.theta, path.theta_t, path.theta_tt)
+    if order < 3:
+        return np.asarray(series[order])
     g = path.gamma
-    if order == 0:
-        return np.asarray(path.theta)
-    if order == 1:
-        return np.asarray(path.theta_t)
-    theta_tt = theta_acceleration(g, path.theta, path.theta_t)
-    if order == 2:
-        return theta_tt
     c, q = 1.0 / (3.0 * g - 1.0), 2.0 - 3.0 * g
-    return -theta_tt + c * q * path.theta ** (q - 1.0) * path.theta_t
+    return -path.theta_tt + c * q * path.theta ** (q - 1.0) * path.theta_t
 
 
 def verify_decay(path: ThetaPath, n: int = 2) -> DecayReport:
@@ -651,12 +642,3 @@ def liu_vs_barenblatt(
         mass_drift=mass_drift,
         passed=passed,
     )
-
-
-def write_csv(path: ThetaPath, dest) -> None:
-    """Write the path as CSV with columns t, h, h_t, theta, theta_t, theta_tt."""
-    with open_dest(dest) as fh:
-        fh.write("t,h,h_t,theta,theta_t,theta_tt\n")
-        cols = (path.times, path.h, path.h_t, path.theta, path.theta_t, path.theta_tt)
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

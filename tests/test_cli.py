@@ -21,6 +21,14 @@ SMALL_RADIAL = {
 }
 
 
+# every file `vel report` writes
+REPORT_FILES = (
+    "constants.json", "barenblatt_check.json", "theta_path.csv",
+    "theta_decay.json", "liu_deviation.csv", "liu.json", "identities.json",
+    "hardy.csv", "hardy.json", "report.json",
+)
+
+
 def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
@@ -482,11 +490,19 @@ class TestOutputHandling:
     # the radial run ends before the growth law is asymptotic, so its
     # 5% boundary-growth gate fails (exit 1); the files must still repeat
     @pytest.mark.parametrize("args,config,expected_code,outputs", [
+        (["constants"], None, 0, ("constants.json",)),
+        (["barenblatt-check"], None, 0, ("barenblatt_check.json",)),
         (["theta", "--gamma", "2", "--t-end", "100"], None, 0,
          ("theta_path.csv", "theta_decay.json")),
+        (["liu", "--t-end", "1e4"], None, 0,
+         ("liu_deviation.csv", "liu.json")),
+        (["identities"], None, 0, ("identities.json",)),
+        (["hardy"], None, 0, ("hardy.csv", "hardy.json")),
         (["radial", "--eps", "1e-3", "--t-end", "10"], SMALL_RADIAL, 1,
          ("radial_trajectory.csv", "radial_fit.json")),
-    ], ids=["theta", "radial"])
+        (["report"], None, 0, REPORT_FILES),
+    ], ids=["constants", "barenblatt-check", "theta", "liu", "identities",
+            "hardy", "radial", "report"])
     def test_byte_identical_reruns(self, capsys, tmp_path, args, config,
                                    expected_code, outputs):
         if config is not None:
@@ -499,6 +515,27 @@ class TestOutputHandling:
             first = (dirs[0] / name).read_bytes()
             second = (dirs[1] / name).read_bytes()
             assert first == second
+
+    def test_artifact_format(self, capsys, tmp_path):
+        # every file of every subcommand: `report` writes the six suites'
+        # files, `radial --format json` the radial ones
+        config = write_config(tmp_path, SMALL_RADIAL)
+        out = tmp_path / "out"
+        assert run_cli(["report", "--out", str(out)], capsys)[0] == 0
+        run_cli(["radial", "--config", config, "--eps", "1e-3", "--t-end",
+                 "10", "--format", "json", "--out", str(out)], capsys)
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(REPORT_FILES + (
+            "radial_trajectory.csv", "radial_fit.json", "radial_reports.json",
+            "radial_timing.json"))
+        for name in names:
+            text = (out / name).read_text(encoding="utf-8")
+            assert text.endswith("\n"), name
+            assert "np." not in text, name
+            if name.endswith(".csv"):
+                rows = [line.split(",") for line in text.splitlines()]
+                assert len(rows) > 1, name
+                assert {len(row) for row in rows} == {len(rows[0])}, name
 
     def test_seeded_suites_deterministic(self, capsys, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]

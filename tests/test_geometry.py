@@ -100,11 +100,6 @@ class TestFields:
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 1.0
 
-    def test_sample(self):
-        grid = make_grid()
-        f = geo.ScalarField.sample(grid, lambda y: y[0] + y[1])
-        assert_allclose(f.values, grid.y[0] + grid.y[1])
-
 
 class TestGradient:
     @pytest.mark.parametrize("scheme", SCHEMES)

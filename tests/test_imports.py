@@ -51,6 +51,33 @@ def test_module_imports_are_used(path):
     assert _unused_imports(path) == []
 
 
+def _writes_or_serializes(path):
+    """Lines of path that call open or import json."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name == "open":
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "json" for a in node.names):
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "json":
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "cli.py"],
+    ids=lambda p: p.name)
+def test_only_the_cli_writes_artifacts(path):
+    # the artifact format (UTF-8, untranslated newlines, repr floats, the
+    # JSON layout) has one home: cli.py
+    assert _writes_or_serializes(path) == []
+
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # only vel hardy integrates with quad; every other command would pay

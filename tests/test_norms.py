@@ -1,7 +1,6 @@
 """Tests for weighted norms, inequality checks, and energy functionals."""
 
 import dataclasses
-import io
 import json
 import math
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vel import norms
+from vel import cli, norms, radial
 from vel.geometry import (_EPS, BallGrid, DegenerateDeformationError,
                           ScalarField, VectorField, deformation, flow_ops)
 from vel.params import GasParams, derive_constants
@@ -90,8 +89,7 @@ class TestHardy:
         assert rep.passed
 
     def test_linear_profile(self):
-        rep = norms.hardy_check(lambda r: 1.0 - r, 0.0, 1.0,
-                                fprime=lambda r: -1.0)
+        rep = norms.hardy_check(lambda r: 1.0 - r, 0.0, 1.0)
         assert_allclose(rep.lhs, 1.0 / 3.0, rtol=1e-10)
         assert_allclose(rep.rhs, 11.0 / 30.0, rtol=1e-10)
         assert_allclose(rep.ratio, 10.0 / 11.0, rtol=1e-10)
@@ -117,8 +115,7 @@ class TestHardy:
         for _ in range(20):
             a, b, c, d = rng.normal(size=4)
             f = lambda r: a * math.cos(b * r) + c * r**2 + d
-            fp = lambda r: -a * b * math.sin(b * r) + 2.0 * c * r
-            rep = norms.hardy_check(f, k, GRID.r0, fprime=fp)
+            rep = norms.hardy_check(f, k, GRID.r0)
             assert rep.passed
             worst = max(worst, rep.ratio)
         assert math.isfinite(worst)
@@ -776,16 +773,22 @@ class TestZerothBalance:
 
 
 class TestReportSerialization:
-    def make_reports(self):
-        traj = dilation_trajectory(GRID)
-        return [norms.energy_functionals(traj, t, 2.0) for t in (0.0, 0.5)]
-
-    def test_json(self):
-        reports = self.make_reports()
-        buf = io.StringIO()
-        norms.energy_reports_to_json(reports, buf)
-        payload = json.loads(buf.getvalue())
-        assert len(payload) == 2
+    def test_json(self, tmp_path):
+        # the reports `vel radial --format json` writes on a light grid: the
+        # initial state and two records
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "grid": {"resolution": 32, "n_mu": 4, "n_psi": 4},
+            "ode": {"t_end": 1.0},
+            "output": {"records": 2, "directory": str(tmp_path),
+                       "format": "json"},
+        }), encoding="utf-8")
+        cli.main(["radial", "--config", str(config)])
+        reports = radial.run(
+            cli._run_config(cli.parse_config(str(config)))).reports
+        payload = json.loads(
+            (tmp_path / "radial_reports.json").read_text(encoding="utf-8"))
+        assert len(payload) == len(reports) == 3
         entry = payload[0]
         assert entry["truncation"] == {"m_max": 2, "nl_max": 2}
         assert "0,0,0" in entry["frakE"]

@@ -1,7 +1,7 @@
 """Radial solver: operator identities, stepping, runs, and growth fits."""
 
 import dataclasses
-import io
+import json
 import math
 import time
 
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from vel import norms
+from vel import cli, norms
 from vel import radial as radial_module
 from vel.geometry import BallGrid, DegenerateDeformationError
 from vel.norms import Truncation, zeroth_energy_balance
@@ -17,7 +17,7 @@ from vel.params import GasParams, derive_constants
 from vel.radial import (DegenerateProfileError, GrowthFit, OracleReport,
                         RadialSolver, RadialState, RunConfig, _build_sbp,
                         embedded_flux_divergence, fit_growth, profile_family,
-                        reduce_equation, result_to_csv, run)
+                        reduce_equation, run)
 from vel.theta import theta_acceleration
 
 GAMMA = 2.0
@@ -1132,14 +1132,20 @@ class TestGrowthFit:
 
 
 class TestSerialization:
-    def test_csv_layout(self):
-        cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=1.0,
-                        amplitude=1e-4, records=3, J_max=1,
-                        report_angles=(4, 4))
-        res = run(cfg)
-        buf = io.StringIO()
-        result_to_csv(res, buf)
-        lines = buf.getvalue().strip().split("\n")
+    def test_csv_layout(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "gas": {"gamma": GAMMA},
+            "grid": {"resolution": 32, "n_mu": 4, "n_psi": 4},
+            "ode": {"t_end": 1.0},
+            "solver": {"eps": 1e-4},
+            "norms": {"J_max": 1},
+            "output": {"records": 3, "directory": str(tmp_path)},
+        }), encoding="utf-8")
+        cli.main(["radial", "--config", str(config)])
+        res = run(cli._run_config(cli.parse_config(str(config))))
+        text = (tmp_path / "radial_trajectory.csv").read_text(encoding="utf-8")
+        lines = text.strip().split("\n")
         assert lines[0] == "t,R,E_0,E_1,V_add,stop_reason"
         assert len(lines) == res.times.size + 1
         first = lines[1].split(",")
