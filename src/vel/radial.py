@@ -17,7 +17,7 @@ scaling factor theta co-integrated by the same integrator.
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
@@ -70,58 +70,66 @@ _V_END = np.array([315.0, -420.0, 378.0, -180.0, 35.0]) / 128.0
 _BAND = _W_CORNER.size - 1
 
 
+def _band_rows(n: int) -> np.ndarray:
+    """Row index i of each slot of band storage ab[_BAND + i - j, j]."""
+    return np.arange(n) + np.arange(-_BAND, _BAND + 1)[:, None]
+
+
+def _band_T(ab: np.ndarray) -> np.ndarray:
+    """The transpose in band storage, abT[_BAND + d, j] = ab[_BAND - d, j + d];
+    the slots outside the matrix hold zeros, so the wrapped reads are 0."""
+    return np.take_along_axis(ab[::-1], _band_rows(ab.shape[1]) % ab.shape[1], 1)
+
+
+def _from_band(ab: np.ndarray) -> np.ndarray:
+    """The dense square matrix held in band storage."""
+    n = ab.shape[1]
+    return sum(np.diag(ab[_BAND - k, max(k, 0):n + min(k, 0)], k)
+               for k in range(-_BAND, _BAND + 1))
+
+
 @lru_cache(maxsize=32)
 def _build_sbp(n: int, h: float):
     """Reflection-symmetric derivative/weight pair on the midpoint grid.
 
-    Returns (D, H, v0, vL) with H D = E/2 + S, E = -v0 v0^T + vL vL^T and S
+    Returns (D, H), D in LAPACK band storage ab[_BAND + i - j, j] (O(n)
+    memory), with H D = E/2 + S, E = -v0 v0^T + vL vL^T for the end
+    extrapolations v0 = (_V_END, 0, ...), vL = v0 reversed, and S
     antisymmetric, so the summation-by-parts identity H D + D^T H = E holds
-    by construction; v0, vL extrapolate to the two interval ends.  S is the
-    fourth-order central stencil (2/3, -1/12) with a tabulated 6x6 corner
-    at each end, the right one the reflection of the left.  H is h in the
-    interior and h times six positive rationals at each end.  Boundary
-    derivative rows are exact to degree 2 and the weights match moments to
-    degree 3.
+    by construction.  S is the fourth-order central stencil (2/3, -1/12)
+    with a tabulated 6x6 corner at each end, the right one the reflection
+    of the left.  H is h in the interior and h times six positive rationals
+    at each end.  Boundary derivative rows are exact to degree 2 and the
+    weights match moments to degree 3.
     """
     if n < 24:
         raise ValueError(f"need at least 24 cells, got {n}")
-    nb = _W_CORNER.size
-    v0 = np.zeros(n)
-    v0[:_V_END.size] = _V_END
-    vL = v0[::-1].copy()
-    E = -np.outer(v0, v0) + np.outer(vL, vL)
-    S = np.zeros((n, n))
+    nb, m = _W_CORNER.size, _V_END.size
+    S = np.zeros((2 * _BAND + 1, n))
     for k, c in ((1, 2.0 / 3.0), (2, -1.0 / 12.0)):
-        i = np.arange(n - k)
-        S[i, i + k] = c
-        S[i + k, i] = -c
+        S[_BAND - k, k:] = c
+        S[_BAND + k, :-k] = -c
     corner = np.zeros((nb, nb))
     corner[np.triu_indices(nb, 1)] = _S_UPPER
     corner -= corner.T
-    S[:nb, :nb] = corner
-    S[-nb:, -nb:] = -corner[::-1, ::-1]
+    i, j = np.indices((nb, nb))
+    S[_BAND + i - j, j] = corner
+    S[_BAND + i - j, n - nb + j] = -corner[::-1, ::-1]
+    E = np.zeros_like(S)
+    i, j = np.indices((m, m))
+    E[_BAND + i - j, j] = -np.outer(_V_END, _V_END)
+    E[_BAND + i - j, n - m + j] = np.outer(_V_END[::-1], _V_END[::-1])
     H = np.full(n, h)
     H[:nb] = _W_CORNER * h
     H[-nb:] = H[nb - 1::-1]
-    D = (0.5 * E + S) / H[:, None]
-    HD = H[:, None] * D
-    if np.abs(HD + HD.T - E).max() > 1e-10:
+    Hi = H[_band_rows(n).clip(0, n - 1)]
+    D = (0.5 * E + S) / Hi
+    HD = Hi * D
+    if np.abs(HD + _band_T(HD) - E).max() > 1e-10:
         raise RuntimeError("summation-by-parts identity violated")
-    for arr in (D, H, v0, vL):
+    for arr in (D, H):
         arr.setflags(write=False)
-    return D, H, v0, vL
-
-
-def _to_band(A: np.ndarray) -> np.ndarray:
-    """Fortran-ordered LAPACK band storage ab[_BAND + i - j, j] = A[i, j] of
-    the square A; RuntimeError if A has a nonzero outside the band."""
-    n = A.shape[0]
-    ab = np.zeros((2 * _BAND + 1, n), order="F")
-    for k in range(-_BAND, _BAND + 1):
-        ab[_BAND - k, max(k, 0):n + min(k, 0)] = np.diagonal(A, k)
-    if np.count_nonzero(A) > np.count_nonzero(ab):  # ab holds each once
-        raise RuntimeError(f"operator has nonzeros outside |i - j| <= {_BAND}")
-    return ab
+    return D, H
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +258,14 @@ class RadialSolver:
         self.h = c.r0 / self.n
         self.s = (np.arange(self.n) + 0.5) * self.h
         # D acts on the grid extended oddly through the center; Dh folds it
-        # onto the physical nodes: (D @ [-F[::-1], F])[n:] = Dh @ F and,
-        # for even v, (D.T @ [v[::-1], v])[n:] = Dh.T @ v
+        # onto the physical nodes, Dh[i, j] = D[n + i, n + j] - D[n + i,
+        # n - 1 - j], whose ghost column is in the band only for i + j < _BAND
         n = self.n
-        self.D, H, _, self._vL = _build_sbp(2 * n, self.h)
-        Dh = self.D[n:, n:] - self.D[n:, n - 1::-1]
+        D, H = _build_sbp(2 * n, self.h)
+        rows = _band_rows(n)
+        Dh = np.where(rows >= 0, D[:, n:], 0.0)
+        for j in range(_BAND):
+            Dh[_BAND - j:2 * (_BAND - j), j] -= D[_BAND + j + 1:, n - 1 - j]
         self.H = H[n:]
         self.sigma = c.a_bar - c.b_bar * self.s**2
         self.w_u = self.H * 4.0 * np.pi * self.s**2 * self.sigma ** (c.iota + 1.0)
@@ -269,15 +280,23 @@ class RadialSolver:
         # are kept only in band storage
         self._inv_s = 1.0 / self.s
         self._A2 = 2.0 * self.w_u / (self.s * self.w_kin)
-        self._Dh = _to_band(Dh)
-        self._G = _to_band(Dh.T * self.w_u / self.w_kin[:, None])
+        self._Dh = np.asfortranarray(Dh)
+        self._G = np.asfortranarray(
+            _band_T(Dh) * self.w_u / self.w_kin[rows.clip(0, n - 1)])
         for arr in (self.s, self.sigma, self.w_u, self.w_kin, self._inv_s,
                     self._A2, self._Dh, self._G):
             arr.setflags(write=False)
 
+    @cached_property
+    def D(self) -> np.ndarray:
+        """The dense 2n x 2n D of _build_sbp, made on demand.  No solver path
+        reads it, only the benchmark's SBP matvec probe; ROADMAP item 1
+        deletes it when that probe is retargeted."""
+        return _from_band(_build_sbp(2 * self.n, self.h)[0])
+
     def boundary_value(self, f: np.ndarray) -> float:
         """Profile value extrapolated to the rim s = r0."""
-        return float(np.dot(self._vL[-5:], np.asarray(f)[-5:]))
+        return float(np.dot(_V_END[::-1], np.asarray(f)[-_V_END.size:]))
 
     # -- discrete energy and its gradient
 

@@ -95,8 +95,11 @@ class TestHardy:
         assert_allclose(rep.ratio, 10.0 / 11.0, rtol=1e-10)
 
     def test_numeric_derivative_matches_exact(self):
-        with_fd = norms.hardy_check(lambda r: 1.0 - r, 0.0, 1.0)
-        assert_allclose(with_fd.ratio, 10.0 / 11.0, rtol=1e-9)
+        # f = e^r is not a polynomial, so the finite-difference f' is not
+        # exact; in closed form lhs = rhs = (e^2 - 1)/2
+        rep = norms.hardy_check(math.exp, 0.0, 1.0)
+        assert_allclose([rep.lhs, rep.rhs], 0.5 * math.expm1(2.0), rtol=1e-10)
+        assert_allclose(rep.ratio, 1.0, rtol=1e-10)
 
     def test_boundary_spike(self):
         rep = norms.hardy_check(

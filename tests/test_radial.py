@@ -1,9 +1,11 @@
 """Radial solver: operator identities, stepping, runs, and growth fits."""
 
 import dataclasses
+import functools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,10 +44,18 @@ SBP_WEIGHTS = [1633 / 1536, 3677 / 3840, 3677 / 3840, 1841 / 1920, 8489 / 7680,
                3677 / 3840]
 
 
+def dense_sbp(n, h):
+    """(D, H, v0, vL): the band D densified, with the end extrapolations."""
+    band, H = _build_sbp(n, h)
+    v0 = np.zeros(n)
+    v0[:5] = radial_module._V_END
+    return radial_module._from_band(band), H, v0, v0[::-1].copy()
+
+
 class TestSbpOperator:
     def test_identity_exact(self):
         for n, h in [(64, 0.02)] + SBP_SIZES:
-            D, H, v0, vL = _build_sbp(n, h)
+            D, H, v0, vL = dense_sbp(n, h)
             E = -np.outer(v0, v0) + np.outer(vL, vL)
             HD = H[:, None] * D
             defect = np.abs(HD + HD.T - E).max()
@@ -53,7 +63,7 @@ class TestSbpOperator:
 
     def test_weights_positive_uniform_interior(self):
         n, h = 96, 0.01
-        _, H, _, _ = _build_sbp(n, h)
+        _, H, _, _ = dense_sbp(n, h)
         assert H.min() > 0.0
         assert_allclose(H[6:-6], h, rtol=0, atol=1e-15)
         assert abs(H.min() / h - 0.957552) < 1e-4
@@ -65,7 +75,7 @@ class TestSbpOperator:
     def test_closure_bit_stable(self):
         blocks, weights = [], []
         for n, h in SBP_SIZES:
-            D, H, _, _ = _build_sbp(n, h)
+            D, H, _, _ = dense_sbp(n, h)
             blocks.append(h * D[:6, :12])
             weights.append(H[:6] / h)
         for block, w in zip(blocks[1:], weights[1:]):
@@ -76,7 +86,7 @@ class TestSbpOperator:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_low_degree_exact(self, k):
         for n, h in [(48, 0.03)] + SBP_SIZES:
-            D, _, _, _ = _build_sbp(n, h)
+            D, _, _, _ = dense_sbp(n, h)
             s = (np.arange(n) + 0.5) * h
             expect = k * s ** (k - 1) if k else np.zeros(n)
             scale = max(np.abs(expect).max(), 1.0)
@@ -86,20 +96,20 @@ class TestSbpOperator:
         errs = []
         for n in (64, 128):
             h = 1.0 / n
-            D, _, _, _ = _build_sbp(n, h)
+            D, _, _, _ = dense_sbp(n, h)
             s = (np.arange(n) + 0.5) * h
             err = np.abs(D @ np.sin(3.0 * s) - 3.0 * np.cos(3.0 * s))
             errs.append(err[6:-6].max())
         assert errs[0] / errs[1] > 13.0
 
     def test_reflection_antisymmetry(self):
-        D, H, _, _ = _build_sbp(32, 0.05)
+        D, H, _, _ = dense_sbp(32, 0.05)
         assert_allclose(D, -D[::-1, ::-1], rtol=0, atol=1e-13)
         assert_allclose(H, H[::-1], rtol=0, atol=0)
 
     def test_endpoint_extrapolation(self):
         n, h = 40, 0.025
-        _, _, v0, vL = _build_sbp(n, h)
+        _, _, v0, vL = dense_sbp(n, h)
         s = (np.arange(n) + 0.5) * h
         for coef in ((1.0, 0.0, 0.0), (0.3, -1.2, 2.0)):
             vals = coef[0] + coef[1] * s + coef[2] * s * s
@@ -141,11 +151,22 @@ class TestSolverSetup:
 
     @pytest.mark.parametrize("n", [16, 24, 48, 256, 512])
     def test_band_operators(self, n):
-        # the band products against the dense fold of the full-grid D:
-        # Dh F = (D @ odd F)[n:] and G v = Dh^T (w_u v) / w_kin
+        # the bands equal the diagonals of the dense fold of the full-grid
+        # D and of its weighted transpose, float for float; the band
+        # products match Dh F = (D @ odd F)[n:] and G v = Dh^T (w_u v) / w_kin
         solver = RadialSolver(GAMMA, resolution=n)
         D = solver.D
         Dh = D[n:, n:] - D[n:, n - 1::-1]
+
+        def diagonals(A):
+            ab = np.zeros((11, n))
+            for k in range(-5, 6):
+                ab[5 - k, max(k, 0):n + min(k, 0)] = np.diagonal(A, k)
+            return ab
+
+        assert_array_equal(solver._Dh, diagonals(Dh))
+        assert_array_equal(
+            solver._G, diagonals(Dh.T * solver.w_u / solver.w_kin[:, None]))
         rng = np.random.default_rng(n)
         F, v = rng.standard_normal((2, n))
 
@@ -155,23 +176,26 @@ class TestSolverSetup:
         close(solver._apply_Dh(F), (D @ np.concatenate([-F[::-1], F]))[n:])
         close(solver._apply_G(v), (Dh.T @ (solver.w_u * v)) / solver.w_kin)
 
-    def test_band_rejects_out_of_band_entry(self):
-        solver = RadialSolver(GAMMA, resolution=48)
-        n = solver.n
-        Dh = solver.D[n:, n:] - solver.D[n:, n - 1::-1]
-        assert_array_equal(radial_module._to_band(Dh), solver._Dh)
-        Dh[30, 24] = 1e-300  # |i - j| = 6
-        with pytest.raises(RuntimeError, match="outside"):
-            radial_module._to_band(Dh)
-
     @pytest.mark.parametrize("n", [16, 256])
     def test_memory_linear_in_cells(self, n):
-        # besides the full-grid D, no array grows faster than the band
+        # no array grows faster than the band; the dense D is only made
+        # on demand
         solver = RadialSolver(GAMMA, resolution=n)
         sizes = {name: val.size for name, val in vars(solver).items()
-                 if isinstance(val, np.ndarray) and name != "D"}
-        assert "_G" in sizes
+                 if isinstance(val, np.ndarray)}
+        assert "_G" in sizes and "D" not in vars(solver)
         assert max(sizes.values()) <= 11 * n, sizes
+
+    def test_cold_build_memory(self):
+        # a dense 2n x 2n build would peak near 192 MB at 1024 cells
+        _build_sbp.cache_clear()
+        tracemalloc.start()
+        try:
+            RadialSolver(GAMMA, resolution=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6, peak
 
     def test_default_theta_context(self):
         solver = RadialSolver(GAMMA, resolution=16)
@@ -332,7 +356,7 @@ class _FullGridReference:
     def __init__(self, solver):
         c = solver.constants
         self.gamma = solver.gamma
-        self.D, H, _, _ = _build_sbp(2 * solver.n, solver.h)
+        self.D, H, _, _ = dense_sbp(2 * solver.n, solver.h)
         self.s = np.concatenate([-solver.s[::-1], solver.s])
         sig = c.a_bar - c.b_bar * self.s**2
         self.w_u = H * 4.0 * np.pi * self.s**2 * sig ** (c.iota + 1.0)
@@ -660,6 +684,34 @@ class TestDampingBound:
         assert res.stop_reason == "completed"
         assert res.dt_max == pytest.approx(radial_module.DAMPING_BOUND,
                                            rel=1e-3)
+
+
+@functools.cache
+def early_energy(cfl):
+    """E_total at t = 1 of a gamma = 2, 64-cell run at this cfl."""
+    cfg = RunConfig(gamma=GAMMA, resolution=64, t_end=1.0, records=6, cfl=cfl)
+    return run(cfg).energy_total()[-1]
+
+
+class TestEarlyEnergyTimeConvergence:
+    """The early-record energies against a cfl 0.075 reference (7.1416e-6).
+    The J_max = 2 energies at t = 1 are dominated by grid-scale modes with
+    w dt up to 4.53 cfl, which RK4 damps by |R(i w dt)| per step (0.966
+    at cfl 0.3); the fitted growth exponent moves only near 1e-12."""
+
+    def test_half_default_cfl_converged(self):
+        # 7.2189e-6, +1.1%
+        assert early_energy(0.15) == pytest.approx(early_energy(0.075),
+                                                   rel=0.05)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "E_total at t = 1 reads 5.0238e-6 at the default cfl 0.3, -29.7% "
+        "from cfl 0.075: RK4's amplitude factor |R(i w dt)| = 0.966 at "
+        "w dt = 4.53 x 0.3 damps the grid-scale modes that dominate the "
+        "J_max = 2 energies"))
+    def test_default_cfl_converged(self):
+        assert early_energy(RunConfig.cfl) == pytest.approx(
+            early_energy(0.075), rel=0.05)
 
 
 # ---------------------------------------------------------------------------
