@@ -78,6 +78,17 @@ def _legendre_diffmat(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return D
 
 
+def _fourier_diffmat(n: int) -> np.ndarray:
+    """Spectral derivative on n (even) uniform nodes of the circle, D[j, k] =
+    (-1)^(j-k) cot((j-k) pi/n) / 2 (Trefethen, Spectral Methods in MATLAB,
+    SIAM 2000, ch. 3); the lag-n/2 entries, cot(pi/2), are exactly 0."""
+    lag = np.arange(n)[:, None] - np.arange(n)[None, :]
+    D = np.zeros((n, n))
+    live = lag % (n // 2) != 0
+    D[live] = 0.5 * (-1.0) ** lag[live] / np.tan(lag[live] * np.pi / n)
+    return D
+
+
 def _gregory_midpoint_weights(n: int, h: float) -> np.ndarray:
     """Midpoint-rule weights with end corrections matching moments 0..4."""
     w = np.full(n, h)
@@ -116,7 +127,9 @@ class BallGrid:
     differentiates by global collocation; 'midpoint' places cell midpoints
     and differentiates with 4th-order finite differences, closing the center
     end with antipodal ghost values and the outer end with one-sided rows.
-    Angular derivatives are collocation in mu and Fourier in psi either way.
+    Angular derivatives are two small real matrices either way: Fourier
+    collocation in psi, and in mu the collocation derivative applied to the
+    psi-modes even and odd under the half-period roll.
     All nodes stay strictly inside (0, r0), so sigma > 0 and s > 0 everywhere.
     """
 
@@ -149,13 +162,19 @@ class BallGrid:
 
         xm, wm = np.polynomial.legendre.leggauss(n_mu)
         self.mu, self.w_mu = xm, wm
-        self._Dmu = _legendre_diffmat(xm, wm)
         self.psi = 2.0 * np.pi * np.arange(n_psi) / n_psi
         self.w_psi = 2.0 * np.pi / n_psi
         self.shape = (n_r, n_mu, n_psi)
 
         sphi = np.sqrt(1.0 - self.mu**2)
         self._sphi = sphi
+        # per psi-mode, even modes are polynomials in mu and odd modes carry
+        # one factor of sin(phi); the halves act on f + Rf and f - Rf
+        Dmu = _legendre_diffmat(xm, wm)
+        even = -sphi[:, None] * Dmu
+        odd = np.diag(xm / sphi) - (1.0 - xm**2)[:, None] * Dmu / sphi
+        self._Dphi = 0.5 * np.hstack([even, odd])
+        self._DpsiT = _fourier_diffmat(n_psi).T
         cpsi, spsi = np.cos(self.psi), np.sin(self.psi)
         ones_psi = np.ones(n_psi)
         self._yhat = np.array(
@@ -168,8 +187,9 @@ class BallGrid:
             [np.outer(np.ones(n_mu), -spsi), np.outer(np.ones(n_mu), cpsi),
              np.zeros((n_mu, n_psi))]
         )
+        self._frame = np.stack([self._yhat, self._that_phi, self._that_psi],
+                               axis=1)
         self.y = self.s[:, None, None] * self._yhat[:, None, :, :]
-        self._modes = np.fft.rfftfreq(n_psi, d=1.0 / n_psi)
 
         sigma_r = constants.a_bar - constants.b_bar * self.s**2
         self.sigma_r = sigma_r
@@ -221,49 +241,34 @@ class BallGrid:
             ext[..., 0:n_r - 2, :, :] - 8.0 * ext[..., 1:n_r - 1, :, :]
             + 8.0 * ext[..., 3:n_r + 1, :, :] - ext[..., 4:n_r + 2, :, :]
         ) / (12.0 * h)
-        for pos, q in enumerate((n_r - 2, n_r - 1)):
-            out[..., q, :, :] = np.tensordot(
-                self._side_rows[pos], vals[..., n_r - 5:, :, :], axes=(0, -3))
+        out[..., n_r - 2:, :, :] = np.einsum(
+            "qk,...kmp->...qmp", self._side_rows, vals[..., n_r - 5:, :, :])
         return out
 
     def _dpsi(self, vals: np.ndarray) -> np.ndarray:
-        F = np.fft.rfft(vals, axis=-1)
-        return np.fft.irfft(1j * self._modes * F, n=self.shape[2], axis=-1)
+        # (v0, v1, v0, v1, ...) lies in D's kernel, the constants and the
+        # Nyquist mode; subtracting it maps both to exactly 0
+        n_psi = self.shape[2]
+        diffs = vals - np.tile(vals[..., :2], n_psi // 2)
+        return (diffs.reshape(-1, n_psi) @ self._DpsiT).reshape(vals.shape)
 
     def _dphi(self, vals: np.ndarray) -> np.ndarray:
-        # per azimuthal mode, even modes are polynomials in mu while odd modes
-        # carry one factor of sin(phi); differentiate each shape exactly
-        F = np.fft.rfft(vals, axis=-1)
-        even = self._modes.astype(int) % 2 == 0
-        out = np.empty_like(F)
-        mu = self.mu[:, None]
-        sphi = self._sphi[:, None]
-        Fe = F[..., :, even]
-        out[..., :, even] = -sphi * np.einsum(
-            "ij,...jm->...im", self._Dmu, Fe, optimize=True
-        )
-        Fo = F[..., :, ~even]
-        P = Fo / sphi
-        out[..., :, ~even] = mu * P - (1.0 - mu**2) * np.einsum(
-            "ij,...jm->...im", self._Dmu, P, optimize=True
-        )
-        return np.fft.irfft(out, n=self.shape[2], axis=-1)
+        # f + Rf and f - Rf, R the half-period roll psi -> psi + pi, hold the
+        # even and the odd psi-modes; _Dphi differentiates each shape exactly
+        rolled = np.roll(vals, self.shape[2] // 2, axis=-1)
+        return self._Dphi @ np.concatenate([vals + rolled, vals - rolled], axis=-2)
 
     def partials(self, vals: np.ndarray) -> np.ndarray:
         """Cartesian partial derivatives of node values with any leading
         batch axes: shape (*batch, *grid) in, (*batch, 3, *grid) out."""
         if vals.shape[-3:] != self.shape:
             raise ValueError("values do not conform to the grid")
-        fs = self._ds(vals)
-        fphi = self._dphi(vals)
-        fpsi = self._dpsi(vals)
         s = self.s[:, None, None]
         inv_s_sphi = 1.0 / (s * self._sphi[None, :, None])
-        return (
-            self._yhat[:, None] * fs[..., None, :, :, :]
-            + self._that_phi[:, None] * (fphi / s)[..., None, :, :, :]
-            + self._that_psi[:, None] * (fpsi * inv_s_sphi)[..., None, :, :, :]
-        )
+        # radial, phi and psi derivatives along yhat, that_phi, that_psi
+        parts = np.stack([self._ds(vals), self._dphi(vals) / s,
+                          self._dpsi(vals) * inv_s_sphi], axis=-4)
+        return np.einsum("kcmp,...crmp->...krmp", self._frame, parts)
 
 
 def _conforming(values: np.ndarray, grid: BallGrid, ncomp: int | None) -> np.ndarray:
@@ -429,7 +434,7 @@ def deformation(omega: VectorField) -> DeformationState:
     expansion_defect = float(np.max(np.abs(J - expansion)))
 
     A = adjM / J
-    prod = np.einsum("ik...,kj...->ij...", M, A, optimize=True)
+    prod = np.einsum("ik...,kj...->ij...", M, A)
     gap = np.abs(prod - eye).max(axis=(0, 1))
     half = J >= 0.5
     inverse_defect = float(gap[half].max()) if np.any(half) else 0.0
@@ -464,7 +469,7 @@ def flow_ops_from_partials(
     state: DeformationState, dF: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """flow_ops on precomputed flat partials dF[i, k] = d_k F^i."""
-    G = np.einsum("kr...,ik...->ir...", state.a_inv, dF, optimize=True)
+    G = np.einsum("kr...,ik...->ir...", state.a_inv, dF)
     div = G[0, 0] + G[1, 1] + G[2, 2]
     curl = _curl(G)
     return G, div, curl
@@ -520,23 +525,19 @@ def identity_nabt_nab(
     G, _, curlF = flow_ops_from_partials(state, dF)
     # raw advected gradient of the time derivative (no d_t A part)
     dFt = gradient(Ftv)
-    Gt_raw = np.einsum("kr...,ik...->ir...", A, dFt, optimize=True)
-    lhs = np.einsum("ri...,ir...->...", G, Gt_raw, optimize=True)
+    Gt_raw = np.einsum("kr...,ik...->ir...", A, dFt)
+    lhs = np.einsum("ri...,ir...->...", G, Gt_raw)
 
-    W = np.einsum("kr...,sk...->sr...", A, Xdot, optimize=True)
-    transport = np.einsum("ri...,sr...,is...->...", G, W, G, optimize=True)
+    W = np.einsum("kr...,sk...->sr...", A, Xdot)
+    transport = np.einsum("ri...,sr...,is...->...", G, W, G)
 
     if dt is None:
         # d_t A = -A (d omega_t) A, then the product rule on G and curl
-        A_t = -np.einsum(
-            "ka...,ab...,bi...->ki...", A, Xdot, A, optimize=True
-        )
-        G_t = Gt_raw + np.einsum("kr...,ik...->ir...", A_t, dF, optimize=True)
+        A_t = -np.einsum("ka...,ab...,bi...->ki...", A, Xdot, A)
+        G_t = Gt_raw + np.einsum("kr...,ik...->ir...", A_t, dF)
         curlF_t = _curl(G_t)
-        dcomposite = 2.0 * (
-            np.einsum("ir...,ir...->...", G, G_t, optimize=True)
-            - np.einsum("i...,i...->...", curlF, curlF_t)
-        )
+        dcomposite = 2.0 * (np.einsum("ir...,ir...->...", G, G_t)
+                            - np.einsum("i...,i...->...", curlF, curlF_t))
     else:
         vals = []
         for tau in (t - dt, t + dt):
@@ -544,18 +545,15 @@ def identity_nabt_nab(
             Gq, _, curlq = flow_ops(
                 st, VectorField(grid, np.asarray(F(tau, y), dtype=float))
             )
-            vals.append(
-                np.einsum("ir...,ir...->...", Gq, Gq, optimize=True)
-                - np.einsum("i...,i...->...", curlq, curlq)
-            )
+            vals.append(np.einsum("ir...,ir...->...", Gq, Gq)
+                        - np.einsum("i...,i...->...", curlq, curlq))
         dcomposite = (vals[1] - vals[0]) / (2.0 * dt)
 
     nabt_defect = float(np.max(np.abs(lhs - 0.5 * dcomposite - transport)))
 
-    lhs2 = np.einsum("ri...,ir...->...", G, G, optimize=True)
-    rhs2 = np.einsum("ir...,ir...->...", G, G, optimize=True) - np.einsum(
-        "i...,i...->...", curlF, curlF
-    )
+    lhs2 = np.einsum("ri...,ir...->...", G, G)
+    rhs2 = (np.einsum("ir...,ir...->...", G, G)
+            - np.einsum("i...,i...->...", curlF, curlF))
     nab_defect = float(np.max(np.abs(lhs2 - rhs2)))
     return nabt_defect, nab_defect
 

@@ -183,6 +183,95 @@ class TestGradient:
                             rtol=1e-9, atol=1e-9 * n_r)
 
 
+def reference_dpsi(grid, vals):
+    """The psi derivative by FFT, mode m times i, the Nyquist mode to 0."""
+    n_psi = grid.shape[2]
+    modes = np.fft.rfftfreq(n_psi, d=1.0 / n_psi)
+    F = np.fft.rfft(vals, axis=-1)
+    return np.fft.irfft(1j * modes * F, n=n_psi, axis=-1)
+
+
+def reference_dphi(grid, vals):
+    """The phi derivative per FFT mode: even psi-modes are polynomials in mu,
+    odd ones carry one factor of sin(phi)."""
+    n_psi = grid.shape[2]
+    Dmu = geo._legendre_diffmat(grid.mu, grid.w_mu)
+    even = np.fft.rfftfreq(n_psi, d=1.0 / n_psi).astype(int) % 2 == 0
+    F = np.fft.rfft(vals, axis=-1)
+    out = np.empty_like(F)
+    mu, sphi = grid.mu[:, None], grid._sphi[:, None]
+    out[..., even] = -sphi * np.einsum("ij,...jm->...im", Dmu, F[..., even])
+    P = F[..., ~even] / sphi
+    out[..., ~even] = mu * P - (1.0 - mu**2) * np.einsum(
+        "ij,...jm->...im", Dmu, P)
+    return np.fft.irfft(out, n=n_psi, axis=-1)
+
+
+ANGLES = [(4, 4), (8, 8), (10, 12), (12, 16), (24, 24)]
+
+
+class TestAngularOperators:
+    """The matrix operators _dpsi and _dphi against the FFT route."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("angles", ANGLES, ids=lambda a: "%dx%d" % a)
+    @pytest.mark.parametrize("batch", ["3", "3x3", "separated"])
+    def test_match_fft_reference(self, scheme, angles, batch):
+        grid = make_grid(8, *angles, scheme=scheme)
+        # SeparatedFields differentiates angular factors of shape
+        # (K, S, 3, 1, n_mu, n_psi)
+        shape = {"3": (3, *grid.shape), "3x3": (3, 3, *grid.shape),
+                 "separated": (2, 5, 3, 1, *angles)}[batch]
+        vals = np.random.default_rng(sum(angles)).normal(size=shape)
+        for op, ref in ((grid._dpsi, reference_dpsi),
+                        (grid._dphi, reference_dphi)):
+            want = ref(grid, vals)
+            assert np.abs(op(vals) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_psi", [4, 8, 12, 16, 24])
+    def test_dpsi_exact_on_fourier_modes(self, n_psi):
+        grid = make_grid(8, 4, n_psi)
+        psi = np.broadcast_to(grid.psi, grid.shape)
+        for m in range(1, n_psi // 2):
+            assert np.abs(grid._dpsi(np.cos(m * psi))
+                          + m * np.sin(m * psi)).max() <= 1e-13
+            assert np.abs(grid._dpsi(np.sin(m * psi))
+                          - m * np.cos(m * psi)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n_psi", [4, 6, 8, 10, 12, 16, 24, 32])
+    def test_dpsi_kernel_is_exactly_zero(self, n_psi):
+        grid = make_grid(8, 6, n_psi)
+        nyquist = np.cos(0.5 * n_psi * np.broadcast_to(grid.psi, grid.shape))
+        flat = np.random.default_rng(n_psi).normal(size=(3, 8, 6, 1))
+        assert np.all(grid._dpsi(nyquist) == 0.0)
+        assert np.all(grid._dpsi(np.broadcast_to(flat, (3, *grid.shape)))
+                      == 0.0)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 24])
+    def test_fourier_diffmat_entries(self, n):
+        D = geo._fourier_diffmat(n)
+        lag = np.subtract.outer(np.arange(n), np.arange(n)) % n
+        assert np.all(D[lag == n // 2] == 0.0)
+        assert np.all(np.diag(D) == 0.0)
+        assert np.array_equal(D, -D.T)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_odd_half_vanishes_on_psi_independent_fields(self, scheme):
+        # f - Rf is exactly 0, so any odd block gives the same bits
+        grid = make_grid(scheme=scheme)
+        other = make_grid(scheme=scheme)
+        n_mu = grid.shape[1]
+        rng = np.random.default_rng(7)
+        other._Dphi = grid._Dphi.copy()
+        other._Dphi[:, n_mu:] = rng.normal(size=(n_mu, n_mu))
+        vals = np.broadcast_to(rng.normal(size=(3, *grid.shape[:2], 1)),
+                               (3, *grid.shape))
+        got = grid._dphi(vals)
+        assert np.array_equal(got, other._dphi(vals))
+        assert_allclose(got, reference_dphi(grid, vals), rtol=0,
+                        atol=1e-14 * np.abs(got).max())
+
+
 class TestAngularDerivative:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_annihilates_radial_functions(self, scheme):

@@ -714,6 +714,37 @@ class TestEarlyEnergyTimeConvergence:
             early_energy(0.075), rel=0.05)
 
 
+@functools.cache
+def scaled_energies(eps):
+    """E_total at t = 0 and sup_energy of a J_max = 0 run at amplitude eps,
+    both divided by eps^2."""
+    res = run(RunConfig(gamma=GAMMA, t_end=100.0, records=12, J_max=0,
+                        truncation=Truncation(0, 0), amplitude=eps))
+    assert res.stop_reason == "completed"
+    return res.reports[0].E_total / eps**2, res.sup_energy / eps**2
+
+
+class TestQuadraticEnergy:
+    """The energies are quadratic in the amplitude to leading order. A
+    report that mixes orders or scales a term wrongly breaks the limit or
+    the linear correction."""
+
+    AMPLITUDES = (1e-4, 1e-3, 1e-2)
+
+    def test_initial_energy_over_eps_squared_is_fixed(self):
+        # 0.183877898323541 at every amplitude
+        first = [scaled_energies(eps)[0] for eps in self.AMPLITUDES]
+        for value in first[1:]:
+            assert value == pytest.approx(first[0], rel=1e-12)
+
+    def test_sup_energy_moves_linearly(self):
+        # 0.184757, 0.184749 and 0.184674: -4.3e-5 and -4.5e-4 relative
+        sup = [scaled_energies(eps)[1] for eps in self.AMPLITUDES]
+        dev = [abs(value / sup[0] - 1.0) for value in sup[1:]]
+        assert max(dev) < 1e-3
+        assert 5.0 <= dev[1] / dev[0] <= 20.0
+
+
 # ---------------------------------------------------------------------------
 # zeroth-order balance
 
