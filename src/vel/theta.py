@@ -228,10 +228,10 @@ class _Law:
     `derivatives` holds one expression per component over t, y_0 ... y_{n-1}
     and the names that the one-line statements of `body` assign first.
     `constants` are statements over the `parameters` that a solve binds once;
-    `math` and `np` are in scope.  `_dopri5_loop` compiles the text as a
+    only `math` is in scope.  `_dopri5_loop` compiles the text as a
     callable rhs(t, y) and writes it inline into the step loop, so the text
     must not assign t or y_j, nor name the loop's own locals (now, u_j, k2_j,
-    q0_j, h, err, x, ...).
+    q0_j, h, err, factor, abs_u, abs_y, next_t, x, ...).
     """
 
     derivatives: tuple[str, ...]
@@ -241,19 +241,21 @@ class _Law:
 
 
 # The correction law of `integrate_h` in its split h-form, (y_0, y_1) =
-# (h, h_t).  nu and nu_tt come from one np.power call, bit for bit the
-# floats of nu(gamma, t) and nu(gamma, t, 2); theta <= 0 turns into NaN,
-# which fails the step's error test.
+# (h, h_t).  nu and the power of nu_tt are the scalar ** (libm pow), within
+# 1 and 2 ulp of nu(gamma, t) and nu(gamma, t, 2), which use np.power;
+# theta <= 0 turns into NaN, which fails the step's error test.
 _THETA_LAW = _Law(
     parameters=("gamma",),
     constants=(
         "c = 1.0 / (3.0 * gamma - 1.0)",  # also the power of nu
         "q = 2.0 - 3.0 * gamma",
         "nu_tt_coef = c * (c - 1.0)",
-        "powers = np.array([c, c - 2.0])",
+        "nu_tt_power = c - 2.0",
     ),
     body=(
-        "nu, scaled = np.power(1.0 + t, powers).tolist()",
+        "base = 1.0 + t",
+        "nu = base ** c",
+        "scaled = base ** nu_tt_power",
         "theta = nu + y_0",
         "theta = theta if theta > 0.0 else math.nan",
     ),
@@ -281,6 +283,9 @@ _LIU_LAW = _Law(
 # A law bound to its parameters, as the callable rhs of the initial step
 # and the step loop of _dopri5 with the law written into each stage:
 # scipy's RK45 step control, the samples read from the quartic interpolant.
+# The loop calls no builtin but abs: each max and min of the list loop is
+# written as the comparison it makes, and each sum as 0.0 + a + b ...,
+# left to right (sum's order for floats up to CPython 3.11).
 _DOPRI_LOOP = """
 def bind({parameters}):
 {constants}
@@ -293,36 +298,46 @@ def bind({parameters}):
         {u} = state
         {k1} = f
         samples = []
+        ts = [*ts, math.inf]
         i = steps = 0
+        next_t = ts[0]
         while now < t_end:
             min_step = 10.0 * (math.nextafter(now, math.inf) - now)
-            h_abs = max(h_abs, min_step)
+            if min_step > h_abs:
+                h_abs = min_step
             rejected = False
             while True:
                 if not h_abs >= min_step:  # also a NaN step
                     raise RuntimeError(
                         "integration failed: required step size is less than "
                         f"the spacing of floats at t = {{now:.6g}}")
-                t_new = min(now + h_abs, t_end)
+                t_new = now + h_abs
+                if t_end < t_new:
+                    t_new = t_end
                 h = h_abs = t_new - now
 {stages}
-                err = math.sqrt(sum(({err}))) / {root_n!r}
+                err = math.sqrt(0.0{err}) / {root_n!r}
+                factor = 10.0 if err == 0.0 else 0.9 * err ** -0.2
                 if err < 1.0:
-                    factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-                    h_abs *= min(1.0, factor) if rejected else factor
+                    if factor > 10.0:
+                        factor = 10.0
+                    if rejected and factor > 1.0:
+                        factor = 1.0
+                    h_abs *= factor
                     break
-                # a NaN err gives max(0.2, nan) = 0.2, the largest cut
-                h_abs *= max(0.2, 0.9 * err ** -0.2)
+                # a NaN err gives a NaN factor, so the largest cut 0.2
+                h_abs *= factor if factor > 0.2 else 0.2
                 rejected = True
 
-            if i < len(ts) and ts[i] <= t_new:
+            if next_t <= t_new:
 {dense}
-                while i < len(ts) and ts[i] <= t_new:
-                    x = (ts[i] - now) / h
+                while next_t <= t_new:
+                    x = (next_t - now) / h
                     x2 = x * x
                     x3 = x2 * x
                     samples.append(({sample}))
                     i += 1
+                    next_t = ts[i]
             now, {u}{k1} = t_new, {y}{k7}
             steps += 1
         return samples, steps
@@ -379,15 +394,15 @@ def _dopri5_loop(law: _Law) -> Callable:
     # stage 7 is taken at y_new, so y_j holds y_new from here on
     stages += stage("now + h", [
         f"{u[j]} + h * ({_weighted(_DOPRI_B, k[j])})" for j in comps], 7)
-    err = _tuple(f"(({_weighted(_DOPRI_E, k[j])}) * h"
-                 f" / (atol + max(abs({u[j]}), abs({y[j]})) * rtol)) ** 2"
-                 for j in comps)
+    err = "".join(f" + (({_weighted(_DOPRI_E, k[j])}) * h / (atol + (abs_y"
+                  f" if (abs_y := abs({y[j]})) > (abs_u := abs({u[j]}))"
+                  f" else abs_u) * rtol)) ** 2" for j in comps)
     dense = []  # q{col}_j: the coefficient of x^(col + 1) in component j
     for j in comps:
         for col in range(4):
-            terms = _tuple(f"{k[j][s]} * {p[col]!r}"
-                           for s, p in enumerate(_DOPRI_P) if p[col] != 0.0)
-            dense.append(f"q{col}_{j} = sum(({terms}))")
+            terms = "".join(f" + {k[j][s]} * {p[col]!r}"
+                            for s, p in enumerate(_DOPRI_P) if p[col] != 0.0)
+            dense.append(f"q{col}_{j} = 0.0{terms}")
     sample = _tuple(f"h * (q0_{j} * x + q1_{j} * x2 + q2_{j} * x3"
                     f" + q3_{j} * (x3 * x)) + {u[j]}" for j in comps)
     src = _DOPRI_LOOP.format(
@@ -398,7 +413,7 @@ def _dopri5_loop(law: _Law) -> Callable:
         k7=_tuple(k[j][6] for j in comps),
         stages=_indent(stages, 16), dense=_indent(dense, 16),
         err=err, root_n=n ** 0.5, sample=sample)
-    namespace = {"math": math, "np": np}
+    namespace = {"math": math}
     exec(compile(src, f"<dopri5 loop, {n} components>", "exec"), namespace)
     return namespace["bind"]
 
@@ -473,6 +488,8 @@ def integrate_h(
     for theta = nu + h when F = c nu^{2-3g} - nu_tt - nu_t.  nu solves
     nu_t = c nu^{2-3g} exactly, so F = -nu_tt.
     """
+    if not 1.0 < gamma < math.inf:
+        raise ValueError(f"gamma must exceed 1 and be finite, got {gamma}")
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
     if num_samples < 2:
@@ -581,6 +598,8 @@ def liu_integrate(
     atol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate the coefficient system; returns (times, a, b, e) samples."""
+    if not 1.0 < gamma < math.inf:
+        raise ValueError(f"gamma must exceed 1 and be finite, got {gamma}")
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
     times = _log_grid(float(t_end), 1001)
