@@ -251,9 +251,13 @@ class RadialSolver:
         if resolution < 16:
             raise ValueError(f"resolution must be at least 16, got {resolution}")
         self.gamma = float(gamma)
-        self.constants = constants or derive_constants(
-            GasParams(gamma=gamma, mass=mass))
+        gas = GasParams(gamma=self.gamma, mass=mass)
+        self.constants = constants or derive_constants(gas)
         c = self.constants
+        if not math.isclose(c.iota, 1.0 / (self.gamma - 1.0), rel_tol=1e-12):
+            raise ValueError(
+                f"constants have iota = {c.iota:g}, not 1/(gamma - 1) = "
+                f"{1.0 / (self.gamma - 1.0):g} at gamma = {self.gamma:g}")
         self.n = int(resolution)
         self.h = c.r0 / self.n
         self.s = (np.arange(self.n) + 0.5) * self.h
@@ -283,9 +287,21 @@ class RadialSolver:
         self._Dh = np.asfortranarray(Dh)
         self._G = np.asfortranarray(
             _band_T(Dh) * self.w_u / self.w_kin[rows.clip(0, n - 1)])
+        # a ufunc takes an array operand faster than a Python float, with
+        # the same floats: the law's constants are read-only 0-d arrays, and
+        # the step's scalars are written into 0-d scratch
+        self._one = np.array(1.0)
+        self._neg_gamma = np.array(-self.gamma)
+        self._stiff = np.array(3.0 * self.gamma - 1.0)
         for arr in (self.s, self.sigma, self.w_u, self.w_kin, self._inv_s,
-                    self._A2, self._Dh, self._G):
+                    self._A2, self._Dh, self._G, self._one, self._neg_gamma,
+                    self._stiff):
             arr.setflags(write=False)
+        self._thp, self._damp, self._dt = (np.empty(()) for _ in range(3))
+        # k1..k4 and the stage state: scratch that no returned array aliases
+        self._stages = tuple(np.empty((5, 2 * n + 2)))
+        self._zeros = np.zeros(2 * n + 2)
+        self._zeros.setflags(write=False)
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -308,14 +324,15 @@ class RadialSolver:
 
     def _pq(self, F: np.ndarray):
         gp = F * self._inv_s
-        gp += 1.0
+        gp += self._one
         gq = self._apply_Dh(F)
-        gq += 1.0
+        gq += self._one
         jac = gp * gp
         jac *= gq
-        # NaN compares false here, so non-finite states pass on to the
-        # finiteness check of step
-        if np.minimum(jac, gp).min() <= 0.0:
+        # argmin picks the first NaN, which compares false here, so
+        # non-finite states pass on to the finiteness check of step
+        low = np.minimum(jac, gp)
+        if low[low.argmin()] <= 0.0:
             bad = np.where((jac <= 0.0) | (gp <= 0.0))[0]
             idx = int(bad[0])
             raise DegenerateProfileError(
@@ -353,12 +370,12 @@ class RadialSolver:
         # m = 1 - jg gp gq and q = 1 - jg gp^2; both vanish exactly at F = 0,
         # which a precomputed A2 + G 1 minus the rest would not
         gp, gq, jac = self._pq(F)
-        jg = np.power(jac, -self.gamma, out=jac)
+        jg = np.power(jac, self._neg_gamma, out=jac)
         jg *= gp
         q = jg * gp
-        np.subtract(1.0, q, out=q)
+        np.subtract(self._one, q, out=q)
         jg *= gq
-        m = np.subtract(1.0, jg, out=jg)
+        m = np.subtract(self._one, jg, out=jg)
         m *= self._A2
         out = self._apply_G(q)
         out += m
@@ -368,11 +385,12 @@ class RadialSolver:
                  grad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # the radial law for F_tt given the force gradient, written to out
         # when given; th and tht are floats
-        g = self.gamma
-        acc = np.divide(F, 3.0 * g - 1.0, out=out)
+        self._thp[()] = -th ** (1.0 - 3.0 * self.gamma)
+        self._damp[()] = 1.0 + 2.0 * tht / th
+        acc = np.divide(F, self._stiff, out=out)
         acc += grad
-        acc *= -th ** (1.0 - 3.0 * g)
-        acc -= Ft * (1.0 + 2.0 * tht / th)
+        acc *= self._thp
+        acc -= Ft * self._damp
         return acc
 
     # -- public operations
@@ -475,7 +493,8 @@ class RadialSolver:
 
     def _advance(self, y: np.ndarray, dt: float) -> np.ndarray:
         """One RK4 step of the packed buffer; returns a new buffer and
-        never writes to y.
+        never writes to y.  The stages live in the solver's scratch, so
+        one solver steps one buffer at a time.
 
         Raises ValueError for a nonpositive dt or one above the CFL or
         damping bound, DegenerateProfileError from any stage or when 1 + f
@@ -493,33 +512,38 @@ class RadialSolver:
         if dt > cap * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {dt:.3e} violates the damping bound {cap:.3e}")
-        k1, k2, k3, k4, stage = np.empty((5, y.size))
+        k1, k2, k3, k4, stage = self._stages
         self._rhs(y, k1)
-        np.multiply(k1, 0.5 * dt, out=stage)
+        self._dt[()] = 0.5 * dt
+        np.multiply(k1, self._dt, out=stage)
         stage += y
         self._rhs(stage, k2)
-        np.multiply(k2, 0.5 * dt, out=stage)
+        np.multiply(k2, self._dt, out=stage)
         stage += y
         self._rhs(stage, k3)
-        np.multiply(k3, dt, out=stage)
+        self._dt[()] = dt
+        np.multiply(k3, self._dt, out=stage)
         stage += y
         self._rhs(stage, k4)
-        # y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
-        y_new = k2
-        y_new *= 2.0
+        # y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order; 2 k is
+        # k + k exactly, and y_new is the one fresh buffer
+        y_new = k2 + k2
         y_new += k1
-        k3 *= 2.0
+        k3 += k3
         y_new += k3
         y_new += k4
-        y_new *= dt / 6.0
+        self._dt[()] = dt / 6.0
+        y_new *= self._dt
         y_new += y
-        if not (np.isfinite(y_new).all() and y_new[-2] > 0.0):
+        # 0 x is 0 for finite x and NaN for inf or NaN, so the dot with
+        # zeros is 0 exactly when every entry is finite
+        if not (float(y_new.dot(self._zeros)) == 0.0 and y_new[-2] > 0.0):
             raise FloatingPointError("non-finite state after step")
         # the check RadialState makes, on the f it would hold; 1 + x rounds
         # monotonically, so testing the smallest f tests every node
         f = y_new[:self.n] / self.s
-        if 1.0 + f.min() <= 0.0:
-            idx = int(np.argmin(f))
+        idx = int(f.argmin())
+        if 1.0 + f[idx] <= 0.0:
             raise DegenerateProfileError(
                 f"1 + f nonpositive at node {idx} (value {f[idx]:.6g})")
         return y_new

@@ -17,10 +17,10 @@ from vel.geometry import BallGrid, DegenerateDeformationError
 from vel.norms import Truncation, zeroth_energy_balance
 from vel.params import GasParams, derive_constants
 from vel.radial import (DegenerateProfileError, GrowthFit, OracleReport,
-                        RadialSolver, RadialState, RunConfig, _build_sbp,
-                        embedded_flux_divergence, fit_growth, profile_family,
-                        reduce_equation, run)
-from vel.theta import theta_acceleration
+                        RadialSolver, RadialState, RunConfig, RunResult,
+                        _build_sbp, embedded_flux_divergence, fit_growth,
+                        profile_family, reduce_equation, run)
+from vel.theta import nu, theta_acceleration
 
 GAMMA = 2.0
 CONSTANTS = derive_constants(GasParams(gamma=GAMMA, mass=1.0))
@@ -181,9 +181,12 @@ class TestSolverSetup:
         # no array grows faster than the band; the dense D is only made
         # on demand
         solver = RadialSolver(GAMMA, resolution=n)
-        sizes = {name: val.size for name, val in vars(solver).items()
-                 if isinstance(val, np.ndarray)}
-        assert "_G" in sizes and "D" not in vars(solver)
+        sizes = {(name, i): arr.size for name, val in vars(solver).items()
+                 for i, arr in enumerate(val if isinstance(val, tuple)
+                                         else (val,))
+                 if isinstance(arr, np.ndarray)}
+        assert ("_G", 0) in sizes and ("_stages", 4) in sizes
+        assert "D" not in vars(solver)
         assert max(sizes.values()) <= 11 * n, sizes
 
     def test_cold_build_memory(self):
@@ -196,6 +199,21 @@ class TestSolverSetup:
         finally:
             tracemalloc.stop()
         assert peak <= 4e6, peak
+
+    def test_constants_of_another_gamma_rejected(self):
+        # the gamma = 3 constants carry iota = 0.5, not 1/(2 - 1)
+        with pytest.raises(ValueError,
+                           match=r"iota = 0.5, not 1/\(gamma - 1\) = 1 "):
+            RadialSolver(2.0, 1.0, 64,
+                         constants=derive_constants(GasParams(3.0, 1.0)))
+
+    def test_matching_constants_kept(self):
+        solver = RadialSolver(GAMMA, 1.0, 32, constants=CONSTANTS)
+        assert solver.constants is CONSTANTS
+
+    def test_gamma_checked_with_given_constants(self):
+        with pytest.raises(ValueError, match="gamma must exceed 1"):
+            RadialSolver(1.0, 1.0, 32, constants=CONSTANTS)
 
     def test_default_theta_context(self):
         solver = RadialSolver(GAMMA, resolution=16)
@@ -488,6 +506,197 @@ class TestOracle:
 
 # ---------------------------------------------------------------------------
 # time stepping
+
+
+def reference_grad(solver, F):
+    """_pq and _grad with Python-float operands and a min() scan."""
+    gp = F * solver._inv_s
+    gp += 1.0
+    gq = solver._apply_Dh(F)
+    gq += 1.0
+    jac = gp * gp
+    jac *= gq
+    if np.minimum(jac, gp).min() <= 0.0:
+        raise DegenerateProfileError("jacobian nonpositive")
+    jg = np.power(jac, -solver.gamma, out=jac)
+    jg *= gp
+    q = jg * gp
+    np.subtract(1.0, q, out=q)
+    jg *= gq
+    m = np.subtract(1.0, jg, out=jg)
+    m *= solver._A2
+    out = solver._apply_G(q)
+    out += m
+    return out
+
+
+def reference_rhs(solver, y, out):
+    """_rhs and _accel_F with Python-float operands."""
+    n, g = solver.n, solver.gamma
+    F, Ft = y[:n], y[n:2 * n]
+    th, tht = y[-2:].tolist()
+    if not th > 0.0:
+        th = math.nan
+    out[:n] = Ft
+    acc = np.divide(F, 3.0 * g - 1.0, out=out[n:2 * n])
+    acc += reference_grad(solver, F)
+    acc *= -th ** (1.0 - 3.0 * g)
+    acc -= Ft * (1.0 + 2.0 * tht / th)
+    out[-2] = tht
+    out[-1] = theta_acceleration(g, th, tht)
+
+
+def reference_advance(solver, y, dt):
+    """RadialSolver._advance with fresh stage buffers, Python-float
+    operands, 2.0 * k and min()/all() reductions: the reference the step
+    must match bit for bit.  It skips the dt bounds, which run never
+    violates."""
+    k1, k2, k3, k4, stage = np.empty((5, y.size))
+    reference_rhs(solver, y, k1)
+    np.multiply(k1, 0.5 * dt, out=stage)
+    stage += y
+    reference_rhs(solver, stage, k2)
+    np.multiply(k2, 0.5 * dt, out=stage)
+    stage += y
+    reference_rhs(solver, stage, k3)
+    np.multiply(k3, dt, out=stage)
+    stage += y
+    reference_rhs(solver, stage, k4)
+    y_new = k2
+    y_new *= 2.0
+    y_new += k1
+    k3 *= 2.0
+    y_new += k3
+    y_new += k4
+    y_new *= dt / 6.0
+    y_new += y
+    if not (np.isfinite(y_new).all() and y_new[-2] > 0.0):
+        raise FloatingPointError("non-finite state after step")
+    f = y_new[:solver.n] / solver.s
+    if 1.0 + f.min() <= 0.0:
+        idx = int(np.argmin(f))
+        raise DegenerateProfileError(f"1 + f nonpositive at node {idx}")
+    return y_new
+
+
+class TestReferenceStep:
+    """_advance against reference_advance, float for float."""
+
+    @pytest.mark.parametrize("late", [False, True], ids=["t0", "late"])
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    def test_steps_match_reference(self, n, late):
+        solver = RadialSolver(GAMMA, resolution=n)
+        psi = poly_profile(solver, amplitude=1.0)
+        if late:
+            # a state near the self-similar path at t = 1e3, where the
+            # damping bound and the CFL step are of one size
+            t = 1e3
+            state = solver.make_state(t, 2e-4 * psi, -3e-7 * psi,
+                                      theta=nu(GAMMA, t),
+                                      theta_t=nu(GAMMA, t, 1))
+        else:
+            state = solver.make_state(0.0, 1e-3 * psi, 5e-4 * psi)
+        y = want = solver._pack(state)
+        steps = []
+        for _ in range(5):
+            th, tht = y[-2:].tolist()
+            dt = min(0.3 * solver.h / solver.sound_speed(th),
+                     solver.damping_step(th, tht))
+            want = reference_advance(solver, y, dt)
+            y = solver._advance(y, dt)
+            assert_array_equal(y, want)
+            steps.append((y, y.copy()))
+        # the returned buffers share nothing with the solver's scratch
+        for got, copy in steps:
+            assert_array_equal(got, copy)
+
+    def test_run_matches_reference_stepping(self, monkeypatch):
+        cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0,
+                        amplitude=1e-3, velocity_amplitude=5e-4, records=6,
+                        J_max=1, report_angles=(4, 4))
+        got = run(cfg)
+        monkeypatch.setattr(RadialSolver, "_advance", reference_advance)
+        want = run(cfg)
+        assert got.steps == want.steps > 0
+        for field in dataclasses.fields(RunResult):
+            name = field.name
+            if name in ("setup_s", "stepping_s", "reporting_s"):
+                continue
+            a, b = getattr(got, name), getattr(want, name)
+            if name == "final_state":
+                assert (a.time, a.theta, a.theta_t) == (b.time, b.theta,
+                                                        b.theta_t)
+                assert_array_equal(a.f, b.f)
+                assert_array_equal(a.f_t, b.f_t)
+            elif isinstance(a, np.ndarray):
+                assert_array_equal(a, b)
+            else:
+                assert a == b, name
+
+
+class TestStageChecks:
+    """What the stage and result checks let through and whom they name."""
+
+    def setup_method(self):
+        self.solver = RadialSolver(GAMMA, resolution=32)
+        self.state = self.solver.make_state(
+            0.0, poly_profile(self.solver), np.zeros(32))
+
+    @pytest.mark.parametrize("nan_node", [3, 25])
+    def test_nan_passes_degeneracy_scan(self, nan_node):
+        # gp = -1 at node 12; a NaN anywhere hides it, as min() did
+        F = np.zeros(32)
+        F[12] = -2.0 * self.solver.s[12]
+        F[nan_node] = np.nan
+        gp, gq, jac = self.solver._pq(F)
+        assert gp[12] == -1.0
+        assert np.isnan(jac[nan_node])
+
+    def test_nan_stage_ends_nonfinite(self, monkeypatch):
+        # k1 puts a NaN and a degenerate node into the second stage, which
+        # the degeneracy scan lets through to the finiteness check
+        n, dt = self.solver.n, 1e-3
+        dy = np.zeros(2 * n + 2)
+        dy[3] = np.nan
+        dy[20] = -4.0 * self.solver.s[20] / dt
+        original = RadialSolver._rhs
+        calls = []
+
+        def rhs(self, y, out):
+            calls.append(1)
+            if len(calls) == 1:
+                out[:] = dy
+            else:
+                original(self, y, out)
+
+        monkeypatch.setattr(RadialSolver, "_rhs", rhs)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            self.solver._advance(self.solver._pack(self.state), dt)
+        assert len(calls) == 4
+
+    def test_degenerate_stage_names_first_bad_node(self):
+        # f = -2 x^2 with x = s / r0: q = 1 - 6 x^2 turns negative between
+        # nodes 25 and 26 of 64, J is smallest at the rim
+        solver = RadialSolver(GAMMA, resolution=64)
+        x = solver.s / solver.constants.r0
+        with pytest.raises(DegenerateProfileError, match=r"\(node 26,"):
+            solver._grad(solver.s * (-2.0 * x * x))
+
+    def test_result_names_smallest_f(self, monkeypatch):
+        # 1 + f falls to -1 at node 10 and to -2 at node 20
+        n, dt = self.solver.n, 1e-3
+        f0 = self.state.f
+        dy = np.zeros(2 * n + 2)
+        for node, drop in ((10, 2.0), (20, 3.0)):
+            dy[node] = -(drop + f0[node]) * self.solver.s[node] / dt
+
+        def rhs(self, y, out):
+            out[:] = dy
+
+        monkeypatch.setattr(RadialSolver, "_rhs", rhs)
+        with pytest.raises(DegenerateProfileError,
+                           match="1 \\+ f nonpositive at node 20"):
+            self.solver._advance(self.solver._pack(self.state), dt)
 
 
 class TestStepping:
