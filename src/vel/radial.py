@@ -210,6 +210,11 @@ class RunConfig:
 
     def __post_init__(self):
         GasParams(self.gamma, self.mass)
+        for name, value in (("resolution", self.resolution), ("records", self.records),
+                            ("J_max", self.J_max),
+                            *(("report_angles", a) for a in self.report_angles)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.resolution < 16:
             raise ValueError(f"resolution must be at least 16, got {self.resolution}")
         check_grid_shape(self.resolution, *self.report_angles, "midpoint")
@@ -223,6 +228,8 @@ class RunConfig:
             raise ValueError("family_exponent must be at least 2")
         if not 0.0 <= self.amplitude < math.inf:
             raise ValueError("amplitude must be nonnegative and finite")
+        if not math.isfinite(self.velocity_amplitude):
+            raise ValueError("velocity_amplitude must be finite")
         if self.records < 2:
             raise ValueError("need at least 2 records")
         if not self.eps0 > 0.0:
@@ -291,15 +298,23 @@ class RadialSolver:
         # the same floats: the law's constants are read-only 0-d arrays, and
         # the step's scalars are written into 0-d scratch
         self._one = np.array(1.0)
-        self._neg_gamma = np.array(-self.gamma)
+        self._one_minus_gamma = np.array(1.0 - self.gamma)
         self._stiff = np.array(3.0 * self.gamma - 1.0)
+        self._rk4_weights = np.array([1.0, 2.0, 2.0, 1.0])
         for arr in (self.s, self.sigma, self.w_u, self.w_kin, self._inv_s,
-                    self._A2, self._Dh, self._G, self._one, self._neg_gamma,
-                    self._stiff):
+                    self._A2, self._Dh, self._G, self._one,
+                    self._one_minus_gamma, self._stiff, self._rk4_weights):
             arr.setflags(write=False)
         self._thp, self._damp, self._dt = (np.empty(()) for _ in range(3))
-        # k1..k4 and the stage state: scratch that no returned array aliases
-        self._stages = tuple(np.empty((5, 2 * n + 2)))
+        # stage i's row [q, q', q''], q = (F, theta), holds its state in
+        # [:2n + 2] and its derivative k_i in [n + 1:]; each stage keeps its
+        # state, k_i, and the F, F_t, F_tt and (theta, theta_t, theta_tt)
+        # views of its row.  Scratch that no returned array aliases
+        scratch = np.empty((4, 3, n + 1))
+        flat = scratch.reshape(4, -1)
+        self._K = flat[:, n + 1:]
+        self._stages = tuple((z[:2 * n + 2], k, (*r[:, :n], r[:, n]))
+                             for z, k, r in zip(flat, self._K, scratch))
         self._zeros = np.zeros(2 * n + 2)
         self._zeros.setflags(write=False)
 
@@ -366,16 +381,15 @@ class RadialSolver:
         return self.w_u * dmp / self.s + self.w_kin * self._apply_G(dmq)
 
     def _grad(self, F: np.ndarray) -> np.ndarray:
-        # force gradient per kinetic weight, A2 m + G q with jg = jac^-gamma,
-        # m = 1 - jg gp gq and q = 1 - jg gp^2; both vanish exactly at F = 0,
+        # force gradient per kinetic weight, A2 m + G q with u = jac^(1-gamma),
+        # m = 1 - u/gp and q = 1 - u/gq; both vanish exactly at F = 0,
         # which a precomputed A2 + G 1 minus the rest would not
         gp, gq, jac = self._pq(F)
-        jg = np.power(jac, self._neg_gamma, out=jac)
-        jg *= gp
-        q = jg * gp
+        u = np.power(jac, self._one_minus_gamma, out=jac)
+        q = np.divide(u, gq, out=gq)
         np.subtract(self._one, q, out=q)
-        jg *= gq
-        m = np.subtract(self._one, jg, out=jg)
+        m = np.divide(u, gp, out=gp)
+        np.subtract(self._one, m, out=m)
         m *= self._A2
         out = self._apply_G(q)
         out += m
@@ -466,30 +480,28 @@ class RadialSolver:
                 - thp * (Ft / (3.0 * g - 1.0) + dgrad))
         return state.f, state.f_t, Ftt / self.s, Fttt / self.s
 
-    # -- RK4 on the packed buffer y = [F, F_t, theta, theta_t], F = s f
+    # -- RK4 on the packed buffer y = [F, theta, F_t, theta_t], F = s f: a
+    # position block q = (F, theta), then its velocity block q'
 
     def _pack(self, state: RadialState) -> np.ndarray:
-        return np.concatenate([self.s * state.f, self.s * state.f_t,
-                               [state.theta, state.theta_t]])
+        return np.concatenate([self.s * state.f, [state.theta],
+                               self.s * state.f_t, [state.theta_t]])
 
     def _unpack(self, t: float, y: np.ndarray) -> RadialState:
         n = self.n
-        return RadialState(time=t, f=y[:n] / self.s, f_t=y[n:2 * n] / self.s,
-                           theta=float(y[-2]), theta_t=float(y[-1]))
+        return RadialState(time=t, f=y[:n] / self.s, f_t=y[n + 1:-1] / self.s,
+                           theta=float(y[n]), theta_t=float(y[-1]))
 
-    def _rhs(self, y: np.ndarray, out: np.ndarray) -> None:
-        # the packed derivative of y, written to out
-        n = self.n
-        F, Ft = y[:n], y[n:2 * n]
-        th, tht = y[-2:].tolist()
+    def _stage(self, F, Ft, Ftt, theta) -> None:
+        # the stage's accelerations, written to the views of its row: F_tt,
+        # and theta_tt into theta = (theta, theta_t, theta_tt)
+        th, tht, _ = theta.tolist()
         # theta <= 0 leaves the law's domain; NaN carries it to the
         # finiteness check of the step
         if not th > 0.0:
             th = math.nan
-        out[:n] = Ft
-        self._accel_F(F, Ft, th, tht, self._grad(F), out=out[n:2 * n])
-        out[-2] = tht
-        out[-1] = theta_acceleration(self.gamma, th, tht)
+        self._accel_F(F, Ft, th, tht, self._grad(F), out=Ftt)
+        theta[2] = theta_acceleration(self.gamma, th, tht)
 
     def _advance(self, y: np.ndarray, dt: float) -> np.ndarray:
         """One RK4 step of the packed buffer; returns a new buffer and
@@ -503,7 +515,8 @@ class RadialSolver:
         """
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        th, tht = y[-2:].tolist()
+        n = self.n
+        th, tht = y[n::n + 1].tolist()
         cs = self.sound_speed(th)
         if dt > self.h / cs * (1.0 + 1e-12):
             raise ValueError(
@@ -512,36 +525,33 @@ class RadialSolver:
         if dt > cap * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {dt:.3e} violates the damping bound {cap:.3e}")
-        k1, k2, k3, k4, stage = self._stages
-        self._rhs(y, k1)
+        (s1, k1, v1), (s2, k2, v2), (s3, k3, v3), (s4, _, v4) = self._stages
+        s1[:] = y
+        self._stage(*v1)
         self._dt[()] = 0.5 * dt
-        np.multiply(k1, self._dt, out=stage)
-        stage += y
-        self._rhs(stage, k2)
-        np.multiply(k2, self._dt, out=stage)
-        stage += y
-        self._rhs(stage, k3)
+        np.multiply(k1, self._dt, out=s2)
+        s2 += y
+        self._stage(*v2)
+        np.multiply(k2, self._dt, out=s3)
+        s3 += y
+        self._stage(*v3)
         self._dt[()] = dt
-        np.multiply(k3, self._dt, out=stage)
-        stage += y
-        self._rhs(stage, k4)
-        # y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order; 2 k is
-        # k + k exactly, and y_new is the one fresh buffer
-        y_new = k2 + k2
-        y_new += k1
-        k3 += k3
-        y_new += k3
-        y_new += k4
+        np.multiply(k3, self._dt, out=s4)
+        s4 += y
+        self._stage(*v4)
+        # y + (dt/6) (k1 + 2 k2 + 2 k3 + k4); 2 k is exact, and the dot sums
+        # left to right, ((k1 + 2 k2) + 2 k3) + k4, into one fresh buffer
+        y_new = self._rk4_weights.dot(self._K)
         self._dt[()] = dt / 6.0
         y_new *= self._dt
         y_new += y
         # 0 x is 0 for finite x and NaN for inf or NaN, so the dot with
         # zeros is 0 exactly when every entry is finite
-        if not (float(y_new.dot(self._zeros)) == 0.0 and y_new[-2] > 0.0):
+        if not (float(y_new.dot(self._zeros)) == 0.0 and y_new[n] > 0.0):
             raise FloatingPointError("non-finite state after step")
         # the check RadialState makes, on the f it would hold; 1 + x rounds
         # monotonically, so testing the smallest f tests every node
-        f = y_new[:self.n] / self.s
+        f = y_new[:n] / self.s
         idx = int(f.argmin())
         if 1.0 + f[idx] <= 0.0:
             raise DegenerateProfileError(
@@ -689,7 +699,7 @@ def run(config: RunConfig) -> RunResult:
     the boundary radius at geometric cadence, and enforcing the a-priori
     energy monitors.  Returns a result with a labeled stop reason.
 
-    The run steps the solver's packed buffer [F, F_t, theta, theta_t] up
+    The run steps the solver's packed buffer [F, theta, F_t, theta_t] up
     to each record time in turn, the last step cut to end on it, and
     builds a validated RadialState only for a record and for the final
     state, which after a degenerate or non-finite step is the last
@@ -742,7 +752,7 @@ def run(config: RunConfig) -> RunResult:
     steps, dt_min, dt_max = 0, math.inf, 0.0
     for target in rec_times:
         while stop_reason is None and t < target:
-            th, tht = y[-2:].tolist()
+            th, tht = y[solver.n::solver.n + 1].tolist()
             rest = target - t
             dt = min(config.cfl * solver.h / solver.sound_speed(th),
                      solver.damping_step(th, tht), rest)

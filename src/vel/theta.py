@@ -540,10 +540,10 @@ def theta_derivative(path: ThetaPath, order: int) -> np.ndarray:
 def verify_decay(path: ThetaPath, n: int = 2) -> DecayReport:
     """Fit the decay constants and check the constant-1 bounds on a path.
 
-    Cn_fit[3] is dominated by round-off, not fitted: the third derivative
-    is a difference of nearly equal terms, weighted by (1 + t)^(3 - p),
-    so last-bit changes in h move it by 1.4-31% at t = 1e4.  Only its
-    finiteness enters passed.
+    Cn_fit[3] is dominated by integration error, not fitted: at t = 1e4 it
+    falls with the tolerance (3.92, 2.13, 1.08 at gamma = 4/3 for rtol =
+    atol = 1e-10, 5e-11, 2.5e-11), as the weight (1 + t)^(3 - p) grows.
+    Only its finiteness enters passed.
     """
     if n < 0 or n > 3:
         raise ValueError("n must be between 0 and 3")

@@ -181,13 +181,21 @@ class TestSolverSetup:
         # no array grows faster than the band; the dense D is only made
         # on demand
         solver = RadialSolver(GAMMA, resolution=n)
-        sizes = {(name, i): arr.size for name, val in vars(solver).items()
-                 for i, arr in enumerate(val if isinstance(val, tuple)
-                                         else (val,))
-                 if isinstance(arr, np.ndarray)}
-        assert ("_G", 0) in sizes and ("_stages", 4) in sizes
+
+        def arrays(val):
+            if isinstance(val, tuple):
+                return [arr for v in val for arr in arrays(v)]
+            return [val] if isinstance(val, np.ndarray) else []
+
+        sizes = {name: [arr.size for arr in arrays(val)]
+                 for name, val in vars(solver).items()}
+        # the four stage rows of 3(n + 1) are held only as views: the
+        # (4, 2(n + 1)) derivative block, and per stage its state, k_i and
+        # the F, F_t, F_tt and (theta, theta_t, theta_tt) views
+        assert sizes["_G"] and sizes["_K"] == [8 * n + 8]
+        assert len(sizes["_stages"]) == 4 * 6
         assert "D" not in vars(solver)
-        assert max(sizes.values()) <= 11 * n, sizes
+        assert max(max(v, default=0) for v in sizes.values()) <= 11 * n, sizes
 
     def test_cold_build_memory(self):
         # a dense 2n x 2n build would peak near 192 MB at 1024 cells
@@ -455,6 +463,30 @@ class TestFoldedOperator:
             close(got, want)
 
 
+def jac_power_grad(solver, F):
+    """_grad in its jac^-gamma form: A2 m + G q with jg = jac^-gamma,
+    m = 1 - jg gp gq and q = 1 - jg gp^2."""
+    gp, gq, jac = solver._pq(F)
+    jg = jac ** -solver.gamma * gp
+    return solver._A2 * (1.0 - jg * gq) + solver._apply_G(1.0 - jg * gp)
+
+
+class TestForceForm:
+    """_grad takes m = 1 - u/gp and q = 1 - u/gq from u = jac^(1-gamma)."""
+
+    @pytest.mark.parametrize("gamma", [4.0 / 3.0, 5.0 / 3.0, 2.0, 3.0])
+    def test_matches_jac_power_form(self, gamma):
+        solver = RadialSolver(gamma, resolution=64)
+        zero = np.zeros(64)
+        assert_array_equal(solver._grad(zero), zero)
+        assert_array_equal(jac_power_grad(solver, zero), zero)
+        rng = np.random.default_rng(7)
+        f = poly_profile(solver, amplitude=2e-2) + 1e-4 * rng.standard_normal(64)
+        F = solver.s * f
+        want = jac_power_grad(solver, F)
+        assert np.abs(solver._grad(F) - want).max() <= 1e-13 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # embedding oracle
 
@@ -518,12 +550,9 @@ def reference_grad(solver, F):
     jac *= gq
     if np.minimum(jac, gp).min() <= 0.0:
         raise DegenerateProfileError("jacobian nonpositive")
-    jg = np.power(jac, -solver.gamma, out=jac)
-    jg *= gp
-    q = jg * gp
-    np.subtract(1.0, q, out=q)
-    jg *= gq
-    m = np.subtract(1.0, jg, out=jg)
+    u = np.power(jac, 1.0 - solver.gamma, out=jac)
+    q = 1.0 - u / gq
+    m = 1.0 - u / gp
     m *= solver._A2
     out = solver._apply_G(q)
     out += m
@@ -531,7 +560,8 @@ def reference_grad(solver, F):
 
 
 def reference_rhs(solver, y, out):
-    """_rhs and _accel_F with Python-float operands."""
+    """The packed derivative of y = [F, F_t, theta, theta_t] with
+    Python-float operands, through _accel_F's float operations."""
     n, g = solver.n, solver.gamma
     F, Ft = y[:n], y[n:2 * n]
     th, tht = y[-2:].tolist()
@@ -547,10 +577,11 @@ def reference_rhs(solver, y, out):
 
 
 def reference_advance(solver, y, dt):
-    """RadialSolver._advance with fresh stage buffers, Python-float
-    operands, 2.0 * k and min()/all() reductions: the reference the step
-    must match bit for bit.  It skips the dt bounds, which run never
-    violates."""
+    """RadialSolver._advance on the layout [F, F_t, theta, theta_t], with
+    fresh stage buffers, Python-float operands, 2.0 * k, the stage
+    derivatives summed left to right and min()/all() reductions: the
+    reference the step must match bit for bit.  It skips the dt bounds,
+    which run never violates."""
     k1, k2, k3, k4, stage = np.empty((5, y.size))
     reference_rhs(solver, y, k1)
     np.multiply(k1, 0.5 * dt, out=stage)
@@ -562,12 +593,7 @@ def reference_advance(solver, y, dt):
     np.multiply(k3, dt, out=stage)
     stage += y
     reference_rhs(solver, stage, k4)
-    y_new = k2
-    y_new *= 2.0
-    y_new += k1
-    k3 *= 2.0
-    y_new += k3
-    y_new += k4
+    y_new = reference_combination(k1, k2, k3, k4)
     y_new *= dt / 6.0
     y_new += y
     if not (np.isfinite(y_new).all() and y_new[-2] > 0.0):
@@ -577,6 +603,35 @@ def reference_advance(solver, y, dt):
         idx = int(np.argmin(f))
         raise DegenerateProfileError(f"1 + f nonpositive at node {idx}")
     return y_new
+
+
+def reference_combination(k1, k2, k3, k4):
+    """((k1 + 2 k2) + 2 k3) + k4 into a fresh buffer."""
+    y_new = 2.0 * k2
+    y_new += k1
+    y_new += 2.0 * k3
+    y_new += k4
+    return y_new
+
+
+def reference_layout(y):
+    """The solver's [F, theta, F_t, theta_t] as [F, F_t, theta, theta_t]."""
+    n = (y.size - 2) // 2
+    return np.concatenate([y[:n], y[n + 1:-1], y[n::n + 1]])
+
+
+def solver_layout(y):
+    """reference_layout undone."""
+    n = (y.size - 2) // 2
+    return np.concatenate([y[:n], y[-2:-1], y[n:2 * n], y[-1:]])
+
+
+def write_derivative(dy, F, Ft, Ftt, theta):
+    """A _stage hook's body that makes the stage derivative
+    k = [F_t, theta_t, F_tt, theta_tt] equal dy, through the views of the
+    stage's row."""
+    n = F.size
+    Ft[:], theta[1], Ftt[:], theta[2] = dy[:n], dy[n], dy[n + 1:-1], dy[-1]
 
 
 class TestReferenceStep:
@@ -596,26 +651,68 @@ class TestReferenceStep:
                                       theta_t=nu(GAMMA, t, 1))
         else:
             state = solver.make_state(0.0, 1e-3 * psi, 5e-4 * psi)
-        y = want = solver._pack(state)
+        y = solver._pack(state)
+        assert_array_equal(
+            reference_layout(y),
+            np.concatenate([solver.s * state.f, solver.s * state.f_t,
+                            [state.theta, state.theta_t]]))
         steps = []
         for _ in range(5):
-            th, tht = y[-2:].tolist()
+            th, tht = y[n::n + 1].tolist()
             dt = min(0.3 * solver.h / solver.sound_speed(th),
                      solver.damping_step(th, tht))
-            want = reference_advance(solver, y, dt)
+            want = reference_advance(solver, reference_layout(y), dt)
             y = solver._advance(y, dt)
-            assert_array_equal(y, want)
+            assert_array_equal(reference_layout(y), want)
             steps.append((y, y.copy()))
         # the returned buffers share nothing with the solver's scratch
         for got, copy in steps:
             assert_array_equal(got, copy)
+
+    @pytest.mark.parametrize("n", [32, 64, 256, 1024])
+    def test_stage_combination_sums_left_to_right(self, n):
+        # the one dot over the solver's derivative block rounds as the
+        # left-to-right sum, at every scale of the stage derivatives
+        solver = RadialSolver(GAMMA, resolution=n)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            solver._K[:] = (rng.standard_normal(solver._K.shape)
+                            * 10.0 ** rng.uniform(-8.0, 8.0, (4, 1)))
+            assert np.array_equal(solver._rk4_weights.dot(solver._K),
+                                  reference_combination(*solver._K))
+
+    # the finiteness check's 0 * inf warns as it turns to NaN
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in dot")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stage", range(4))
+    def test_nonfinite_derivative_ends_nonfinite(self, monkeypatch, stage,
+                                                 value):
+        # stages with zero acceleration that never look at the profile;
+        # one entry of one stage's derivative is not finite
+        solver = RadialSolver(GAMMA, resolution=32)
+        state = solver.make_state(0.0, poly_profile(solver), np.zeros(32))
+        calls = []
+
+        def stage_hook(self, F, Ft, Ftt, theta):
+            Ftt[:] = 0.0
+            theta[2] = 0.0
+            if len(calls) == stage:
+                Ftt[5] = value
+            calls.append(1)
+
+        monkeypatch.setattr(RadialSolver, "_stage", stage_hook)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            solver._advance(solver._pack(state), 1e-3)
+        assert len(calls) == 4
 
     def test_run_matches_reference_stepping(self, monkeypatch):
         cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0,
                         amplitude=1e-3, velocity_amplitude=5e-4, records=6,
                         J_max=1, report_angles=(4, 4))
         got = run(cfg)
-        monkeypatch.setattr(RadialSolver, "_advance", reference_advance)
+        monkeypatch.setattr(
+            RadialSolver, "_advance", lambda self, y, dt: solver_layout(
+                reference_advance(self, reference_layout(y), dt)))
         want = run(cfg)
         assert got.steps == want.steps > 0
         for field in dataclasses.fields(RunResult):
@@ -659,17 +756,17 @@ class TestStageChecks:
         dy = np.zeros(2 * n + 2)
         dy[3] = np.nan
         dy[20] = -4.0 * self.solver.s[20] / dt
-        original = RadialSolver._rhs
+        original = RadialSolver._stage
         calls = []
 
-        def rhs(self, y, out):
+        def stage(self, *views):
             calls.append(1)
             if len(calls) == 1:
-                out[:] = dy
+                write_derivative(dy, *views)
             else:
-                original(self, y, out)
+                original(self, *views)
 
-        monkeypatch.setattr(RadialSolver, "_rhs", rhs)
+        monkeypatch.setattr(RadialSolver, "_stage", stage)
         with pytest.raises(FloatingPointError, match="non-finite"):
             self.solver._advance(self.solver._pack(self.state), dt)
         assert len(calls) == 4
@@ -690,10 +787,10 @@ class TestStageChecks:
         for node, drop in ((10, 2.0), (20, 3.0)):
             dy[node] = -(drop + f0[node]) * self.solver.s[node] / dt
 
-        def rhs(self, y, out):
-            out[:] = dy
+        def stage(self, *views):
+            write_derivative(dy, *views)
 
-        monkeypatch.setattr(RadialSolver, "_rhs", rhs)
+        monkeypatch.setattr(RadialSolver, "_stage", stage)
         with pytest.raises(DegenerateProfileError,
                            match="1 \\+ f nonpositive at node 20"):
             self.solver._advance(self.solver._pack(self.state), dt)
@@ -769,10 +866,10 @@ class TestStepping:
         dy = np.zeros(2 * n + 2)
         dy[n // 2] = -2.0 * self.solver.s[n // 2] / dt
 
-        def rhs(self, y, out):
-            out[:] = dy
+        def stage(self, *views):
+            write_derivative(dy, *views)
 
-        monkeypatch.setattr(RadialSolver, "_rhs", rhs)
+        monkeypatch.setattr(RadialSolver, "_stage", stage)
         with pytest.raises(DegenerateProfileError,
                            match=f"1 \\+ f nonpositive at node {n // 2}"):
             self.solver._advance(self.solver._pack(self.state), dt)
@@ -801,20 +898,23 @@ class TestStepping:
         psi = poly_profile(self.solver, amplitude=1.0)
         self.state = self.solver.make_state(0.0, np.zeros(32), -4.0 / dt * psi)
         calls = []
-        original = RadialSolver._grad
+        original = RadialSolver._stage
 
-        def counted(self, F):
+        def counted(self, *views):
             calls.append(1)
-            return original(self, F)
+            original(self, *views)
 
-        monkeypatch.setattr(RadialSolver, "_grad", counted)
+        monkeypatch.setattr(RadialSolver, "_stage", counted)
         self.advance_keeps_input(dt, DegenerateProfileError,
                                  "jacobian nonpositive")
         assert len(calls) == 2
 
     def test_advance_keeps_input_on_nonfinite_result(self, monkeypatch):
-        monkeypatch.setattr(RadialSolver, "_grad",
-                            lambda self, F: np.full(F.shape, np.nan))
+        def stage(self, F, Ft, Ftt, theta):
+            Ftt[:] = np.nan
+            theta[2] = 0.0
+
+        monkeypatch.setattr(RadialSolver, "_stage", stage)
         self.advance_keeps_input(1e-3, FloatingPointError, "non-finite")
 
     @pytest.mark.parametrize("gamma", [1.5, 2.0])
@@ -1137,12 +1237,28 @@ class TestRunDriver:
         ("records", 1, "records"),
         ("eps0", 0.0, "eps0"),
         ("J_max", -1, "J_max"),
+        ("resolution", 64.5, "resolution must be an integer, got 64.5"),
+        ("resolution", True, "resolution must be an integer, got True"),
+        ("records", 12.5, "records must be an integer, got 12.5"),
+        ("records", True, "records must be an integer"),
+        ("J_max", 1.5, "J_max must be an integer, got 1.5"),
+        ("J_max", False, "J_max must be an integer, got False"),
+        ("report_angles", (8, 8.0), "report_angles must be an integer, got 8.0"),
+        ("report_angles", (True, 8), "report_angles must be an integer"),
+        ("velocity_amplitude", math.nan, "velocity_amplitude must be finite"),
+        ("velocity_amplitude", -math.inf, "velocity_amplitude must be finite"),
     ])
     def test_config_validated(self, field, value, match):
         base = dict(gamma=GAMMA)
         base[field] = value
         with pytest.raises(ValueError, match=match):
             RunConfig(**base)
+
+    def test_config_takes_numpy_integers(self):
+        cfg = RunConfig(gamma=GAMMA, resolution=np.int64(32),
+                        records=np.int32(4), J_max=np.int64(0),
+                        report_angles=(np.int64(4), 4))
+        assert cfg.resolution == 32
 
 
 def replay_with_step(cfg):
