@@ -1,17 +1,17 @@
 """Spherically symmetric free-boundary solver in comoving coordinates.
 
 The displacement ansatz omega(t, y) = f(t, s) y reduces the damped wave
-system to a scalar second-order law for the profile f.  The scheme works
-in the variable F = s f on the n cell midpoints of [0, r0], with no node at
-s = 0; its derivative, built on the grid extended oddly through the center,
-is folded once onto these nodes, so even symmetry of f holds by
-construction.  The pressure force is the exact gradient of the discrete
-internal energy built on a summation-by-parts derivative pair; together
-with the vanishing sigma-weights at the outer rim this supplies the
-natural vacuum boundary behavior without an imposed boundary condition,
-and the semi-discrete energy balance holds to integrator order.  Time
-stepping is explicit RK4 under a CFL cap and a damping cap, with the
-scaling factor theta co-integrated by the same integrator.
+system to a scalar second-order law for the profile f.  The scheme steps
+f itself on the n cell midpoints of [0, r0], with no node at s = 0; the
+derivative of s f, built on the grid extended oddly through the center, is
+folded once onto these nodes with diag(s) in its columns, so even symmetry
+of f holds by construction.  The pressure force is the exact gradient of
+the discrete internal energy built on a summation-by-parts derivative
+pair; together with the vanishing sigma-weights at the outer rim this
+supplies the natural vacuum boundary behavior without an imposed boundary
+condition, and the semi-discrete energy balance holds to integrator
+order.  Time stepping is explicit RK4 under a CFL cap and a damping cap,
+with the scaling factor theta co-integrated by the same integrator.
 """
 
 import math
@@ -210,14 +210,19 @@ class RunConfig:
 
     def __post_init__(self):
         GasParams(self.gamma, self.mass)
+        try:
+            n_mu, n_psi = self.report_angles
+        except (TypeError, ValueError):
+            raise ValueError("report_angles must be two integers, got "
+                             f"{self.report_angles!r}") from None
         for name, value in (("resolution", self.resolution), ("records", self.records),
-                            ("J_max", self.J_max),
-                            *(("report_angles", a) for a in self.report_angles)):
+                            ("J_max", self.J_max), ("report_angles", n_mu),
+                            ("report_angles", n_psi)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.resolution < 16:
             raise ValueError(f"resolution must be at least 16, got {self.resolution}")
-        check_grid_shape(self.resolution, *self.report_angles, "midpoint")
+        check_grid_shape(self.resolution, n_mu, n_psi, "midpoint")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0.0 < self.t_end < math.inf:
@@ -285,15 +290,17 @@ class RadialSolver:
             raise ValueError(
                 f"kinetic weight sigma^iota underflows at gamma = {self.gamma:g} "
                 f"with {self.n} cells")
-        # the force per kinetic weight is A2 m + G q for pointwise factors
-        # m, q (see _grad): the weights are folded into A2 and into the
-        # weighted transpose G = diag(1/w_kin) Dh^T diag(w_u); Dh and G
-        # are kept only in band storage
-        self._inv_s = 1.0 / self.s
-        self._A2 = 2.0 * self.w_u / (self.s * self.w_kin)
+        # f's kinetic weight is w_f = s^2 w_kin, and its force per kinetic
+        # weight is A2 m + G q for pointwise factors m, q (see _grad):
+        # diag(s) is folded into the columns of Dh, so Dh f = (s f)', and the
+        # weights into A2 and the weighted transpose G = diag(1/w_f) Dh^T
+        # diag(w_u); Dh and G are kept only in band storage
+        self.w_f = self.w_kin * self.s**2
+        Dh *= self.s
+        self._A2 = 2.0 * self.w_u / self.w_f
         self._Dh = np.asfortranarray(Dh)
         self._G = np.asfortranarray(
-            _band_T(Dh) * self.w_u / self.w_kin[rows.clip(0, n - 1)])
+            _band_T(Dh) * self.w_u / self.w_f[rows.clip(0, n - 1)])
         # a ufunc takes an array operand faster than a Python float, with
         # the same floats: the law's constants are read-only 0-d arrays, and
         # the step's scalars are written into 0-d scratch
@@ -301,22 +308,24 @@ class RadialSolver:
         self._one_minus_gamma = np.array(1.0 - self.gamma)
         self._stiff = np.array(3.0 * self.gamma - 1.0)
         self._rk4_weights = np.array([1.0, 2.0, 2.0, 1.0])
-        for arr in (self.s, self.sigma, self.w_u, self.w_kin, self._inv_s,
+        for arr in (self.s, self.sigma, self.w_u, self.w_kin, self.w_f,
                     self._A2, self._Dh, self._G, self._one,
                     self._one_minus_gamma, self._stiff, self._rk4_weights):
             arr.setflags(write=False)
         self._thp, self._damp, self._dt = (np.empty(()) for _ in range(3))
-        # stage i's row [q, q', q''], q = (F, theta), holds its state in
+        # stage i's row [q, q', q''], q = (f, theta), holds its state in
         # [:2n + 2] and its derivative k_i in [n + 1:]; each stage keeps its
-        # state, k_i, and the F, F_t, F_tt and (theta, theta_t, theta_tt)
-        # views of its row.  Scratch that no returned array aliases
+        # state, k_i, and the f, f_t, f_tt and (theta, theta_t, theta_tt)
+        # views of its row; W holds [gp | gq | J] (see _pq).  Scratch that
+        # no returned array aliases
+        self._W = np.empty(3 * n)
+        self._gp_gq_jac = tuple(self._W.reshape(3, n))
+        self._m_q = self._W[:2 * n]
         scratch = np.empty((4, 3, n + 1))
         flat = scratch.reshape(4, -1)
         self._K = flat[:, n + 1:]
         self._stages = tuple((z[:2 * n + 2], k, (*r[:, :n], r[:, n]))
                              for z, k, r in zip(flat, self._K, scratch))
-        self._zeros = np.zeros(2 * n + 2)
-        self._zeros.setflags(write=False)
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -337,17 +346,19 @@ class RadialSolver:
     def _apply_G(self, x: np.ndarray) -> np.ndarray:
         return dgbmv(self.n, self.n, _BAND, _BAND, 1.0, self._G, x)
 
-    def _pq(self, F: np.ndarray):
-        gp = F * self._inv_s
-        gp += self._one
-        gq = self._apply_Dh(F)
-        gq += self._one
-        jac = gp * gp
+    def _pq(self, f: np.ndarray):
+        # views of W holding gp = 1 + f, gq = 1 + (s f)' and J = gp^2 gq,
+        # valid until the next call
+        gp, gq, jac = self._gp_gq_jac
+        np.add(f, self._one, out=gp)
+        np.add(self._apply_Dh(f), self._one, out=gq)
+        np.multiply(gp, gp, out=jac)
         jac *= gq
-        # argmin picks the first NaN, which compares false here, so
-        # non-finite states pass on to the finiteness check of step
-        low = np.minimum(jac, gp)
-        if low[low.argmin()] <= 0.0:
+        # where gp > 0, gp^2 > 0 and so gq <= 0 exactly when J <= 0: one
+        # scan of W flags what J and gp flag.  argmin picks the first NaN,
+        # which compares false here, so non-finite states pass on to the
+        # finiteness check of the step
+        if self._W[self._W.argmin()] <= 0.0:
             bad = np.where((jac <= 0.0) | (gp <= 0.0))[0]
             idx = int(bad[0])
             raise DegenerateProfileError(
@@ -357,54 +368,53 @@ class RadialSolver:
 
     def internal_energy(self, f: np.ndarray) -> float:
         """sigma^(iota+1)-weighted integral of the bulk term (physical)."""
-        gp, gq, jac = self._pq(self.s * np.asarray(f))
+        gp, gq, jac = self._pq(f)
         m0 = (np.expm1((1.0 - self.gamma) * np.log(jac)) / (self.gamma - 1.0)
               + 2.0 * (gp - 1.0) + (gq - 1.0))
         return float(np.dot(self.w_u, m0))
 
-    def _force_gradient(self, F: np.ndarray) -> np.ndarray:
-        # exact gradient of the internal energy with respect to F
-        return self.w_kin * self._grad(F)
+    def _force_gradient(self, f: np.ndarray) -> np.ndarray:
+        # exact gradient of the internal energy with respect to f
+        return self.w_f * self._grad(f)
 
-    def _hess_apply(self, F: np.ndarray, V: np.ndarray) -> np.ndarray:
-        # directional derivative of _force_gradient along V
-        gp, gq, jac = self._pq(F)
+    def _hess_apply(self, f: np.ndarray, pv: np.ndarray) -> np.ndarray:
+        # directional derivative of _grad along pv
+        gp, gq, jac = self._pq(f)
         jg = jac ** (-self.gamma)
         jg1 = jac ** (-self.gamma - 1.0)
-        pv = V / self.s
-        qv = self._apply_Dh(V)
+        qv = self._apply_Dh(pv)
         m0_pp = self.gamma * jg1 * (2.0 * gp * gq) ** 2 - 2.0 * jg * gq
         m0_pq = self.gamma * jg1 * (2.0 * gp * gq) * gp * gp - 2.0 * jg * gp
         m0_qq = self.gamma * jg1 * gp**4
         dmp = m0_pp * pv + m0_pq * qv
         dmq = m0_pq * pv + m0_qq * qv
-        return self.w_u * dmp / self.s + self.w_kin * self._apply_G(dmq)
+        return 0.5 * self._A2 * dmp + self._apply_G(dmq)
 
-    def _grad(self, F: np.ndarray) -> np.ndarray:
+    def _grad(self, f: np.ndarray) -> np.ndarray:
         # force gradient per kinetic weight, A2 m + G q with u = jac^(1-gamma),
-        # m = 1 - u/gp and q = 1 - u/gq; both vanish exactly at F = 0,
-        # which a precomputed A2 + G 1 minus the rest would not
-        gp, gq, jac = self._pq(F)
-        u = np.power(jac, self._one_minus_gamma, out=jac)
-        q = np.divide(u, gq, out=gq)
-        np.subtract(self._one, q, out=q)
-        m = np.divide(u, gp, out=gp)
-        np.subtract(self._one, m, out=m)
+        # m = 1 - u/gp and q = 1 - u/gq, formed in W as [m | q]; both vanish
+        # exactly at f = 0, which a precomputed A2 + G 1 minus the rest
+        # would not
+        m, q, u = self._pq(f)
+        np.power(u, self._one_minus_gamma, out=u)
+        np.divide(u, m, out=m)
+        np.divide(u, q, out=q)
+        np.subtract(self._one, self._m_q, out=self._m_q)
         m *= self._A2
         out = self._apply_G(q)
         out += m
         return out
 
-    def _accel_F(self, F: np.ndarray, Ft: np.ndarray, th: float, tht: float,
-                 grad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # the radial law for F_tt given the force gradient, written to out
+    def _accel(self, f: np.ndarray, ft: np.ndarray, th: float, tht: float,
+               grad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # the radial law for f_tt given the force gradient, written to out
         # when given; th and tht are floats
         self._thp[()] = -th ** (1.0 - 3.0 * self.gamma)
         self._damp[()] = 1.0 + 2.0 * tht / th
-        acc = np.divide(F, self._stiff, out=out)
+        acc = np.divide(f, self._stiff, out=out)
         acc += grad
         acc *= self._thp
-        acc -= Ft * self._damp
+        acc -= ft * self._damp
         return acc
 
     # -- public operations
@@ -437,7 +447,7 @@ class RadialSolver:
         state = RadialState(
             time=float(time), f=f, f_t=f_t, theta=float(theta),
             theta_t=float(theta_t))
-        self._pq(self.s * state.f)
+        self._pq(state.f)
         return state
 
     def zeroth_energy(self, state: RadialState):
@@ -448,16 +458,16 @@ class RadialSolver:
         the total energy is 0.5 (kinetic + theta^(1-3 gamma) potential).
         """
         g = self.gamma
-        F, Ft = self.s * state.f, self.s * state.f_t
-        kinetic = float(np.dot(self.w_kin, Ft * Ft))
-        i2 = float(np.dot(self.w_kin, F * F))
+        f, ft = state.f, state.f_t
+        kinetic = float(np.dot(self.w_f, ft * ft))
+        i2 = float(np.dot(self.w_f, f * f))
         potential = i2 / (3.0 * g - 1.0) + 2.0 * self.internal_energy(state.f)
         return kinetic, potential
 
     def mass(self, state: RadialState) -> float:
         """Physical mass recomputed through the deformed configuration."""
         c = self.constants
-        _, _, jac = self._pq(self.s * state.f)
+        _, _, jac = self._pq(state.f)
         scale = state.theta**3
         density = self.sigma**c.iota / (scale * jac)
         return float(np.dot(self.H * 4.0 * np.pi * self.s**2,
@@ -466,65 +476,56 @@ class RadialSolver:
     def time_derivatives(self, state: RadialState):
         """(f, f_t, f_tt, f_ttt) with the accelerations from the law."""
         g = self.gamma
-        F, Ft = self.s * state.f, self.s * state.f_t
+        f, ft = state.f, state.f_t
         th, tht = state.theta, state.theta_t
         thtt = theta_acceleration(g, th, tht)
-        grad = self._grad(F)
-        dgrad = self._hess_apply(F, Ft) / self.w_kin
-        Ftt = self._accel_F(F, Ft, th, tht, grad)
+        grad = self._grad(f)
+        dgrad = self._hess_apply(f, ft)
+        ftt = self._accel(f, ft, th, tht, grad)
         thp = th ** (1.0 - 3.0 * g)
         thp_t = (1.0 - 3.0 * g) * th ** (-3.0 * g) * tht
         damp_t = 2.0 * (thtt * th - tht * tht) / (th * th)
-        Fttt = (-(1.0 + 2.0 * tht / th) * Ftt - damp_t * Ft
-                - thp_t * (F / (3.0 * g - 1.0) + grad)
-                - thp * (Ft / (3.0 * g - 1.0) + dgrad))
-        return state.f, state.f_t, Ftt / self.s, Fttt / self.s
+        fttt = (-(1.0 + 2.0 * tht / th) * ftt - damp_t * ft
+                - thp_t * (f / (3.0 * g - 1.0) + grad)
+                - thp * (ft / (3.0 * g - 1.0) + dgrad))
+        return f, ft, ftt, fttt
 
-    # -- RK4 on the packed buffer y = [F, theta, F_t, theta_t], F = s f: a
-    # position block q = (F, theta), then its velocity block q'
+    # -- RK4 on the packed buffer y = [f, theta, f_t, theta_t]: a position
+    # block q = (f, theta), then its velocity block q'
 
     def _pack(self, state: RadialState) -> np.ndarray:
-        return np.concatenate([self.s * state.f, [state.theta],
-                               self.s * state.f_t, [state.theta_t]])
+        return np.concatenate([state.f, [state.theta], state.f_t,
+                               [state.theta_t]])
 
     def _unpack(self, t: float, y: np.ndarray) -> RadialState:
         n = self.n
-        return RadialState(time=t, f=y[:n] / self.s, f_t=y[n + 1:-1] / self.s,
+        return RadialState(time=t, f=y[:n], f_t=y[n + 1:-1],
                            theta=float(y[n]), theta_t=float(y[-1]))
 
-    def _stage(self, F, Ft, Ftt, theta) -> None:
-        # the stage's accelerations, written to the views of its row: F_tt,
+    def _stage(self, f, ft, ftt, theta) -> None:
+        # the stage's accelerations, written to the views of its row: f_tt,
         # and theta_tt into theta = (theta, theta_t, theta_tt)
         th, tht, _ = theta.tolist()
         # theta <= 0 leaves the law's domain; NaN carries it to the
         # finiteness check of the step
         if not th > 0.0:
             th = math.nan
-        self._accel_F(F, Ft, th, tht, self._grad(F), out=Ftt)
+        self._accel(f, ft, th, tht, self._grad(f), out=ftt)
         theta[2] = theta_acceleration(self.gamma, th, tht)
 
     def _advance(self, y: np.ndarray, dt: float) -> np.ndarray:
-        """One RK4 step of the packed buffer; returns a new buffer and
-        never writes to y.  The stages live in the solver's scratch, so
-        one solver steps one buffer at a time.
+        """One RK4 step of the packed buffer by a dt inside the CFL and
+        damping bounds, which step checks and run obeys; returns a new
+        buffer and never writes to y.  The stages live in the solver's
+        scratch, so one solver steps one buffer at a time.
 
-        Raises ValueError for a nonpositive dt or one above the CFL or
-        damping bound, DegenerateProfileError from any stage or when 1 + f
-        of the result is nonpositive, and FloatingPointError when the
-        result is non-finite or theta nonpositive.
+        Raises DegenerateProfileError from any stage or when 1 + f of the
+        result is nonpositive, and FloatingPointError when the result is
+        non-finite or theta nonpositive.  The finiteness test sums the
+        squares of the result, so an entry above about 1e154 overflows it
+        (numpy warns of the overflow) and counts as non-finite too.
         """
-        if not dt > 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
         n = self.n
-        th, tht = y[n::n + 1].tolist()
-        cs = self.sound_speed(th)
-        if dt > self.h / cs * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt = {dt:.3e} violates the CFL bound {self.h / cs:.3e}")
-        cap = self.damping_step(th, tht)
-        if dt > cap * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt = {dt:.3e} violates the damping bound {cap:.3e}")
         (s1, k1, v1), (s2, k2, v2), (s3, k3, v3), (s4, _, v4) = self._stages
         s1[:] = y
         self._stage(*v1)
@@ -545,21 +546,29 @@ class RadialSolver:
         self._dt[()] = dt / 6.0
         y_new *= self._dt
         y_new += y
-        # 0 x is 0 for finite x and NaN for inf or NaN, so the dot with
-        # zeros is 0 exactly when every entry is finite
-        if not (float(y_new.dot(self._zeros)) == 0.0 and y_new[n] > 0.0):
+        if not (math.isfinite(y_new.dot(y_new)) and y_new[n] > 0.0):
             raise FloatingPointError("non-finite state after step")
-        # the check RadialState makes, on the f it would hold; 1 + x rounds
-        # monotonically, so testing the smallest f tests every node
-        f = y_new[:n] / self.s
-        idx = int(f.argmin())
-        if 1.0 + f[idx] <= 0.0:
+        # the check RadialState makes; 1 + x rounds monotonically, so
+        # testing the smallest f tests every node
+        idx = int(y_new[:n].argmin())
+        if 1.0 + y_new[idx] <= 0.0:
             raise DegenerateProfileError(
-                f"1 + f nonpositive at node {idx} (value {f[idx]:.6g})")
+                f"1 + f nonpositive at node {idx} (value {y_new[idx]:.6g})")
         return y_new
 
     def step(self, state: RadialState, dt: float) -> RadialState:
-        """One RK4 step of (f, f_t, theta, theta_t)."""
+        """One RK4 step of (f, f_t, theta, theta_t).  Raises ValueError for
+        a nonpositive dt or one above the CFL or damping bound, and
+        otherwise what _advance raises."""
+        if not dt > 0.0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        cfl = self.h / self.sound_speed(state.theta)
+        if dt > cfl * (1.0 + 1e-12):
+            raise ValueError(f"dt = {dt:.3e} violates the CFL bound {cfl:.3e}")
+        cap = self.damping_step(state.theta, state.theta_t)
+        if dt > cap * (1.0 + 1e-12):
+            raise ValueError(
+                f"dt = {dt:.3e} violates the damping bound {cap:.3e}")
         return self._unpack(state.time + dt,
                             self._advance(self._pack(state), dt))
 
@@ -591,10 +600,8 @@ def reduce_equation(solver: RadialSolver, state: RadialState) -> np.ndarray:
     which the solver co-integrates.  Raises DegenerateProfileError with
     the node location if the radial Jacobian is nonpositive.
     """
-    F = solver.s * state.f
-    Ft = solver.s * state.f_t
-    return solver._accel_F(F, Ft, state.theta, state.theta_t,
-                           solver._grad(F)) / solver.s
+    return solver._accel(state.f, state.f_t, state.theta, state.theta_t,
+                         solver._grad(state.f))
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +706,7 @@ def run(config: RunConfig) -> RunResult:
     the boundary radius at geometric cadence, and enforcing the a-priori
     energy monitors.  Returns a result with a labeled stop reason.
 
-    The run steps the solver's packed buffer [F, theta, F_t, theta_t] up
+    The run steps the solver's packed buffer [f, theta, f_t, theta_t] up
     to each record time in turn, the last step cut to end on it, and
     builds a validated RadialState only for a record and for the final
     state, which after a degenerate or non-finite step is the last

@@ -110,7 +110,7 @@ def test_einsum_without_path_search(path):
 
 
 # The RadialSolver methods every RK4 stage runs.
-STAGE_METHODS = ("_pq", "_grad", "_accel_F", "_stage", "_advance")
+STAGE_METHODS = ("_pq", "_grad", "_accel", "_stage", "_advance")
 REDUCTIONS = {"min", "max", "all", "any"}
 
 
