@@ -10,8 +10,9 @@ the discrete internal energy built on a summation-by-parts derivative
 pair; together with the vanishing sigma-weights at the outer rim this
 supplies the natural vacuum boundary behavior without an imposed boundary
 condition, and the semi-discrete energy balance holds to integrator
-order.  Time stepping is explicit RK4 under a CFL cap and a damping cap,
-with the scaling factor theta co-integrated by the same integrator.
+order.  Time stepping is explicit RK4 under a CFL cap and a damping cap:
+one march per solver steps [f | f_t] in numpy and co-steps the scaling
+factor theta and theta_t on floats by the same RK4 formulas.
 """
 
 import math
@@ -37,9 +38,10 @@ STOP_NONFINITE = "nonfinite"
 
 # Largest dt (1 + 2 theta_t/theta) a step may take.  RK4 is stable on the
 # negative real axis up to 2.785.  On the 2x2 model x'' + d x' + w^2 x = 0,
-# dt d <= 2.5 stays stable for every w dt up to 2.63.  The stiffest mode
-# of the linearized law has w = 4.53 cs/h at 64 and 256 cells (6.1 cs/h
-# at 32), so the CFL step keeps w dt inside that range at the default cfl.
+# dt d <= 2.5 stays stable for every w dt up to 2.63.  The default cfl keeps
+# w dt inside that range at gamma = 5/3 and 2 on 32-256 cells, where the
+# stiffest mode of the linearized law has w h/cs <= 6.09, but not at gamma =
+# 4/3, where w h/cs reads 14.05/10.81/7.96 on 32/64/128 cells.
 DAMPING_BOUND = 2.5
 
 
@@ -301,31 +303,130 @@ class RadialSolver:
         self._Dh = np.asfortranarray(Dh)
         self._G = np.asfortranarray(
             _band_T(Dh) * self.w_u / self.w_f[rows.clip(0, n - 1)])
-        # a ufunc takes an array operand faster than a Python float, with
-        # the same floats: the law's constants are read-only 0-d arrays, and
-        # the step's scalars are written into 0-d scratch
-        self._one = np.array(1.0)
-        self._one_minus_gamma = np.array(1.0 - self.gamma)
-        self._stiff = np.array(3.0 * self.gamma - 1.0)
-        self._rk4_weights = np.array([1.0, 2.0, 2.0, 1.0])
         for arr in (self.s, self.sigma, self.w_u, self.w_kin, self.w_f,
-                    self._A2, self._Dh, self._G, self._one,
-                    self._one_minus_gamma, self._stiff, self._rk4_weights):
+                    self._A2, self._Dh, self._G):
             arr.setflags(write=False)
-        self._thp, self._damp, self._dt = (np.empty(()) for _ in range(3))
-        # stage i's row [q, q', q''], q = (f, theta), holds its state in
-        # [:2n + 2] and its derivative k_i in [n + 1:]; each stage keeps its
-        # state, k_i, and the f, f_t, f_tt and (theta, theta_t, theta_tt)
-        # views of its row; W holds [gp | gq | J] (see _pq).  Scratch that
+        self._bind()
+
+    def _bind(self):
+        """Bind the force and the RK4 march once, as closures over the
+        operands.  A ufunc takes 0-d array operands (same floats) and a
+        positional out faster than Python floats and the out keyword."""
+        n, g, s, Dh, G, A2 = self.n, self.gamma, self.s, self._Dh, self._G, self._A2
+        one, one_minus_gamma, stiff, weights = (
+            np.array(v) for v in (1.0, 1.0 - g, 3.0 * g - 1.0, [1.0, 2.0, 2.0, 1.0]))
+        for arr in (one, one_minus_gamma, stiff, weights):
+            arr.setflags(write=False)
+        thp, damp, dts = (np.empty(()) for _ in range(3))
+        # the power of theta in the law for f_tt, and theta_tt = -theta_t +
+        # theta^tq / tc of theta.theta_acceleration
+        fp, tq, tc = 1.0 - 3.0 * g, 2.0 - 3.0 * g, 3.0 * g - 1.0
+        # W holds [gp | gq | J] (see pq); stage i's row [f, f_t, f_tt] holds
+        # its state in [:2n] and its derivative k_i in [n:].  Scratch that
         # no returned array aliases
-        self._W = np.empty(3 * n)
-        self._gp_gq_jac = tuple(self._W.reshape(3, n))
-        self._m_q = self._W[:2 * n]
-        scratch = np.empty((4, 3, n + 1))
-        flat = scratch.reshape(4, -1)
-        self._K = flat[:, n + 1:]
-        self._stages = tuple((z[:2 * n + 2], k, (*r[:, :n], r[:, n]))
-                             for z, k, r in zip(flat, self._K, scratch))
+        W = np.empty(3 * n)
+        gp, gq, jac = W.reshape(3, n)
+        m_q = W[:2 * n]
+        rows = np.empty((4, 3, n))
+        K = rows.reshape(4, -1)[:, n:]
+        z1, z2, z3, z4 = rows.reshape(4, -1)[:, :2 * n]
+        (f1, v1, a1), (f2, v2, a2), (f3, v3, a3), (f4, v4, a4) = rows
+        k1, k2, k3, _ = K
+
+        def pq(f):
+            # views of W holding gp = 1 + f, gq = 1 + (s f)' and J = gp^2 gq,
+            # valid until the next call
+            np.add(f, one, gp)
+            np.add(dgbmv(n, n, _BAND, _BAND, 1.0, Dh, f), one, gq)
+            np.multiply(gp, gp, jac)
+            np.multiply(jac, gq, jac)
+            # where gp > 0, gp^2 > 0 and so gq <= 0 exactly when J <= 0: one
+            # scan of W flags what J and gp flag.  argmin picks the first
+            # NaN, which compares false here, so non-finite states pass on
+            # to the finiteness check of the step
+            if W[W.argmin()] <= 0.0:
+                idx = int(np.where((jac <= 0.0) | (gp <= 0.0))[0][0])
+                raise DegenerateProfileError(
+                    f"jacobian nonpositive at s = {s[idx]:.6g} "
+                    f"(node {idx}, J = {jac[idx]:.3e})")
+            return gp, gq, jac
+
+        def grad(f):
+            # force gradient per kinetic weight, A2 m + G q with
+            # u = jac^(1-gamma), m = 1 - u/gp and q = 1 - u/gq, formed in W
+            # as [m | q]; both vanish exactly at f = 0, which a precomputed
+            # A2 + G 1 minus the rest would not
+            m, q, u = pq(f)
+            np.power(u, one_minus_gamma, u)
+            np.divide(u, m, m)
+            np.divide(u, q, q)
+            np.subtract(one, m_q, m_q)
+            m *= A2
+            out = dgbmv(n, n, _BAND, _BAND, 1.0, G, q)
+            out += m
+            return out
+
+        def accel(f, ft, th, tht, force, out=None):
+            # the radial law for f_tt given the force gradient, written to
+            # out when given; th and tht are floats
+            thp[()] = -th ** fp
+            damp[()] = 1.0 + 2.0 * tht / th
+            acc = np.divide(f, stiff, out)
+            acc += force
+            acc *= thp
+            acc -= ft * damp
+            return acc
+
+        def march(z, th, tht, dt):
+            # one RK4 step of z = [f | f_t] and of the floats theta, theta_t
+            # (see step); theta > 0 on entry, and a stage's theta <= 0
+            # leaves the law's domain: NaN carries it to the finiteness check
+            z1[:] = z
+            accel(f1, v1, th, tht, grad(f1), a1)
+            tt1 = -tht + th ** tq / tc
+            h = 0.5 * dt
+            dts[()] = h
+            np.multiply(k1, dts, z2)
+            np.add(z2, z, z2)
+            th2, tht2 = th + tht * h, tht + tt1 * h
+            th2 = th2 if th2 > 0.0 else math.nan
+            accel(f2, v2, th2, tht2, grad(f2), a2)
+            tt2 = -tht2 + th2 ** tq / tc
+            np.multiply(k2, dts, z3)
+            np.add(z3, z, z3)
+            th3, tht3 = th + tht2 * h, tht + tt2 * h
+            th3 = th3 if th3 > 0.0 else math.nan
+            accel(f3, v3, th3, tht3, grad(f3), a3)
+            tt3 = -tht3 + th3 ** tq / tc
+            dts[()] = dt
+            np.multiply(k3, dts, z4)
+            np.add(z4, z, z4)
+            th4, tht4 = th + tht3 * dt, tht + tt3 * dt
+            th4 = th4 if th4 > 0.0 else math.nan
+            accel(f4, v4, th4, tht4, grad(f4), a4)
+            tt4 = -tht4 + th4 ** tq / tc
+            # z + (dt/6) (k1 + 2 k2 + 2 k3 + k4); 2 k is exact, and the dot
+            # sums left to right, ((k1 + 2 k2) + 2 k3) + k4, into one fresh
+            # buffer, as the float sums do
+            h = dt / 6.0
+            z_new = weights.dot(K)
+            dts[()] = h
+            z_new *= dts
+            z_new += z
+            th_new = th + (tht + 2.0 * tht2 + 2.0 * tht3 + tht4) * h
+            tht_new = tht + (tt1 + 2.0 * tt2 + 2.0 * tt3 + tt4) * h
+            if not (th_new > 0.0 and math.isfinite(z_new.dot(z_new))
+                    and math.isfinite(th_new * th_new + tht_new * tht_new)):
+                raise FloatingPointError("non-finite state after step")
+            # the check RadialState makes; 1 + x rounds monotonically, so
+            # testing the smallest f tests every node
+            idx = int(z_new[:n].argmin())
+            if 1.0 + z_new[idx] <= 0.0:
+                raise DegenerateProfileError(
+                    f"1 + f nonpositive at node {idx} (value {z_new[idx]:.6g})")
+            return z_new, th_new, tht_new
+
+        self._pq, self._grad, self._accel, self._march = pq, grad, accel, march
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -345,26 +446,6 @@ class RadialSolver:
 
     def _apply_G(self, x: np.ndarray) -> np.ndarray:
         return dgbmv(self.n, self.n, _BAND, _BAND, 1.0, self._G, x)
-
-    def _pq(self, f: np.ndarray):
-        # views of W holding gp = 1 + f, gq = 1 + (s f)' and J = gp^2 gq,
-        # valid until the next call
-        gp, gq, jac = self._gp_gq_jac
-        np.add(f, self._one, out=gp)
-        np.add(self._apply_Dh(f), self._one, out=gq)
-        np.multiply(gp, gp, out=jac)
-        jac *= gq
-        # where gp > 0, gp^2 > 0 and so gq <= 0 exactly when J <= 0: one
-        # scan of W flags what J and gp flag.  argmin picks the first NaN,
-        # which compares false here, so non-finite states pass on to the
-        # finiteness check of the step
-        if self._W[self._W.argmin()] <= 0.0:
-            bad = np.where((jac <= 0.0) | (gp <= 0.0))[0]
-            idx = int(bad[0])
-            raise DegenerateProfileError(
-                f"jacobian nonpositive at s = {self.s[idx]:.6g} "
-                f"(node {idx}, J = {jac[idx]:.3e})")
-        return gp, gq, jac
 
     def internal_energy(self, f: np.ndarray) -> float:
         """sigma^(iota+1)-weighted integral of the bulk term (physical)."""
@@ -389,33 +470,6 @@ class RadialSolver:
         dmp = m0_pp * pv + m0_pq * qv
         dmq = m0_pq * pv + m0_qq * qv
         return 0.5 * self._A2 * dmp + self._apply_G(dmq)
-
-    def _grad(self, f: np.ndarray) -> np.ndarray:
-        # force gradient per kinetic weight, A2 m + G q with u = jac^(1-gamma),
-        # m = 1 - u/gp and q = 1 - u/gq, formed in W as [m | q]; both vanish
-        # exactly at f = 0, which a precomputed A2 + G 1 minus the rest
-        # would not
-        m, q, u = self._pq(f)
-        np.power(u, self._one_minus_gamma, out=u)
-        np.divide(u, m, out=m)
-        np.divide(u, q, out=q)
-        np.subtract(self._one, self._m_q, out=self._m_q)
-        m *= self._A2
-        out = self._apply_G(q)
-        out += m
-        return out
-
-    def _accel(self, f: np.ndarray, ft: np.ndarray, th: float, tht: float,
-               grad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # the radial law for f_tt given the force gradient, written to out
-        # when given; th and tht are floats
-        self._thp[()] = -th ** (1.0 - 3.0 * self.gamma)
-        self._damp[()] = 1.0 + 2.0 * tht / th
-        acc = np.divide(f, self._stiff, out=out)
-        acc += grad
-        acc *= self._thp
-        acc -= ft * self._damp
-        return acc
 
     # -- public operations
 
@@ -490,76 +544,18 @@ class RadialSolver:
                 - thp * (ft / (3.0 * g - 1.0) + dgrad))
         return f, ft, ftt, fttt
 
-    # -- RK4 on the packed buffer y = [f, theta, f_t, theta_t]: a position
-    # block q = (f, theta), then its velocity block q'
-
-    def _pack(self, state: RadialState) -> np.ndarray:
-        return np.concatenate([state.f, [state.theta], state.f_t,
-                               [state.theta_t]])
-
-    def _unpack(self, t: float, y: np.ndarray) -> RadialState:
-        n = self.n
-        return RadialState(time=t, f=y[:n], f_t=y[n + 1:-1],
-                           theta=float(y[n]), theta_t=float(y[-1]))
-
-    def _stage(self, f, ft, ftt, theta) -> None:
-        # the stage's accelerations, written to the views of its row: f_tt,
-        # and theta_tt into theta = (theta, theta_t, theta_tt)
-        th, tht, _ = theta.tolist()
-        # theta <= 0 leaves the law's domain; NaN carries it to the
-        # finiteness check of the step
-        if not th > 0.0:
-            th = math.nan
-        self._accel(f, ft, th, tht, self._grad(f), out=ftt)
-        theta[2] = theta_acceleration(self.gamma, th, tht)
-
-    def _advance(self, y: np.ndarray, dt: float) -> np.ndarray:
-        """One RK4 step of the packed buffer by a dt inside the CFL and
-        damping bounds, which step checks and run obeys; returns a new
-        buffer and never writes to y.  The stages live in the solver's
-        scratch, so one solver steps one buffer at a time.
-
-        Raises DegenerateProfileError from any stage or when 1 + f of the
-        result is nonpositive, and FloatingPointError when the result is
-        non-finite or theta nonpositive.  The finiteness test sums the
-        squares of the result, so an entry above about 1e154 overflows it
-        (numpy warns of the overflow) and counts as non-finite too.
-        """
-        n = self.n
-        (s1, k1, v1), (s2, k2, v2), (s3, k3, v3), (s4, _, v4) = self._stages
-        s1[:] = y
-        self._stage(*v1)
-        self._dt[()] = 0.5 * dt
-        np.multiply(k1, self._dt, out=s2)
-        s2 += y
-        self._stage(*v2)
-        np.multiply(k2, self._dt, out=s3)
-        s3 += y
-        self._stage(*v3)
-        self._dt[()] = dt
-        np.multiply(k3, self._dt, out=s4)
-        s4 += y
-        self._stage(*v4)
-        # y + (dt/6) (k1 + 2 k2 + 2 k3 + k4); 2 k is exact, and the dot sums
-        # left to right, ((k1 + 2 k2) + 2 k3) + k4, into one fresh buffer
-        y_new = self._rk4_weights.dot(self._K)
-        self._dt[()] = dt / 6.0
-        y_new *= self._dt
-        y_new += y
-        if not (math.isfinite(y_new.dot(y_new)) and y_new[n] > 0.0):
-            raise FloatingPointError("non-finite state after step")
-        # the check RadialState makes; 1 + x rounds monotonically, so
-        # testing the smallest f tests every node
-        idx = int(y_new[:n].argmin())
-        if 1.0 + y_new[idx] <= 0.0:
-            raise DegenerateProfileError(
-                f"1 + f nonpositive at node {idx} (value {y_new[idx]:.6g})")
-        return y_new
-
     def step(self, state: RadialState, dt: float) -> RadialState:
         """One RK4 step of (f, f_t, theta, theta_t).  Raises ValueError for
-        a nonpositive dt or one above the CFL or damping bound, and
-        otherwise what _advance raises."""
+        a nonpositive dt or one above the CFL or damping bound.
+
+        The step is the march run takes: z = [f | f_t] in the solver's
+        scratch (one solver steps one state at a time), theta and theta_t
+        co-stepped on floats by the same RK4 formulas.  It raises
+        DegenerateProfileError from any stage or when 1 + f of the result
+        is nonpositive, and FloatingPointError when the result is
+        non-finite or theta nonpositive; an entry above about 1e154
+        overflows the sum of squares that tests this (numpy warns) and
+        counts as non-finite too."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         cfl = self.h / self.sound_speed(state.theta)
@@ -569,8 +565,10 @@ class RadialSolver:
         if dt > cap * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {dt:.3e} violates the damping bound {cap:.3e}")
-        return self._unpack(state.time + dt,
-                            self._advance(self._pack(state), dt))
+        z, th, tht = self._march(np.concatenate([state.f, state.f_t]),
+                                 state.theta, state.theta_t, dt)
+        return RadialState(time=state.time + dt, f=z[:self.n], f_t=z[self.n:],
+                           theta=th, theta_t=tht)
 
     def balance_series(self, state: RadialState, t_end: float, dt: float):
         """Uniform-dt sampling of the zeroth-balance ingredients.
@@ -706,11 +704,11 @@ def run(config: RunConfig) -> RunResult:
     the boundary radius at geometric cadence, and enforcing the a-priori
     energy monitors.  Returns a result with a labeled stop reason.
 
-    The run steps the solver's packed buffer [f, theta, f_t, theta_t] up
-    to each record time in turn, the last step cut to end on it, and
-    builds a validated RadialState only for a record and for the final
-    state, which after a degenerate or non-finite step is the last
-    accepted one.
+    The run marches z = [f | f_t] and the floats theta, theta_t up to
+    each record time in turn, the last step cut to end on it, and builds a
+    validated RadialState only for a record and for the final state, which
+    after a degenerate or non-finite step, or a record whose force finds
+    J <= 0, is the last accepted one.
 
     Every record is reported in separated form.  After the loop the
     first and last records are also reported by the 3D energy_functionals
@@ -755,16 +753,22 @@ def run(config: RunConfig) -> RunResult:
         return None
 
     stop_reason = record(state)
-    t, y = state.time, solver._pack(state)
+    n, march = solver.n, solver._march
+    # step's bounds on floats: sound_speed(th) = sound_speed(1) th^cs_power
+    cfl_h, cs, cs_power = (config.cfl * solver.h, solver.sound_speed(1.0),
+                           (1.0 - 3.0 * solver.gamma) / 2.0)
+    t, z, th, tht = (state.time, np.concatenate([state.f, state.f_t]),
+                     state.theta, state.theta_t)
     steps, dt_min, dt_max = 0, math.inf, 0.0
     for target in rec_times:
         while stop_reason is None and t < target:
-            th, tht = y[solver.n::solver.n + 1].tolist()
+            damping = 1.0 + 2.0 * tht / th
             rest = target - t
-            dt = min(config.cfl * solver.h / solver.sound_speed(th),
-                     solver.damping_step(th, tht), rest)
+            dt = min(cfl_h / (cs * th ** cs_power),
+                     DAMPING_BOUND / damping if damping > 0.0 else math.inf,
+                     rest)
             try:
-                y = solver._advance(y, dt)
+                z, th, tht = march(z, th, tht, dt)
             except DegenerateProfileError:
                 stop_reason = STOP_DEGENERATE
             except FloatingPointError:
@@ -776,8 +780,13 @@ def run(config: RunConfig) -> RunResult:
                 dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         if stop_reason is not None:
             break
-        state = solver._unpack(t, y)
-        stop_reason = record(state)
+        state = RadialState(time=t, f=z[:n], f_t=z[n:], theta=th, theta_t=tht)
+        try:
+            stop_reason = record(state)
+        except DegenerateProfileError:
+            # a step that keeps 1 + f > 0 may still end with J <= 0, which
+            # the next stage or, here, the record's force sees first
+            stop_reason = STOP_DEGENERATE
 
     rec_start = time.perf_counter()
     separated = None  # free the angular factors before the 3D reports
@@ -800,7 +809,8 @@ def run(config: RunConfig) -> RunResult:
         reports=tuple(reports), mass_error=np.array(mass_err),
         sup_energy=float(sup_energy),
         stop_reason=stop_reason or STOP_COMPLETED,
-        final_state=state if state.time == t else solver._unpack(t, y),
+        final_state=state if state.time == t else RadialState(
+            time=t, f=z[:n], f_t=z[n:], theta=th, theta_t=tht),
         boundary_monotone=monotone,
         steps=steps, oracle_defect=float(oracle_defect),
         dt_min=float(dt_min) if steps else None,
