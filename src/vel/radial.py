@@ -39,9 +39,8 @@ STOP_NONFINITE = "nonfinite"
 # Largest dt (1 + 2 theta_t/theta) a step may take.  RK4 is stable on the
 # negative real axis up to 2.785.  On the 2x2 model x'' + d x' + w^2 x = 0,
 # dt d <= 2.5 stays stable for every w dt up to 2.63.  The default cfl keeps
-# w dt inside that range at gamma = 5/3 and 2 on 32-256 cells, where the
-# stiffest mode of the linearized law has w h/cs <= 6.09, but not at gamma =
-# 4/3, where w h/cs reads 14.05/10.81/7.96 on 32/64/128 cells.
+# w dt inside that range at gamma = 5/3 and 2 on 32-256 cells (the stiffest
+# mode has w h/cs <= 6.09), not at gamma = 4/3 (14.05/10.81/7.96 on 32/64/128).
 DAMPING_BOUND = 2.5
 
 
@@ -311,13 +310,16 @@ class RadialSolver:
     def _bind(self):
         """Bind the force and the RK4 march once, as closures over the
         operands.  A ufunc takes 0-d array operands (same floats) and a
-        positional out faster than Python floats and the out keyword."""
+        positional out faster than Python floats and the out keyword, and
+        a closure reads the names bound here faster than np.add and such."""
         n, g, s, Dh, G, A2 = self.n, self.gamma, self.s, self._Dh, self._G, self._A2
         one, one_minus_gamma, stiff, weights = (
             np.array(v) for v in (1.0, 1.0 - g, 3.0 * g - 1.0, [1.0, 2.0, 2.0, 1.0]))
         for arr in (one, one_minus_gamma, stiff, weights):
             arr.setflags(write=False)
         thp, damp, dts = (np.empty(()) for _ in range(3))
+        add, multiply, divide, subtract, power = (
+            np.add, np.multiply, np.divide, np.subtract, np.power)
         # the power of theta in the law for f_tt, and theta_tt = -theta_t +
         # theta^tq / tc of theta.theta_acceleration
         fp, tq, tc = 1.0 - 3.0 * g, 2.0 - 3.0 * g, 3.0 * g - 1.0
@@ -332,19 +334,20 @@ class RadialSolver:
         z1, z2, z3, z4 = rows.reshape(4, -1)[:, :2 * n]
         (f1, v1, a1), (f2, v2, a2), (f3, v3, a3), (f4, v4, a4) = rows
         k1, k2, k3, _ = K
+        argmin, wdot, gbmv, band = W.argmin, weights.dot, dgbmv, _BAND
 
         def pq(f):
             # views of W holding gp = 1 + f, gq = 1 + (s f)' and J = gp^2 gq,
             # valid until the next call
-            np.add(f, one, gp)
-            np.add(dgbmv(n, n, _BAND, _BAND, 1.0, Dh, f), one, gq)
-            np.multiply(gp, gp, jac)
-            np.multiply(jac, gq, jac)
+            add(f, one, gp)
+            add(gbmv(n, n, band, band, 1.0, Dh, f), one, gq)
+            multiply(gp, gp, jac)
+            multiply(jac, gq, jac)
             # where gp > 0, gp^2 > 0 and so gq <= 0 exactly when J <= 0: one
             # scan of W flags what J and gp flag.  argmin picks the first
             # NaN, which compares false here, so non-finite states pass on
             # to the finiteness check of the step
-            if W[W.argmin()] <= 0.0:
+            if W[argmin()] <= 0.0:
                 idx = int(np.where((jac <= 0.0) | (gp <= 0.0))[0][0])
                 raise DegenerateProfileError(
                     f"jacobian nonpositive at s = {s[idx]:.6g} "
@@ -357,12 +360,12 @@ class RadialSolver:
             # as [m | q]; both vanish exactly at f = 0, which a precomputed
             # A2 + G 1 minus the rest would not
             m, q, u = pq(f)
-            np.power(u, one_minus_gamma, u)
-            np.divide(u, m, m)
-            np.divide(u, q, q)
-            np.subtract(one, m_q, m_q)
+            power(u, one_minus_gamma, u)
+            divide(u, m, m)
+            divide(u, q, q)
+            subtract(one, m_q, m_q)
             m *= A2
-            out = dgbmv(n, n, _BAND, _BAND, 1.0, G, q)
+            out = gbmv(n, n, band, band, 1.0, G, q)
             out += m
             return out
 
@@ -371,7 +374,7 @@ class RadialSolver:
             # out when given; th and tht are floats
             thp[()] = -th ** fp
             damp[()] = 1.0 + 2.0 * tht / th
-            acc = np.divide(f, stiff, out)
+            acc = divide(f, stiff, out)
             acc += force
             acc *= thp
             acc -= ft * damp
@@ -386,21 +389,21 @@ class RadialSolver:
             tt1 = -tht + th ** tq / tc
             h = 0.5 * dt
             dts[()] = h
-            np.multiply(k1, dts, z2)
-            np.add(z2, z, z2)
+            multiply(k1, dts, z2)
+            add(z2, z, z2)
             th2, tht2 = th + tht * h, tht + tt1 * h
             th2 = th2 if th2 > 0.0 else math.nan
             accel(f2, v2, th2, tht2, grad(f2), a2)
             tt2 = -tht2 + th2 ** tq / tc
-            np.multiply(k2, dts, z3)
-            np.add(z3, z, z3)
+            multiply(k2, dts, z3)
+            add(z3, z, z3)
             th3, tht3 = th + tht2 * h, tht + tt2 * h
             th3 = th3 if th3 > 0.0 else math.nan
             accel(f3, v3, th3, tht3, grad(f3), a3)
             tt3 = -tht3 + th3 ** tq / tc
             dts[()] = dt
-            np.multiply(k3, dts, z4)
-            np.add(z4, z, z4)
+            multiply(k3, dts, z4)
+            add(z4, z, z4)
             th4, tht4 = th + tht3 * dt, tht + tt3 * dt
             th4 = th4 if th4 > 0.0 else math.nan
             accel(f4, v4, th4, tht4, grad(f4), a4)
@@ -409,7 +412,7 @@ class RadialSolver:
             # sums left to right, ((k1 + 2 k2) + 2 k3) + k4, into one fresh
             # buffer, as the float sums do
             h = dt / 6.0
-            z_new = weights.dot(K)
+            z_new = wdot(K)
             dts[()] = h
             z_new *= dts
             z_new += z
@@ -545,17 +548,14 @@ class RadialSolver:
         return f, ft, ftt, fttt
 
     def step(self, state: RadialState, dt: float) -> RadialState:
-        """One RK4 step of (f, f_t, theta, theta_t).  Raises ValueError for
-        a nonpositive dt or one above the CFL or damping bound.
-
-        The step is the march run takes: z = [f | f_t] in the solver's
-        scratch (one solver steps one state at a time), theta and theta_t
-        co-stepped on floats by the same RK4 formulas.  It raises
-        DegenerateProfileError from any stage or when 1 + f of the result
-        is nonpositive, and FloatingPointError when the result is
-        non-finite or theta nonpositive; an entry above about 1e154
-        overflows the sum of squares that tests this (numpy warns) and
-        counts as non-finite too."""
+        """One RK4 step of (f, f_t, theta, theta_t), by the march run takes:
+        z = [f | f_t] in the solver's scratch (one solver steps one state at
+        a time), theta and theta_t co-stepped on floats by the same RK4
+        formulas.  Raises ValueError for a nonpositive dt or one above the
+        CFL or damping bound, DegenerateProfileError from any stage or when
+        1 + f of the result is nonpositive, and FloatingPointError when the
+        result is non-finite or theta nonpositive, or an entry above about
+        1e154 overflows the sum of squares that tests this (numpy warns)."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         cfl = self.h / self.sound_speed(state.theta)
@@ -784,8 +784,7 @@ def run(config: RunConfig) -> RunResult:
         try:
             stop_reason = record(state)
         except DegenerateProfileError:
-            # a step that keeps 1 + f > 0 may still end with J <= 0, which
-            # the next stage or, here, the record's force sees first
+            # an accepted step may end with J <= 0, which only a force sees
             stop_reason = STOP_DEGENERATE
 
     rec_start = time.perf_counter()

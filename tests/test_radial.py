@@ -6,6 +6,7 @@ import json
 import math
 import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -190,7 +191,7 @@ class TestSolverSetup:
         def walk(names):
             # the arrays the solver holds, and those its closures bind
             for name, val in names.items():
-                if callable(val) and name not in sizes:
+                if isinstance(val, types.FunctionType) and name not in sizes:
                     sizes[name] = []
                     walk(closure_values(val))
                 elif isinstance(val, np.ndarray):
@@ -761,11 +762,11 @@ class TestReferenceStep:
         # the one dot over the solver's derivative block rounds as the
         # left-to-right sum, at every scale of the stage derivatives
         bound = closure_values(RadialSolver(GAMMA, resolution=n)._march)
-        K, weights = bound["K"], bound["weights"]
+        K, wdot = bound["K"], bound["wdot"]
         rng = np.random.default_rng(n)
         for _ in range(20):
             K[:] = rng.standard_normal(K.shape) * 10.0 ** rng.uniform(-8.0, 8.0, (4, 1))
-            assert np.array_equal(weights.dot(K), reference_combination(*K))
+            assert np.array_equal(wdot(K), reference_combination(*K))
 
     @staticmethod
     def advance_with_entry(monkeypatch, stage, value):
