@@ -19,9 +19,9 @@ from vel.geometry import BallGrid, DegenerateDeformationError
 from vel.norms import Truncation, zeroth_energy_balance
 from vel.params import GasParams, derive_constants
 from vel.radial import (DegenerateProfileError, GrowthFit, OracleReport,
-                        RadialSolver, RadialState, RunConfig, RunResult,
-                        _build_sbp, embedded_flux_divergence, fit_growth,
-                        profile_family, reduce_equation, run)
+                        RadialSolver, RadialState, RunConfig, _build_sbp,
+                        embedded_flux_divergence, fit_growth, profile_family,
+                        reduce_equation, run)
 from vel.theta import nu, theta_acceleration
 
 GAMMA = 2.0
