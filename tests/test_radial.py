@@ -196,8 +196,6 @@ class TestSolverSetup:
                     walk(closure_values(val))
                 elif isinstance(val, np.ndarray):
                     sizes[name] = [val.size]
-                elif isinstance(val, tuple):
-                    sizes[name] = [v.size for v in val]
 
         walk(vars(solver))
         # the four stage rows of 3n are held only as views: the (4, 2n)
