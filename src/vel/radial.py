@@ -10,9 +10,9 @@ the discrete internal energy built on a summation-by-parts derivative
 pair; together with the vanishing sigma-weights at the outer rim this
 supplies the natural vacuum boundary behavior without an imposed boundary
 condition, and the semi-discrete energy balance holds to integrator
-order.  Time stepping is explicit RK4 under a CFL cap and a damping cap:
-one march per solver steps [f | f_t] in numpy and co-steps the scaling
-factor theta and theta_t on floats by the same RK4 formulas.
+order.  Time stepping is explicit RK4: one march per solver picks dt
+under a CFL cap and a damping cap, steps [f | f_t] in numpy and co-steps
+the scaling factor theta and theta_t on floats by the same RK4 formulas.
 """
 
 import math
@@ -323,6 +323,9 @@ class RadialSolver:
         # the power of theta in the law for f_tt, and theta_tt = -theta_t +
         # theta^tq / tc of theta.theta_acceleration
         fp, tq, tc = 1.0 - 3.0 * g, 2.0 - 3.0 * g, 3.0 * g - 1.0
+        # the CFL step cfl cell / c_s(theta), c_s = cs theta^cs_power the
+        # center's sound speed
+        cell, cs, cs_power = self.h, math.sqrt(g * self.constants.a_bar), fp / 2.0
         # W holds [gp | gq | J] (see pq); stage i's row [f, f_t, f_tt] holds
         # its state in [:2n] and its derivative k_i in [n:].  Scratch that
         # no returned array aliases
@@ -380,10 +383,17 @@ class RadialSolver:
             acc -= ft * damp
             return acc
 
-        def march(z, th, tht, dt):
+        def march(z, th, tht, rest, cfl):
             # one RK4 step of z = [f | f_t] and of the floats theta, theta_t
-            # (see step); theta > 0 on entry, and a stage's theta <= 0
-            # leaves the law's domain: NaN carries it to the finiteness check
+            # (see step) by dt, the least of the CFL step, the damping bound
+            # dt (1 + 2 theta_t/theta) <= DAMPING_BOUND (none where that
+            # coefficient is not positive) and rest; returns the new state
+            # and dt.  theta > 0 on entry, and a stage's theta <= 0 leaves
+            # the law's domain: NaN carries it to the finiteness check
+            damping = 1.0 + 2.0 * tht / th
+            dt = min(cfl * cell / (cs * th ** cs_power),
+                     DAMPING_BOUND / damping if damping > 0.0 else math.inf,
+                     rest)
             z1[:] = z
             accel(f1, v1, th, tht, grad(f1), a1)
             tt1 = -tht + th ** tq / tc
@@ -427,7 +437,7 @@ class RadialSolver:
             if 1.0 + z_new[idx] <= 0.0:
                 raise DegenerateProfileError(
                     f"1 + f nonpositive at node {idx} (value {z_new[idx]:.6g})")
-            return z_new, th_new, tht_new
+            return z_new, th_new, tht_new, dt
 
         self._pq, self._grad, self._accel, self._march = pq, grad, accel, march
 
@@ -457,10 +467,6 @@ class RadialSolver:
               + 2.0 * (gp - 1.0) + (gq - 1.0))
         return float(np.dot(self.w_u, m0))
 
-    def _force_gradient(self, f: np.ndarray) -> np.ndarray:
-        # exact gradient of the internal energy with respect to f
-        return self.w_f * self._grad(f)
-
     def _hess_apply(self, f: np.ndarray, pv: np.ndarray) -> np.ndarray:
         # directional derivative of _grad along pv
         gp, gq, jac = self._pq(f)
@@ -476,20 +482,10 @@ class RadialSolver:
 
     # -- public operations
 
-    def sound_speed(self, theta: float) -> float:
-        """Sound speed sqrt(gamma a_bar) theta^((1-3 gamma)/2) at the center."""
-        return (math.sqrt(self.gamma * self.constants.a_bar)
-                * theta ** ((1.0 - 3.0 * self.gamma) / 2.0))
-
-    def damping_step(self, theta: float, theta_t: float) -> float:
-        """Largest dt with dt (1 + 2 theta_t/theta) <= DAMPING_BOUND; no
-        bound (inf) where that damping coefficient is not positive."""
-        damping = 1.0 + 2.0 * theta_t / theta
-        return DAMPING_BOUND / damping if damping > 0.0 else math.inf
-
     def make_state(self, time: float, f, f_t, theta: float | None = None,
                    theta_t: float | None = None) -> RadialState:
-        """Validated state; theta defaults to the self-similar start at t=0."""
+        """Validated state; theta defaults to the self-similar start at t=0.
+        A theta whose power theta^(-3 gamma) overflows is a ValueError."""
         f = np.asarray(f, dtype=float)
         f_t = np.asarray(f_t, dtype=float)
         if f.shape != (self.n,):
@@ -504,6 +500,12 @@ class RadialSolver:
         state = RadialState(
             time=float(time), f=f, f_t=f_t, theta=float(theta),
             theta_t=float(theta_t))
+        try:
+            state.theta ** (-3.0 * self.gamma)
+        except OverflowError:
+            raise ValueError(
+                f"theta = {state.theta:.3g} is too small: theta^(-3 gamma) "
+                f"overflows at gamma = {self.gamma:g}") from None
         self._pq(state.f)
         return state
 
@@ -548,25 +550,22 @@ class RadialSolver:
         return f, ft, ftt, fttt
 
     def step(self, state: RadialState, dt: float) -> RadialState:
-        """One RK4 step of (f, f_t, theta, theta_t), by the march run takes:
-        z = [f | f_t] in the solver's scratch (one solver steps one state at
-        a time), theta and theta_t co-stepped on floats by the same RK4
-        formulas.  Raises ValueError for a nonpositive dt or one above the
-        CFL or damping bound, DegenerateProfileError from any stage or when
-        1 + f of the result is nonpositive, and FloatingPointError when the
-        result is non-finite or theta nonpositive, or an entry above about
-        1e154 overflows the sum of squares that tests this (numpy warns)."""
+        """One RK4 step of (f, f_t, theta, theta_t) by the march run takes,
+        at cfl 1: z = [f | f_t] in the solver's scratch (one solver steps one
+        state at a time), theta and theta_t co-stepped on floats.  Raises
+        ValueError for a nonpositive dt, or for a dt above the CFL or damping
+        bound once the march has taken the bound instead (the result is
+        dropped), DegenerateProfileError from any stage or when 1 + f of the
+        result is nonpositive, and FloatingPointError when the result is
+        non-finite or theta nonpositive, or an entry above about 1e154
+        overflows the sum of squares that tests this (numpy warns)."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        cfl = self.h / self.sound_speed(state.theta)
-        if dt > cfl * (1.0 + 1e-12):
-            raise ValueError(f"dt = {dt:.3e} violates the CFL bound {cfl:.3e}")
-        cap = self.damping_step(state.theta, state.theta_t)
-        if dt > cap * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt = {dt:.3e} violates the damping bound {cap:.3e}")
-        z, th, tht = self._march(np.concatenate([state.f, state.f_t]),
-                                 state.theta, state.theta_t, dt)
+        z, th, tht, taken = self._march(np.concatenate([state.f, state.f_t]),
+                                        state.theta, state.theta_t, dt, 1.0)
+        if taken < dt:
+            raise ValueError(f"dt = {dt:.3e} violates the CFL or damping "
+                             f"bound: the largest step is {taken:.3e}")
         return RadialState(time=state.time + dt, f=z[:self.n], f_t=z[self.n:],
                            theta=th, theta_t=tht)
 
@@ -753,22 +752,15 @@ def run(config: RunConfig) -> RunResult:
         return None
 
     stop_reason = record(state)
-    n, march = solver.n, solver._march
-    # step's bounds on floats: sound_speed(th) = sound_speed(1) th^cs_power
-    cfl_h, cs, cs_power = (config.cfl * solver.h, solver.sound_speed(1.0),
-                           (1.0 - 3.0 * solver.gamma) / 2.0)
+    n, march, cfl = solver.n, solver._march, config.cfl
     t, z, th, tht = (state.time, np.concatenate([state.f, state.f_t]),
                      state.theta, state.theta_t)
     steps, dt_min, dt_max = 0, math.inf, 0.0
     for target in rec_times:
         while stop_reason is None and t < target:
-            damping = 1.0 + 2.0 * tht / th
             rest = target - t
-            dt = min(cfl_h / (cs * th ** cs_power),
-                     DAMPING_BOUND / damping if damping > 0.0 else math.inf,
-                     rest)
             try:
-                z, th, tht = march(z, th, tht, dt)
+                z, th, tht, dt = march(z, th, tht, rest, cfl)
             except DegenerateProfileError:
                 stop_reason = STOP_DEGENERATE
             except FloatingPointError:

@@ -32,7 +32,6 @@ __all__ = [
     "theta_acceleration",
     "integrate_h",
     "verify_decay",
-    "theta_derivative",
     "liu_mass",
     "barenblatt_path",
     "liu_integrate",
@@ -519,34 +518,11 @@ def integrate_h(
     )
 
 
-def theta_derivative(path: ThetaPath, order: int) -> np.ndarray:
-    """d^k theta / dt^k on the path grid, by substituting the evolution law.
-
-    Orders 0..3 are supported; substitution avoids differencing noise. Order 2
-    is the path's own theta_tt; order 3 differentiates
-    theta_tt = -theta_t + c theta^{2-3g} once more.
-    """
-    _check_order(order)
-    if order > 3:
-        raise ValueError("derivative order above 3 is not supported")
-    series = (path.theta, path.theta_t, path.theta_tt)
-    if order < 3:
-        return np.asarray(series[order])
-    g = path.gamma
-    c, q = 1.0 / (3.0 * g - 1.0), 2.0 - 3.0 * g
-    return -path.theta_tt + c * q * path.theta ** (q - 1.0) * path.theta_t
-
-
 def verify_decay(path: ThetaPath, n: int = 2) -> DecayReport:
-    """Fit the decay constants and check the constant-1 bounds on a path.
-
-    Cn_fit[3] is dominated by integration error, not fitted: at t = 1e4 it
-    falls with the tolerance (3.92, 2.13, 1.08 at gamma = 4/3 for rtol =
-    atol = 1e-10, 5e-11, 2.5e-11), as the weight (1 + t)^(3 - p) grows.
-    Only its finiteness enters passed.
-    """
-    if n < 0 or n > 3:
-        raise ValueError("n must be between 0 and 3")
+    """Fit the decay constants, Cn_fit[k] for k = 1..n <= 2 from the path's
+    own theta_t and theta_tt, and check the constant-1 bounds on a path."""
+    if n < 0 or n > 2:
+        raise ValueError("n must be between 0 and 2")
     g = path.gamma
     p = 1.0 / (3.0 * g - 1.0)
     base = nu(g, path.times)
@@ -554,8 +530,7 @@ def verify_decay(path: ThetaPath, n: int = 2) -> DecayReport:
     monotone_violation = float(np.max(-path.theta_t))
     K_fit = float(np.max(path.theta / base))
     Cn_fit: dict[int, float] = {}
-    for k in range(1, n + 1):
-        dk = theta_derivative(path, k)
+    for k, dk in enumerate((path.theta_t, path.theta_tt)[:n], 1):
         Cn_fit[k] = float(np.max(np.abs(dk) * np.power(1.0 + path.times, k - p)))
     violations = {"lower": lower_violation, "monotone": monotone_violation}
     fits_finite = np.isfinite(K_fit) and all(np.isfinite(v) for v in Cn_fit.values())

@@ -148,3 +148,41 @@ def test_stage_without_method_reductions():
     found = _stage_reductions((SRC / "radial.py").read_text())
     assert sorted(found) == sorted(STAGE_FUNCTIONS)
     assert all(calls == [] for calls in found.values()), found
+
+
+# The step rule (the CFL step and the damping bound) has one home: the march
+# picks every dt, and step compares its dt with the one the march took.
+STEP_RULE_READERS = {("radial", "march")}
+
+
+def _readers(source, name):
+    """Names of the innermost functions in source that read the global
+    name; "<module>" for a read at module level."""
+    found = set()
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    and isinstance(child.ctx, ast.Load)):
+                found.add(fn)
+            visit(child, fn)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_step_rule_lint_sees_a_second_reader():
+    source = ("DAMPING_BOUND = 2.5\nclass RadialSolver:\n"
+              "    def _bind(self):\n        def march(th):\n"
+              "            return DAMPING_BOUND / th\n"
+              "    def step(self, dt):\n        return dt > DAMPING_BOUND\n")
+    assert _readers(source, "DAMPING_BOUND") == {"march", "step"}
+
+
+def test_step_rule_read_only_by_the_march():
+    found = {(path.stem, fn) for path in sorted(SRC.glob("*.py"))
+             for fn in _readers(path.read_text(), "DAMPING_BOUND")}
+    assert found == STEP_RULE_READERS

@@ -296,6 +296,21 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             state.f[0] = 1.0
 
+    @pytest.mark.parametrize("theta", [1e-70, 1e-55])
+    def test_theta_too_small_rejected(self, theta):
+        # at gamma = 2, theta^(1 - 3 gamma) = 1e275 is finite at 1e-55, but
+        # time_derivatives also takes theta^(-3 gamma) = 1e330
+        with pytest.raises(ValueError, match="theta = 1e-.. is too small"):
+            self.solver.make_state(1.0, np.zeros(16), np.zeros(16),
+                                   theta=theta, theta_t=0.0)
+
+    def test_small_theta_accepted(self):
+        profile = poly_profile(self.solver)
+        state = self.solver.make_state(1.0, profile, 1e-3 * profile,
+                                       theta=1e-40, theta_t=0.0)
+        derivs = self.solver.time_derivatives(state)
+        assert all(np.isfinite(d).all() for d in derivs)
+
 
 # ---------------------------------------------------------------------------
 # force consistency
@@ -468,7 +483,7 @@ class TestFoldedOperator:
 
         for got, want in zip(solver._pq(f), ref.pq(f)):
             close(got, want[n:])
-        close(solver._force_gradient(f), ref.force_gradient(f)[n:])
+        close(solver.w_f * solver._grad(f), ref.force_gradient(f)[n:])
         # the folded force per kinetic weight, as every RK4 stage uses it,
         # and its directional derivative
         close(solver._grad(f), ref.force_gradient(f)[n:] / ref.w_f[n:])
@@ -635,9 +650,10 @@ def reference_combination(k1, k2, k3, k4):
 def reference_run_loop(cfg):
     """run's stepping loop as it read with theta in the packed buffer
     [f, f_t, theta, theta_t]: reference_advance up to each record time in
-    turn, dt the least of the CFL step, damping_step and the rest, the last
-    step landing on the record time.  Assumes no stop.  Returns (record
-    states, steps, dt_min, dt_max)."""
+    turn, dt the least of the CFL step, the damping bound and the rest (the
+    bounds by the test-local sound_speed and damping_step), the last step
+    landing on the record time.  Assumes no stop.  Returns (record states,
+    steps, dt_min, dt_max)."""
     solver = RadialSolver(cfg.gamma, cfg.mass, cfg.resolution)
     psi = profile_family(cfg, solver.s, solver.constants.r0)
     state = solver.make_state(0.0, cfg.amplitude * psi,
@@ -649,8 +665,8 @@ def reference_run_loop(cfg):
         while t < target:
             th, tht = y[-2:].tolist()
             rest = target - t
-            dt = min(cfg.cfl * solver.h / solver.sound_speed(th),
-                     solver.damping_step(th, tht), rest)
+            dt = min(cfg.cfl * solver.h / sound_speed(solver, th),
+                     damping_step(th, tht), rest)
             y = reference_advance(solver, y, dt)
             t = target if dt == rest else t + dt
             steps += 1
@@ -686,6 +702,30 @@ def hook_stages(monkeypatch, solver, stage):
 def packed(state):
     """The march's operands (z = [f | f_t], theta, theta_t) of a state."""
     return np.concatenate([state.f, state.f_t]), state.theta, state.theta_t
+
+
+def sound_speed(solver, theta):
+    """The center's sound speed sqrt(gamma a_bar) theta^((1 - 3 gamma)/2),
+    as the solver's sound_speed method computed it before the march chose
+    its own dt: an independent reference for the CFL step."""
+    return (math.sqrt(solver.gamma * solver.constants.a_bar)
+            * theta ** ((1.0 - 3.0 * solver.gamma) / 2.0))
+
+
+def damping_step(theta, theta_t):
+    """Largest dt with dt (1 + 2 theta_t/theta) <= DAMPING_BOUND, inf where
+    that coefficient is not positive, as the solver's damping_step method
+    computed it."""
+    damping = 1.0 + 2.0 * theta_t / theta
+    return radial_module.DAMPING_BOUND / damping if damping > 0.0 else math.inf
+
+
+def march(solver, z, th, tht, dt):
+    """solver._march by exactly dt: at cfl 1 with dt inside both bounds,
+    the march takes dt itself.  Returns (z, theta, theta_t)."""
+    z, th, tht, taken = solver._march(z, th, tht, dt, 1.0)
+    assert taken == dt
+    return z, th, tht
 
 
 def write_derivative(dy, f, ft, ftt):
@@ -744,10 +784,10 @@ class TestReferenceStep:
         z, th, tht = packed(state)
         steps = []
         for _ in range(5):
-            dt = min(0.3 * solver.h / solver.sound_speed(th),
-                     solver.damping_step(th, tht))
+            dt = min(0.3 * solver.h / sound_speed(solver, th),
+                     damping_step(th, tht))
             want = reference_advance(solver, np.concatenate([z, [th, tht]]), dt)
-            z, th, tht = solver._march(z, th, tht, dt)
+            z, th, tht = march(solver, z, th, tht, dt)
             assert type(th) is float and type(tht) is float
             assert_array_equal(np.concatenate([z, [th, tht]]), want)
             steps.append((z, z.copy()))
@@ -782,7 +822,7 @@ class TestReferenceStep:
 
         hook_stages(monkeypatch, solver, stage_hook)
         try:
-            return solver._march(*packed(state), 1e-3)[0]
+            return march(solver, *packed(state), 1e-3)[0]
         finally:
             assert len(calls) == 4
 
@@ -829,10 +869,10 @@ class TestReferenceStep:
 
         velocity_scale = norm(state.f_t)
         for step in range(200):
-            dt = min(0.3 * solver.h / solver.sound_speed(th),
-                     solver.damping_step(th, tht))
+            dt = min(0.3 * solver.h / sound_speed(solver, th),
+                     damping_step(th, tht))
             try:
-                nxt = solver._march(z, th, tht, dt)
+                nxt = march(solver, z, th, tht, dt)
             except DegenerateProfileError:
                 # so does the F = s f scheme, at the same step
                 with pytest.raises(DegenerateProfileError):
@@ -902,7 +942,7 @@ class TestStageChecks:
 
         hook_stages(monkeypatch, self.solver, stage)
         with pytest.raises(FloatingPointError, match="non-finite"):
-            self.solver._march(*packed(self.state), dt)
+            march(self.solver, *packed(self.state), dt)
         assert len(calls) == 4
 
     def test_degenerate_stage_names_first_bad_node(self):
@@ -948,7 +988,7 @@ class TestStageChecks:
                     lambda law, *views: write_derivative(dy, *views))
         with pytest.raises(DegenerateProfileError,
                            match="1 \\+ f nonpositive at node 20"):
-            self.solver._march(*packed(self.state), dt)
+            march(self.solver, *packed(self.state), dt)
 
 
 class TestStepping:
@@ -973,14 +1013,16 @@ class TestStepping:
             self.solver.step(self.state, 2.0 * self.solver.h / cs)
 
     def test_cfl_guard_follows_theta(self):
-        # the sound speed falls as theta grows, so the admissible dt rises
+        # the sound speed falls as theta grows, so the admissible dt rises;
+        # a dt equal to the CFL step is taken
         late = self.solver.make_state(5.0, self.state.f, self.state.f_t,
                                       theta=2.0, theta_t=0.1)
         cs = np.sqrt(GAMMA * CONSTANTS.a_bar) * 2.0 ** ((1.0 - 3.0 * GAMMA) / 2.0)
-        assert_allclose(self.solver.sound_speed(late.theta), cs, rtol=1e-15)
-        dt = self.solver.h / self.solver.sound_speed(late.theta)
-        assert dt > self.solver.h / self.solver.sound_speed(1.0)
-        self.solver.step(late, dt)
+        assert_allclose(sound_speed(self.solver, late.theta), cs, rtol=1e-15)
+        dt = self.solver.h / sound_speed(self.solver, late.theta)
+        assert dt > self.solver.h / sound_speed(self.solver, 1.0)
+        assert dt < damping_step(late.theta, late.theta_t)
+        assert self.solver.step(late, dt).time == late.time + dt
         with pytest.raises(ValueError, match="CFL"):
             self.solver.step(late, 1.01 * dt)
 
@@ -988,10 +1030,10 @@ class TestStepping:
         # late enough that the CFL step exceeds the damping bound
         late = self.solver.make_state(1e5, self.state.f, self.state.f_t,
                                       theta=10.0, theta_t=0.0)
-        cap = self.solver.damping_step(late.theta, late.theta_t)
+        cap = damping_step(late.theta, late.theta_t)
         assert cap == radial_module.DAMPING_BOUND
-        assert self.solver.h / self.solver.sound_speed(late.theta) > 2.0 * cap
-        self.solver.step(late, cap)
+        assert self.solver.h / sound_speed(self.solver, late.theta) > 2.0 * cap
+        assert self.solver.step(late, cap).time == late.time + cap
         with pytest.raises(ValueError, match="damping"):
             self.solver.step(late, 1.01 * cap)
 
@@ -1024,7 +1066,7 @@ class TestStepping:
                     lambda law, *views: write_derivative(dy, *views))
         with pytest.raises(DegenerateProfileError,
                            match=f"1 \\+ f nonpositive at node {n // 2}"):
-            self.solver._march(*packed(self.state), dt)
+            march(self.solver, *packed(self.state), dt)
 
     def advance_keeps_input(self, dt, raises=None, match=None):
         # run keeps z as the last accepted state, so no stage may write it,
@@ -1032,11 +1074,11 @@ class TestStepping:
         z, th, tht = packed(self.state)
         before = z.copy()
         if raises is None:
-            assert not np.array_equal(self.solver._march(z, th, tht, dt)[0], z)
+            assert not np.array_equal(march(self.solver, z, th, tht, dt)[0], z)
             self.solver.step(self.state, dt)
         else:
             with pytest.raises(raises, match=match):
-                self.solver._march(z, th, tht, dt)
+                march(self.solver, z, th, tht, dt)
             with pytest.raises(raises, match=match):
                 self.solver.step(self.state, dt)
         assert_array_equal(z, before)
@@ -1048,18 +1090,44 @@ class TestStepping:
 
     @pytest.mark.parametrize("bound", ["positive", "CFL", "damping"])
     def test_step_checks_dt_before_advancing(self, monkeypatch, bound):
-        # step rejects a dt outside its bounds; _advance trusts its dt
+        # step rejects a nonpositive dt before it marches, and a dt above a
+        # bound once the march has taken the bound instead; either way the
+        # state is left as it was
         late = self.solver.make_state(1e5, self.state.f, self.state.f_t,
                                       theta=10.0, theta_t=0.0)
         state, dt = {
             "positive": (self.state, 0.0),
-            "CFL": (self.state, 2.0 * self.solver.h / self.solver.sound_speed(1.0)),
+            "CFL": (self.state, 2.0 * self.solver.h / sound_speed(self.solver, 1.0)),
             "damping": (late, 1.01 * radial_module.DAMPING_BOUND)}[bound]
-        calls = []
-        monkeypatch.setattr(self.solver, "_march", lambda *args: calls.append(args))
+        z, th, tht = packed(state)
+        calls, original = [], self.solver._march
+
+        def counted(*args):
+            calls.append(args[3:])
+            return original(*args)
+
+        monkeypatch.setattr(self.solver, "_march", counted)
         with pytest.raises(ValueError, match=bound):
             self.solver.step(state, dt)
-        assert calls == []
+        assert calls == ([] if bound == "positive" else [(dt, 1.0)])
+        assert_array_equal(np.concatenate([state.f, state.f_t]), z)
+        assert (state.theta, state.theta_t) == (th, tht)
+
+    @pytest.mark.parametrize("theta,theta_t,binding", [
+        (1.0, 0.2, "CFL"), (10.0, 0.0, "damping")], ids=["t0", "late"])
+    def test_march_returns_the_dt_it_took(self, theta, theta_t, binding):
+        # dt is rest where rest is smallest, else the binding bound, bit for
+        # bit the test-local formulas
+        state = self.solver.make_state(1.0, self.state.f, self.state.f_t,
+                                       theta=theta, theta_t=theta_t)
+        bounds = {"CFL": 0.3 * self.solver.h / sound_speed(self.solver, theta),
+                  "damping": damping_step(theta, theta_t)}
+        bound = bounds[binding]
+        assert bound == min(bounds.values()) < max(bounds.values())
+        for rest in (0.5 * bound, bound, np.nextafter(bound, 0.0),
+                     np.nextafter(bound, math.inf), 2.0 * bound, math.inf):
+            dt = self.solver._march(*packed(state), float(rest), 0.3)[3]
+            assert dt == (rest if rest <= bound else bound)
 
     def test_advance_keeps_input_on_stage_degeneracy(self, monkeypatch):
         # the first stage sees f = 0; the second, at f = -2 psi, is degenerate
@@ -1172,7 +1240,7 @@ class TestDampingBound:
             [solver._hess_apply(zero, e) for e in np.eye(resolution)])
         stiffness += np.eye(resolution) / (3.0 * gamma - 1.0)
         omega = math.sqrt(np.linalg.eigvals(stiffness).real.max())
-        ratio = omega * solver.h / solver.sound_speed(1.0)
+        ratio = omega * solver.h / sound_speed(solver, 1.0)
         assert RunConfig.cfl * ratio <= self.W_STABLE
 
     def test_run_past_the_onset_completes(self):
@@ -1473,8 +1541,8 @@ def replay_with_step(cfg):
         target = min(rec_times[next_rec] if next_rec < rec_times.size
                      else cfg.t_end, cfg.t_end)
         rest = target - state.time
-        dt = min(cfg.cfl * solver.h / solver.sound_speed(state.theta),
-                 solver.damping_step(state.theta, state.theta_t), rest)
+        dt = min(cfg.cfl * solver.h / sound_speed(solver, state.theta),
+                 damping_step(state.theta, state.theta_t), rest)
         try:
             new_state = solver.step(state, dt)
             if dt == rest:  # a step cut to end on the target lands on it
@@ -1591,8 +1659,8 @@ class TestPackedRun:
         solver = RadialSolver(GAMMA, resolution=32)
         assert 0.0 < res.dt_min <= res.dt_max
         # the CFL step grows with theta, so the final theta bounds every dt
-        assert res.dt_max <= cfg.cfl * solver.h / solver.sound_speed(
-            res.final_state.theta)
+        assert res.dt_max <= cfg.cfl * solver.h / sound_speed(
+            solver, res.final_state.theta)
 
     def test_degenerate_record_stops_degenerate(self):
         # a step cut to land on the second record keeps 1 + f > 0 but ends
