@@ -515,6 +515,8 @@ def _cmd_radial(config: Config, out):
          "steps": result.steps,
          "dt_min": result.dt_min,
          "dt_max": result.dt_max,
+         "records": result.records,
+         "min_jacobian": result.min_jacobian,
          "sup_energy": result.sup_energy,
          "mass_defect": mass_worst,
          "v_add_max": vadd_worst,

@@ -202,22 +202,23 @@ def _sq(vec: np.ndarray) -> np.ndarray:
 
 
 class _GridFields:
-    """Fields as arrays of node values on the grid.  A level of the string
-    walk is a list of strings, each differentiated on its own."""
+    """Fields as arrays of node values on the grid, one record.  A level of
+    the string walk is a list of strings, each differentiated on its own.
+    The partials of root, a deformation state's field, are its grad_omega."""
 
-    def __init__(self, grid: BallGrid):
+    def __init__(self, grid: BallGrid, root: DeformationState | None = None):
         self.grid = grid
-
-    def zeros(self, *lead):
-        return np.zeros((*lead, *self.grid.shape))
+        self.root = root
 
     def sq(self, vec):
         return _sq(vec)
 
-    def integrate(self, power, dens) -> float:
-        return self.grid.integrate(self.grid.sigma ** power * dens)
+    def integrate(self, power, dens) -> list:
+        return [self.grid.integrate(self.grid.sigma ** power * dens)]
 
     def partials(self, piece):
+        if self.root is not None and piece is self.root.omega.values:
+            return self.root.grad_omega
         return self.grid.partials(piece)  # [i, k] = d_k piece^i
 
     def flat(self, dp):
@@ -245,9 +246,10 @@ def _tall_qr_r(a: np.ndarray) -> np.ndarray:
 
 
 class _Terms(NamedTuple):
-    """Separated field: the sum over a of radial[a](s) angular[a](yhat).
+    """Separated fields of R records: record r's field is the sum over a
+    of radial[a, r](s) angular[a](yhat).
 
-    radial has shape (K, n_r).  angular has shape (K, S, *components, 1,
+    radial has shape (K, R, n_r).  angular has shape (K, S, *components, 1,
     n_mu, n_psi): the angular factors of S strings on the grid's angular
     nodes, with a unit radial axis so that the grid's angular operators
     apply unchanged.  Every angular factor is parity times itself at the
@@ -261,7 +263,7 @@ class _Terms(NamedTuple):
 
 
 class _RadialDeformation(NamedTuple):
-    """Deformation of omega = F(s) yhat in separated form.
+    """Deformation of omega = F(s) yhat in separated form, per record.
 
     With alpha = D_s F and beta = F / s, grad_omega is alpha P + beta Q for
     P = yhat yhat^T and Q = Id - P; it is held as diag(alpha, beta, beta)
@@ -283,7 +285,8 @@ class SeparatedFields:
     derivative acts on T alone.  These are the grid's own operators
     regrouped, so every integral equals the node-array walk's up to
     rounding at any angular resolution.  A level of the string walk is one
-    batch of strings that share their radial factors.
+    batch of strings that share their radial factors, and the records are
+    one more axis of those factors, so one walk reports them all.
 
     The angular factors, and the R of their QR factorization, depend only
     on how they were built, never on the data, so each is built once, on
@@ -306,9 +309,6 @@ class SeparatedFields:
             hit = self._built[recipe] = (len(self._built), build())
         return hit
 
-    def zeros(self, *lead):
-        return np.zeros((*lead, self.s.size))
-
     def sq(self, x: _Terms):
         # with the sphere-weighted angular factors as the columns of Q R,
         # the squared norm at each radial node is |R g|^2.  Deep strings
@@ -321,31 +321,32 @@ class SeparatedFields:
                               .reshape(k, -1).T)
 
         tri = self._once(("R", x.key), build)[1]
-        coef = tri @ x.radial
-        return (coef * coef).sum(axis=0)
+        coef = tri @ x.radial.reshape(x.radial.shape[0], -1)
+        return (coef * coef).sum(axis=0).reshape(x.radial.shape[1:])
 
     def density(self, vals):
         # a radial function's integrand is its integral over the sphere
         return vals * self.w_sphere.sum()
 
-    def integrate(self, power, dens) -> float:
-        return float(np.sum(self.w_radial * self.grid.sigma_r ** power * dens))
+    def integrate(self, power, dens) -> list:
+        return np.sum(self.w_radial * self.grid.sigma_r ** power * dens,
+                      axis=-1).tolist()
 
     def field(self, F) -> _Terms:
-        """The vector field F(s) yhat."""
+        """The vector fields F[r](s) yhat of the records r."""
         key, yhat = self._once(("yhat",), lambda: self.yhat[None, None])
         return _Terms(np.asarray(F, dtype=float)[None], yhat, -1, key)
 
     def deformation(self, omega: _Terms) -> _RadialDeformation:
         """Deformation state of the field omega = F(s) yhat."""
         F = omega.radial[0]
-        alpha = self.grid._ds(F[:, None, None], omega.parity)[:, 0, 0]
+        alpha = self.grid._ds(F[..., None, None], omega.parity)[..., 0, 0]
         beta = F / self.s
         jac = (1.0 + alpha) * (1.0 + beta) ** 2
         if not np.all(jac > 0.0):
             raise DegenerateDeformationError(
                 "deformation is degenerate: Jacobian not positive everywhere")
-        X = np.zeros((3, 3, self.s.size))
+        X = np.zeros((3, 3, *F.shape))
         X[0, 0] = alpha
         X[1, 1] = X[2, 2] = beta
 
@@ -373,7 +374,7 @@ class SeparatedFields:
 
         key, angular = self._once(("partials", piece.key),
                                   normal_and_tangential)
-        ds = grid._ds(piece.radial[:, :, None, None], piece.parity)[:, :, 0, 0]
+        ds = grid._ds(piece.radial[..., None, None], piece.parity)[..., 0, 0]
         return _Terms(np.concatenate([ds, piece.radial / self.s]), angular,
                       -piece.parity, key)
 
@@ -396,7 +397,7 @@ class SeparatedFields:
         a_inv, parity = state.a_inv, dp.parity
         # every (P, Q) term of a_inv times every term of dp
         radial = (a_inv.radial[:, None] * dp.radial[None]).reshape(
-            -1, self.s.size)
+            -1, *dp.radial.shape[1:])
         G_key, G = self._once(("G", a_inv.key, dp.key), lambda: np.einsum(
             "ekr...,csik...->ecsir...", a_inv.angular, dp.angular).reshape(
                 -1, *dp.angular.shape[1:]))
@@ -433,8 +434,9 @@ def _walk_strings(rep, vec, depth: int, shift: int = 0, state=None,
     sigma^(iota + n + shift) for n + l <= depth; flow[(n, l)], for n + l <=
     flow_depth < depth, integrates the sums of |grad_eta|^2, div_eta^2,
     |curl_eta|^2 and |flat curl|^2 against sigma^(iota + n + 1); head is
-    the flow and flat curl of vec.  On node arrays the sums run in string
-    order, so they match a string-by-string evaluation bit for bit.
+    the flow and flat curl of vec.  Each integral is a list with one float
+    per record.  On node arrays the sums run in string order, so they match
+    a string-by-string evaluation bit for bit.
     """
     iota = rep.grid.constants.iota
 
@@ -449,8 +451,9 @@ def _walk_strings(rep, vec, depth: int, shift: int = 0, state=None,
         n, l, pieces = stack.pop()
         # children are kept only when they have children of their own
         keep = n + l + 1 < depth
-        sums = rep.zeros(4) if n + l <= flow_depth else None
-        flat_sq, ang_sq = rep.zeros(), rep.zeros()
+        # 0.0 + x is x, so the sums start from the first term exactly
+        sums = 0.0 if n + l <= flow_depth else None
+        flat_sq = ang_sq = 0.0
         flat, angular = [], []
         for piece in pieces:
             dp = rep.partials(piece)
@@ -540,11 +543,12 @@ def _triples(j: int):
 
 
 def _energy_summand(opt: float, m: int, n: int, l: int, dens_w: dict,
-                    dens_wt: dict):
-    """The two displayed pieces of the order-(m, n, l) energy summand,
-    from the string integrals of the m-th and (m+1)-th time derivatives."""
-    term_i = opt ** (2 * m + 1) * dens_wt[(n, l)]
-    term_ii = opt ** (2 * m) * (dens_w[(n, l)] + dens_w[(n + 1, l)])
+                    dens_wt: dict, r: int = 0):
+    """The two displayed pieces of record r's order-(m, n, l) energy
+    summand, from the string integrals of the m-th and (m+1)-th time
+    derivatives."""
+    term_i = opt ** (2 * m + 1) * dens_wt[(n, l)][r]
+    term_ii = opt ** (2 * m) * (dens_w[(n, l)][r] + dens_w[(n + 1, l)][r])
     return term_i, term_ii
 
 
@@ -655,43 +659,48 @@ def energy_functionals(traj, t: float, gamma: float, J_max: int = 2,
     if J_max < 0:
         raise ValueError(f"J_max must be nonnegative, got {J_max}")
     state = deformation(traj.time_derivative(t, 0))
-    return _report(_GridFields(traj.grid),
-                   lambda q: traj.time_derivative(t, q).values,
+    return _report(_GridFields(traj.grid, state),
+                   lambda q: (state.omega.values if q == 0
+                              else traj.time_derivative(t, q).values),
                    traj.max_time_order, state, _m0_pointwise(gamma, state)[0],
-                   t, gamma, J_max, truncation or Truncation())
+                   [t], gamma, J_max, truncation or Truncation())[0]
 
 
-def radial_energy_functionals(fields: SeparatedFields, t: float,
-                              gamma: float, profiles, J_max: int = 2,
-                              truncation: Truncation | None = None
-                              ) -> EnergyReport:
-    """energy_functionals of the radial trajectory whose q-th time
-    derivative at time t is profiles[q](s) y, with profiles[q] sampled on
-    the radial nodes of the grid of fields.
+def radial_energy_functionals(fields: SeparatedFields, times, gamma: float,
+                              profiles, J_max: int = 2,
+                              truncation: Truncation | None = None) -> list:
+    """energy_functionals of R records of radial trajectories, one report
+    per record: record r is at time times[r], and its q-th time derivative
+    is profiles[r][q](s) y, with profiles[r][q] sampled on the radial nodes
+    of the grid of fields.
 
     Every derivative string of such a field is a short sum of radial
-    functions times angular tensors, so the report is evaluated in that
+    functions times angular tensors, so the reports are evaluated in that
     separated form: the same discrete operators and quadrature as
     energy_functionals on the grid's nodes, regrouped, at the cost of a
-    few radial vectors per string instead of a full grid.  Reports made
-    with the same fields share the angular factors it has built.
+    few radial vectors per string and record instead of a full grid.  The
+    records share the angular factors, so one walk of the strings reports
+    them all, and reports made with the same fields share the angular
+    factors it has built.
     """
     if J_max < 0:
         raise ValueError(f"J_max must be nonnegative, got {J_max}")
+    profiles = np.asarray(profiles, dtype=float)  # [r, q, node]
     s = fields.grid.s
-    omegas = [fields.field(s * np.asarray(p, dtype=float)) for p in profiles]
+    omegas = [fields.field(s * profiles[:, q])
+              for q in range(profiles.shape[1])]
     state = fields.deformation(omegas[0])
     return _report(fields, omegas.__getitem__, len(omegas) - 1, state,
-                   fields.density(_m0_pointwise(gamma, state)[0]), t, gamma,
-                   J_max, truncation or Truncation())
+                   fields.density(_m0_pointwise(gamma, state)[0]), times,
+                   gamma, J_max, truncation or Truncation())
 
 
-def _report(rep, field, max_time_order: int, state, m0, t: float,
-            gamma: float, J_max: int, tr: Truncation) -> EnergyReport:
+def _report(rep, field, max_time_order: int, state, m0, times, gamma: float,
+            J_max: int, tr: Truncation) -> list:
     """Walk the strings of each time derivative field(q) in representation
-    rep and assemble the report; m0 is the bulk term's integrand."""
+    rep once for all its records and assemble one report per record, at
+    times[r]; m0 is the bulk term's integrand."""
     iota = rep.grid.constants.iota
-    opt = 1.0 + t
 
     # the kept summands of time order m apply strings of n + l <= top[m]
     top = {m: min(J_max - m, tr.nl_max)
@@ -706,55 +715,62 @@ def _report(rep, field, max_time_order: int, state, m0, t: float,
         walks[q] = _walk_strings(rep, field(q), depth, 0, state, flow_depth)
     curl_first = {m: _walk_strings(rep, walks[m][2][1], top[m], 1)[0]
                   for m in top}
-
-    E_j = []
-    scriptV = []
-    frakE = {}
-    frakD = {}
-    frakV = {}
-    dropped = []
-    for j in range(J_max + 1):
-        ej = 0.0
-        vk = 0.0
-        for m, n, l in _triples(j):
-            if m not in top or n + l > top[m]:
-                dropped.append((m, n, l))
-                continue
-            dens, flow, _ = walks[m]
-            term_i, term_ii = _energy_summand(opt, m, n, l, dens,
-                                              walks[m + 1][0])
-            ej += term_i + term_ii
-            grad_sq, div_sq, curl_sq, curl_then_sq = flow[(n, l)]
-            e_one = opt ** (2 * m) * (dens[(n, l)] + grad_sq + div_sq / iota)
-            frakE[(m, n, l)] = term_i + e_one
-            frakD[(m, n, l)] = term_i + e_one / opt
-            frakV[(m, n, l)] = opt ** (2 * m) * curl_sq
-            # flat-curl pair: curl applied after the strings, or strings
-            # applied to the curl; keep the smaller norm
-            v_after = opt ** (2 * m) * curl_then_sq
-            v_before = opt ** (2 * m) * curl_first[m][(n, l)]
-            vk += min(v_after, v_before)
-        E_j.append(ej)
-        scriptV.append(vk)
-
-    v_add = 0.0
-    for m in vadd_orders:
-        dens = _walk_strings(rep, walks[m][2][0], tr.nl_max, 1)[0]
-        for total in range(tr.nl_max + 1):
-            for n in range(total + 1):
-                v_add += opt ** (2 * m) * dens[(n, total - n)]
-
+    after_curl = [_walk_strings(rep, walks[m][2][0], tr.nl_max, 1)[0]
+                  for m in vadd_orders]
     # the flow curl of omega is the head of its own walk
     curl_l2 = rep.integrate(iota + 1.0, rep.sq(walks[0][2][0]))
-    return EnergyReport(
-        t=t, gamma=gamma, J_max=J_max, truncation=tr,
-        E_j=tuple(E_j), E_total=float(sum(E_j)),
-        frakE=frakE, frakD=frakD, frakV=frakV,
-        V_add=float(v_add), scriptV=tuple(scriptV),
-        M0_integral=float(rep.integrate(iota + 1.0, m0)),
-        curl_l2=float(curl_l2),
-        truncated=tuple(dict.fromkeys(dropped)),
-    )
+    m0_integral = rep.integrate(iota + 1.0, m0)
+
+    reports = []
+    for r, t in enumerate(times):
+        opt = 1.0 + t
+        E_j = []
+        scriptV = []
+        frakE = {}
+        frakD = {}
+        frakV = {}
+        dropped = []
+        for j in range(J_max + 1):
+            ej = 0.0
+            vk = 0.0
+            for m, n, l in _triples(j):
+                if m not in top or n + l > top[m]:
+                    dropped.append((m, n, l))
+                    continue
+                dens, flow, _ = walks[m]
+                term_i, term_ii = _energy_summand(opt, m, n, l, dens,
+                                                  walks[m + 1][0], r)
+                ej += term_i + term_ii
+                grad_sq, div_sq, curl_sq, curl_then_sq = (
+                    a[r] for a in flow[(n, l)])
+                e_one = opt ** (2 * m) * (dens[(n, l)][r] + grad_sq
+                                          + div_sq / iota)
+                frakE[(m, n, l)] = term_i + e_one
+                frakD[(m, n, l)] = term_i + e_one / opt
+                frakV[(m, n, l)] = opt ** (2 * m) * curl_sq
+                # flat-curl pair: curl applied after the strings, or strings
+                # applied to the curl; keep the smaller norm
+                v_after = opt ** (2 * m) * curl_then_sq
+                v_before = opt ** (2 * m) * curl_first[m][(n, l)][r]
+                vk += min(v_after, v_before)
+            E_j.append(ej)
+            scriptV.append(vk)
+
+        v_add = 0.0
+        for m, dens in zip(vadd_orders, after_curl):
+            for total in range(tr.nl_max + 1):
+                for n in range(total + 1):
+                    v_add += opt ** (2 * m) * dens[(n, total - n)][r]
+
+        reports.append(EnergyReport(
+            t=t, gamma=gamma, J_max=J_max, truncation=tr,
+            E_j=tuple(E_j), E_total=float(sum(E_j)),
+            frakE=frakE, frakD=frakD, frakV=frakV,
+            V_add=float(v_add), scriptV=tuple(scriptV),
+            M0_integral=m0_integral[r], curl_l2=curl_l2[r],
+            truncated=tuple(dict.fromkeys(dropped)),
+        ))
+    return reports
 
 
 def _entries(report: EnergyReport, name: str) -> list:

@@ -43,6 +43,11 @@ STOP_NONFINITE = "nonfinite"
 # mode has w h/cs <= 6.09), not at gamma = 4/3 (14.05/10.81/7.96 on 32/64/128).
 DAMPING_BOUND = 2.5
 
+# Records per separated report walk.  A walk's cost is mostly per call: 13
+# records of 64 nodes cost about two single-record walks, and a walk of 16
+# peaks near 1 MB.
+REPORT_CHUNK = 16
+
 
 class DegenerateProfileError(RuntimeError):
     """Raised when 1 + f or the radial Jacobian stops being positive."""
@@ -500,14 +505,20 @@ class RadialSolver:
         state = RadialState(
             time=float(time), f=f, f_t=f_t, theta=float(theta),
             theta_t=float(theta_t))
-        try:
-            state.theta ** (-3.0 * self.gamma)
-        except OverflowError:
-            raise ValueError(
-                f"theta = {state.theta:.3g} is too small: theta^(-3 gamma) "
-                f"overflows at gamma = {self.gamma:g}") from None
+        self._check_theta(state.theta)
         self._pq(state.f)
         return state
+
+    def _check_theta(self, theta: float):
+        """Raise ValueError when theta^(-3 gamma), the largest power of
+        theta the law takes, overflows; a RadialState cannot check this,
+        since it does not know gamma."""
+        try:
+            theta ** (-3.0 * self.gamma)
+        except OverflowError:
+            raise ValueError(
+                f"theta = {theta:.3g} is too small: theta^(-3 gamma) "
+                f"overflows at gamma = {self.gamma:g}") from None
 
     def zeroth_energy(self, state: RadialState):
         """(kinetic, potential) entries of the zeroth-order balance.
@@ -553,14 +564,16 @@ class RadialSolver:
         """One RK4 step of (f, f_t, theta, theta_t) by the march run takes,
         at cfl 1: z = [f | f_t] in the solver's scratch (one solver steps one
         state at a time), theta and theta_t co-stepped on floats.  Raises
-        ValueError for a nonpositive dt, or for a dt above the CFL or damping
-        bound once the march has taken the bound instead (the result is
+        ValueError for a nonpositive dt, for a theta too small for the law
+        (as make_state does), or for a dt above the CFL or damping bound
+        once the march has taken the bound instead (the result is
         dropped), DegenerateProfileError from any stage or when 1 + f of the
         result is nonpositive, and FloatingPointError when the result is
         non-finite or theta nonpositive, or an entry above about 1e154
         overflows the sum of squares that tests this (numpy warns)."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
+        self._check_theta(state.theta)
         z, th, tht, taken = self._march(np.concatenate([state.f, state.f_t]),
                                         state.theta, state.theta_t, dt, 1.0)
         if taken < dt:
@@ -685,6 +698,10 @@ class RunResult:
     # smallest and largest accepted step; None when no step was taken
     dt_min: float | None
     dt_max: float | None
+    # the number of reported records, and the least radial Jacobian J over
+    # their states
+    records: int
+    min_jacobian: float
     # wall-clock seconds of the three phases of run, which together make up
     # its wall time; unlike every field above they differ between reruns
     setup_s: float
@@ -709,11 +726,16 @@ def run(config: RunConfig) -> RunResult:
     after a degenerate or non-finite step, or a record whose force finds
     J <= 0, is the last accepted one.
 
-    Every record is reported in separated form.  After the loop the
-    first and last records are also reported by the 3D energy_functionals
-    on the same grid, which keeps their curl terms measured independently
-    of the radial ansatz; those records keep the 3D report, and the
-    largest disagreement between the two is the result's oracle_defect.
+    A record's time derivatives, radius and mass are taken when the march
+    reaches it; its energy report waits for its chunk of REPORT_CHUNK
+    records, which one separated walk reports together.  The monitors then
+    scan the chunk in record order, and the first record that trips one
+    ends the run there: the records after it, and the steps taken past it,
+    are dropped.  After the loop the first and last records are also
+    reported by the 3D energy_functionals on the same grid, which keeps
+    their curl terms measured independently of the radial ansatz; those
+    records keep the 3D report, and the largest disagreement between the
+    two is the result's oracle_defect.
     """
     start = time.perf_counter()
     solver = RadialSolver(config.gamma, config.mass, config.resolution)
@@ -726,36 +748,59 @@ def run(config: RunConfig) -> RunResult:
     rec_times = np.geomspace(min(1e-2, config.t_end / config.records),
                              config.t_end, config.records)
     times, radii, reports, mass_err = [], [], [], []
+    # per record: its state, the steps and dt range up to it and its least J
+    marks = []
+    pending = []  # time derivatives of the records not yet reported
     profiles = []  # time derivatives at the first and the latest record
     sup_energy = reporting_s = 0.0
     separated = SeparatedFields(grid)
-    setup_s = time.perf_counter() - start
-
-    def record(st: RadialState):
-        nonlocal sup_energy, reporting_s
-        rec_start = time.perf_counter()
-        profiles[1:] = [solver.time_derivatives(st)]
-        rep = radial_energy_functionals(separated, st.time, config.gamma,
-                                        profiles[-1], J_max=config.J_max,
-                                        truncation=config.truncation)
-        times.append(st.time)
-        radii.append(st.theta * (1.0 + solver.boundary_value(st.f))
-                     * solver.constants.r0)
-        reports.append(rep)
-        mass_err.append(abs(solver.mass(st) - config.mass) / config.mass)
-        sup_energy = max(sup_energy, rep.E_total)
-        reporting_s += time.perf_counter() - rec_start
-        if rep.E_total > config.eps0**2:
-            return STOP_MONITOR_E
-        if math.log1p(st.time) ** 2 * sup_energy > config.eps0**2:
-            return STOP_MONITOR_LOG
-        return None
-
-    stop_reason = record(state)
     n, march, cfl = solver.n, solver._march, config.cfl
     t, z, th, tht = (state.time, np.concatenate([state.f, state.f_t]),
                      state.theta, state.theta_t)
     steps, dt_min, dt_max = 0, math.inf, 0.0
+    setup_s = time.perf_counter() - start
+
+    def record(st: RadialState):
+        nonlocal reporting_s
+        rec_start = time.perf_counter()
+        derivs = solver.time_derivatives(st)
+        pending.append(derivs)
+        profiles[1:] = [derivs]
+        marks.append((st, steps, dt_min, dt_max,
+                      float(solver._pq(st.f)[2].min())))
+        times.append(st.time)
+        radii.append(st.theta * (1.0 + solver.boundary_value(st.f))
+                     * solver.constants.r0)
+        mass_err.append(abs(solver.mass(st) - config.mass) / config.mass)
+        reporting_s += time.perf_counter() - rec_start
+
+    def report_pending():
+        # one walk for the pending records, then the monitors in record
+        # order; returns the stop reason of the first record to trip one
+        nonlocal sup_energy, reporting_s
+        rec_start = time.perf_counter()
+        first = len(reports)
+        reports.extend(radial_energy_functionals(
+            separated, times[first:], config.gamma, pending,
+            J_max=config.J_max, truncation=config.truncation))
+        reason = None
+        for i in range(first, len(reports)):
+            sup_energy = max(sup_energy, reports[i].E_total)
+            if reports[i].E_total > config.eps0**2:
+                reason = STOP_MONITOR_E
+            elif math.log1p(times[i]) ** 2 * sup_energy > config.eps0**2:
+                reason = STOP_MONITOR_LOG
+            if reason is not None:
+                for kept in (times, radii, reports, mass_err, marks):
+                    del kept[i + 1:]
+                profiles[1:] = [pending[i - first]] if i > 0 else []
+                break
+        pending.clear()
+        reporting_s += time.perf_counter() - rec_start
+        return reason
+
+    record(state)
+    stop_reason = None
     for target in rec_times:
         while stop_reason is None and t < target:
             rest = target - t
@@ -774,10 +819,22 @@ def run(config: RunConfig) -> RunResult:
             break
         state = RadialState(time=t, f=z[:n], f_t=z[n:], theta=th, theta_t=tht)
         try:
-            stop_reason = record(state)
+            record(state)
         except DegenerateProfileError:
             # an accepted step may end with J <= 0, which only a force sees
             stop_reason = STOP_DEGENERATE
+            break
+        if len(pending) == REPORT_CHUNK:
+            stop_reason = report_pending()
+            if stop_reason is not None:
+                break
+    if pending:
+        # a monitor trip comes first: the run would have stopped there
+        stop_reason = report_pending() or stop_reason
+    final = state if state.time == t else RadialState(
+        time=t, f=z[:n], f_t=z[n:], theta=th, theta_t=tht)
+    if stop_reason in (STOP_MONITOR_E, STOP_MONITOR_LOG):
+        final, steps, dt_min, dt_max, _ = marks[-1]
 
     rec_start = time.perf_counter()
     separated = None  # free the angular factors before the 3D reports
@@ -800,12 +857,12 @@ def run(config: RunConfig) -> RunResult:
         reports=tuple(reports), mass_error=np.array(mass_err),
         sup_energy=float(sup_energy),
         stop_reason=stop_reason or STOP_COMPLETED,
-        final_state=state if state.time == t else RadialState(
-            time=t, f=z[:n], f_t=z[n:], theta=th, theta_t=tht),
-        boundary_monotone=monotone,
+        final_state=final, boundary_monotone=monotone,
         steps=steps, oracle_defect=float(oracle_defect),
         dt_min=float(dt_min) if steps else None,
-        dt_max=float(dt_max) if steps else None, setup_s=setup_s,
+        dt_max=float(dt_max) if steps else None,
+        records=len(reports), min_jacobian=min(m[4] for m in marks),
+        setup_s=setup_s,
         stepping_s=time.perf_counter() - start - setup_s - reporting_s,
         reporting_s=reporting_s,
     )

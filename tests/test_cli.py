@@ -441,6 +441,11 @@ class TestRadial:
         fit = json.loads((tmp_path / "radial_fit.json").read_text())
         assert fit["steps"] > 0
         assert 0.0 < fit["dt_min"] <= fit["dt_max"]
+        # every record is reported: t = 0 and the 10 configured ones
+        series = (tmp_path / "radial_trajectory.csv").read_text().splitlines()
+        assert fit["records"] == len(series) - 1 == 11
+        # the initial profile is 1e-3 psi, so J stays within 1e-2 of 1
+        assert 0.99 < fit["min_jacobian"] < 1.0
         timing = json.loads((tmp_path / "radial_timing.json").read_text())
         assert set(timing) == {"setup_s", "stepping_s", "reporting_s"}
         assert all(v > 0.0 for v in timing.values())

@@ -254,6 +254,21 @@ class TestEnergyFunctionals:
         assert_allclose(rep.E_total, sum(rep.E_j), rtol=1e-13)
         assert all(rep.E_total >= e for e in rep.E_j)
 
+    def test_omega_differentiated_once(self, monkeypatch):
+        # the string walk's root reuses the deformation state's grad_omega
+        traj = generic_trajectory(GRID)
+        omega = traj.time_derivative(0.3, 0).values
+        seen = []
+        original = BallGrid.partials
+
+        def spy(self, vals):
+            seen.append(np.array_equal(vals, omega))
+            return original(self, vals)
+
+        monkeypatch.setattr(BallGrid, "partials", spy)
+        norms.energy_functionals(traj, 0.3, 2.0)
+        assert seen.count(True) == 1 and len(seen) > 1
+
     def test_entries_nonnegative(self):
         rep = norms.energy_functionals(generic_trajectory(GRID), 0.3, 2.0)
         assert all(v >= 0.0 for v in rep.E_j)
@@ -508,8 +523,9 @@ def radial_profiles(grid, amplitude=1e-3):
 
 
 def separated(grid, t, gamma, profiles, **kwargs):
-    return norms.radial_energy_functionals(norms.SeparatedFields(grid), t,
-                                           gamma, profiles, **kwargs)
+    """The one-record separated report."""
+    return norms.radial_energy_functionals(norms.SeparatedFields(grid), [t],
+                                           gamma, [profiles], **kwargs)[0]
 
 
 def frozen(grid, profiles):
@@ -611,8 +627,10 @@ class TestSeparatedReport:
                         radial_scheme="midpoint")
         profiles = radial_profiles(grid)
         fields = norms.SeparatedFields(grid)
-        first = norms.radial_energy_functionals(fields, 1.0, 2.0, profiles)
-        second = norms.radial_energy_functionals(fields, 1.0, 2.0, profiles)
+        first, = norms.radial_energy_functionals(fields, [1.0], 2.0,
+                                                 [profiles])
+        second, = norms.radial_energy_functionals(fields, [1.0], 2.0,
+                                                  [profiles])
         for name in norms.EnergyReport.__dataclass_fields__:
             assert getattr(first, name) == getattr(second, name), name
 
@@ -633,6 +651,38 @@ class TestSeparatedReport:
         folded = tuple(np.full(48, -1.5) for _ in range(4))
         with pytest.raises(DegenerateDeformationError):
             separated(grid, 0.0, 2.0, folded)
+
+    @pytest.mark.parametrize("n_r,angles,J_max,truncation", [
+        (32, (4, 4), 0, norms.Truncation(2, 2)),
+        (64, (6, 6), 1, norms.Truncation(2, 2)),
+        (32, (6, 6), 2, norms.Truncation(1, 1)),
+        (64, (8, 8), 2, norms.Truncation(2, 2)),
+    ])
+    def test_batched_records_match_single_records(self, n_r, angles, J_max,
+                                                  truncation):
+        # one walk over R records reports each bit for bit as its own walk
+        grid = BallGrid(CONSTANTS, n_r=n_r, n_mu=angles[0], n_psi=angles[1],
+                        radial_scheme="midpoint")
+        times = [0.0, 0.37, 2.5, 11.0, 140.0]
+        profiles = [radial_profiles(grid, amplitude=a)
+                    for a in (1e-3, -4e-4, 2e-3, 5e-5, 8e-4)]
+        batched = norms.radial_energy_functionals(
+            norms.SeparatedFields(grid), times, 2.0, profiles, J_max=J_max,
+            truncation=truncation)
+        fields = norms.SeparatedFields(grid)
+        assert len(batched) == len(times)
+        for t, prof, got in zip(times, profiles, batched):
+            want, = norms.radial_energy_functionals(
+                fields, [t], 2.0, [prof], J_max=J_max, truncation=truncation)
+            assert got.t == t
+            for name in norms.EnergyReport.__dataclass_fields__:
+                a, b = getattr(got, name), getattr(want, name)
+                if isinstance(a, dict):
+                    assert list(a) == list(b), name
+                    a, b = list(a.values()), list(b.values())
+                assert np.array_equal(a, b), name
+        # the drop-summands case is among them
+        assert (truncation.nl_max < J_max) == bool(batched[0].truncated)
 
     def test_defect_sees_a_moved_entry(self):
         grid = BallGrid(CONSTANTS, n_r=48, n_mu=4, n_psi=4,

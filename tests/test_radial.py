@@ -304,6 +304,20 @@ class TestStateValidation:
             self.solver.make_state(1.0, np.zeros(16), np.zeros(16),
                                    theta=theta, theta_t=0.0)
 
+    @pytest.mark.parametrize("dt", [1e-3, 1e-200])
+    def test_step_rejects_theta_too_small(self, monkeypatch, dt):
+        # a state built directly, not through make_state, gets make_state's
+        # labelled error from step, before any march
+        solver = RadialSolver(GAMMA, resolution=32)
+        state = RadialState(1.0, np.zeros(32), np.zeros(32), 1e-70, 0.0)
+
+        def refuse(*args):
+            raise AssertionError("step marched a state it should refuse")
+
+        monkeypatch.setattr(solver, "_march", refuse)
+        with pytest.raises(ValueError, match="theta = 1e-70 is too small"):
+            solver.step(state, dt)
+
     def test_small_theta_accepted(self):
         profile = poly_profile(self.solver)
         state = self.solver.make_state(1.0, profile, 1e-3 * profile,
@@ -1689,6 +1703,160 @@ class TestPackedRun:
         assert res.stop_reason == "monitor_E"
         assert res.steps == 0
         assert res.dt_min is None and res.dt_max is None
+
+
+def per_record_run(cfg):
+    """run with one separated report per record, each record's monitors
+    checked before the march goes on, then the 3D reports of the first and
+    last records: the reference for the chunked reports.  Returns (times,
+    radii, reports, mass errors, steps, dt_min, dt_max, stop reason, final
+    state)."""
+    solver = RadialSolver(cfg.gamma, cfg.mass, cfg.resolution)
+    grid = BallGrid(solver.constants, n_r=cfg.resolution,
+                    n_mu=cfg.report_angles[0], n_psi=cfg.report_angles[1],
+                    radial_scheme="midpoint")
+    fields = norms.SeparatedFields(grid)
+    psi = profile_family(cfg, solver.s, solver.constants.r0)
+    state = solver.make_state(0.0, cfg.amplitude * psi,
+                              cfg.velocity_amplitude * psi)
+    times, radii, reports, mass_err, derivs = [], [], [], [], []
+    sup = 0.0
+
+    def record(st):
+        nonlocal sup
+        derivs.append(solver.time_derivatives(st))
+        rep, = norms.radial_energy_functionals(
+            fields, [st.time], cfg.gamma, derivs[-1:], J_max=cfg.J_max,
+            truncation=cfg.truncation)
+        times.append(st.time)
+        radii.append(st.theta * (1.0 + solver.boundary_value(st.f))
+                     * solver.constants.r0)
+        reports.append(rep)
+        mass_err.append(abs(solver.mass(st) - cfg.mass) / cfg.mass)
+        sup = max(sup, rep.E_total)
+        if rep.E_total > cfg.eps0**2:
+            return "monitor_E"
+        if math.log1p(st.time) ** 2 * sup > cfg.eps0**2:
+            return "monitor_logE"
+        return None
+
+    reason = record(state)
+    n, (z, th, tht), t = solver.n, packed(state), state.time
+    steps, dts = 0, []
+    for target in record_grid(cfg):
+        while reason is None and t < target:
+            rest = target - t
+            try:
+                z, th, tht, dt = solver._march(z, th, tht, rest, cfg.cfl)
+            except DegenerateProfileError:
+                reason = "degenerate"
+            except FloatingPointError:
+                reason = "nonfinite"
+            else:
+                t = target if dt == rest else t + dt
+                steps += 1
+                dts.append(dt)
+        if reason is not None:
+            break
+        state = RadialState(t, z[:n], z[n:], th, tht)
+        try:
+            reason = record(state)
+        except DegenerateProfileError:
+            reason = "degenerate"
+    for i in sorted({0, len(reports) - 1}):
+        traj = norms.CallableTrajectory(grid, tuple(
+            (lambda _, pos, p=p: p[:, None, None] * pos) for p in derivs[i]))
+        reports[i] = norms.energy_functionals(
+            traj, times[i], cfg.gamma, J_max=cfg.J_max,
+            truncation=cfg.truncation)
+    final = state if state.time == t else RadialState(t, z[:n], z[n:], th, tht)
+    return (times, radii, reports, mass_err, steps, min(dts, default=None),
+            max(dts, default=None), reason or "completed", final)
+
+
+class TestChunkedReports:
+    """run reports its records in chunks of REPORT_CHUNK, one separated
+    walk each, and scans the monitors afterwards."""
+
+    @pytest.mark.parametrize("cfg,reason", [
+        # E trips at record 4, inside the first chunk
+        (RunConfig(gamma=GAMMA, resolution=32, t_end=50.0, amplitude=1e-3,
+                   records=30, J_max=2, eps0=0.016, report_angles=(4, 4)),
+         "monitor_E"),
+        # the log-weighted sup trips at record 37, inside the third chunk
+        (RunConfig(gamma=GAMMA, resolution=32, t_end=200.0, amplitude=1e-3,
+                   records=40, J_max=1, eps0=5e-3, report_angles=(4, 4)),
+         "monitor_logE"),
+    ], ids=["monitor_E", "monitor_logE"])
+    def test_mid_chunk_trip_matches_per_record_run(self, monkeypatch, cfg,
+                                                   reason):
+        seen = recorded_states(monkeypatch)
+        res = run(cfg)
+        monkeypatch.undo()
+        (times, radii, reports, mass_err, steps, dt_min, dt_max, want_reason,
+         final) = per_record_run(cfg)
+        assert res.stop_reason == want_reason == reason
+        # the trip is not the chunk's last record: the run stepped past it
+        assert res.records % radial_module.REPORT_CHUNK != 0
+        assert len(seen) > res.records == len(reports) > 1
+        assert_array_equal(res.times, times)
+        assert_array_equal(res.radii, radii)
+        assert res.reports == tuple(reports)
+        assert_array_equal(res.mass_error, mass_err)
+        assert res.sup_energy == max(rep.E_total for rep in reports)
+        assert (res.steps, res.dt_min, res.dt_max) == (steps, dt_min, dt_max)
+        assert_states_match(res.final_state, final)
+        # min_jacobian reads the reported records' states only
+        solver = RadialSolver(cfg.gamma, resolution=cfg.resolution)
+        assert res.min_jacobian == min(
+            solver._pq(st.f)[2].min() for st in seen[:res.records])
+
+    def test_trip_before_a_nonfinite_stop_wins(self, monkeypatch):
+        # E trips at t = 0; the run marches on to the poisoned force's
+        # non-finite step before it reports, but stops as monitor_E at t = 0
+        poison_force_after_first_record(monkeypatch)
+        cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0, amplitude=1e-3,
+                        records=4, J_max=0, eps0=1e-5, report_angles=(4, 4))
+        seen = recorded_states(monkeypatch)
+        res = run(cfg)
+        assert len(seen) == 2
+        times, _, reports, _, steps, _, _, reason, final = per_record_run(cfg)
+        assert res.stop_reason == reason == "monitor_E"
+        assert res.steps == steps == 0 and res.dt_min is None
+        assert res.reports == tuple(reports) and res.records == 1
+        assert_states_match(res.final_state, final)
+
+    @pytest.mark.parametrize("records", [14, 15, 16, 40])
+    def test_one_walk_per_chunk(self, monkeypatch, records):
+        walks = []
+        original = radial_module.radial_energy_functionals
+
+        def counted(fields, times, *args, **kwargs):
+            walks.append(len(times))
+            return original(fields, times, *args, **kwargs)
+
+        monkeypatch.setattr(radial_module, "radial_energy_functionals",
+                            counted)
+        cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0, amplitude=1e-3,
+                        records=records, J_max=0, report_angles=(4, 4))
+        res = run(cfg)
+        assert res.stop_reason == "completed"
+        assert res.records == len(res.reports) == records + 1
+        chunk = radial_module.REPORT_CHUNK
+        assert len(walks) == -(-(records + 1) // chunk)
+        assert walks[:-1] == [chunk] * (len(walks) - 1)
+        assert sum(walks) == records + 1
+
+    def test_telemetry_reads_the_records(self, monkeypatch):
+        cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0, amplitude=0.3,
+                        records=8, J_max=0, eps0=10.0, report_angles=(4, 4))
+        seen = recorded_states(monkeypatch)
+        res = run(cfg)
+        solver = RadialSolver(GAMMA, resolution=32)
+        jac = [solver._pq(st.f)[2].min() for st in seen]
+        assert res.records == len(seen) == cfg.records + 1
+        assert res.min_jacobian == min(jac) < 1.0
+        assert type(res.min_jacobian) is float
 
 
 class TestReportOracle:
