@@ -748,11 +748,12 @@ def run(config: RunConfig) -> RunResult:
     rec_times = np.geomspace(min(1e-2, config.t_end / config.records),
                              config.t_end, config.records)
     times, radii, reports, mass_err = [], [], [], []
-    # per record: its state, the steps and dt range up to it and its least J
-    marks = []
-    pending = []  # time derivatives of the records not yet reported
+    # per record not yet reported: its time derivatives, and its state,
+    # the steps and dt range up to it and its least J
+    pending, marks = [], []
     profiles = []  # time derivatives at the first and the latest record
     sup_energy = reporting_s = 0.0
+    min_jacobian, tripped = math.inf, None
     separated = SeparatedFields(grid)
     n, march, cfl = solver.n, solver._march, config.cfl
     t, z, th, tht = (state.time, np.concatenate([state.f, state.f_t]),
@@ -777,7 +778,7 @@ def run(config: RunConfig) -> RunResult:
     def report_pending():
         # one walk for the pending records, then the monitors in record
         # order; returns the stop reason of the first record to trip one
-        nonlocal sup_energy, reporting_s
+        nonlocal sup_energy, reporting_s, min_jacobian, tripped
         rec_start = time.perf_counter()
         first = len(reports)
         reports.extend(radial_energy_functionals(
@@ -791,11 +792,15 @@ def run(config: RunConfig) -> RunResult:
             elif math.log1p(times[i]) ** 2 * sup_energy > config.eps0**2:
                 reason = STOP_MONITOR_LOG
             if reason is not None:
-                for kept in (times, radii, reports, mass_err, marks):
+                for kept in (times, radii, reports, mass_err):
                     del kept[i + 1:]
                 profiles[1:] = [pending[i - first]] if i > 0 else []
+                del marks[i - first + 1:]
+                tripped = marks[-1]
                 break
+        min_jacobian = min(min_jacobian, *(m[4] for m in marks))
         pending.clear()
+        marks.clear()
         reporting_s += time.perf_counter() - rec_start
         return reason
 
@@ -833,8 +838,8 @@ def run(config: RunConfig) -> RunResult:
         stop_reason = report_pending() or stop_reason
     final = state if state.time == t else RadialState(
         time=t, f=z[:n], f_t=z[n:], theta=th, theta_t=tht)
-    if stop_reason in (STOP_MONITOR_E, STOP_MONITOR_LOG):
-        final, steps, dt_min, dt_max, _ = marks[-1]
+    if tripped is not None:
+        final, steps, dt_min, dt_max, _ = tripped
 
     rec_start = time.perf_counter()
     separated = None  # free the angular factors before the 3D reports
@@ -861,7 +866,7 @@ def run(config: RunConfig) -> RunResult:
         steps=steps, oracle_defect=float(oracle_defect),
         dt_min=float(dt_min) if steps else None,
         dt_max=float(dt_max) if steps else None,
-        records=len(reports), min_jacobian=min(m[4] for m in marks),
+        records=len(reports), min_jacobian=min_jacobian,
         setup_s=setup_s,
         stepping_s=time.perf_counter() - start - setup_s - reporting_s,
         reporting_s=reporting_s,
