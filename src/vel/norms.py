@@ -203,12 +203,10 @@ def _sq(vec: np.ndarray) -> np.ndarray:
 
 class _GridFields:
     """Fields as arrays of node values on the grid, one record.  A level of
-    the string walk is a list of strings, each differentiated on its own.
-    The partials of root, a deformation state's field, are its grad_omega."""
+    the string walk is a list of strings, each differentiated on its own."""
 
-    def __init__(self, grid: BallGrid, root: DeformationState | None = None):
+    def __init__(self, grid: BallGrid):
         self.grid = grid
-        self.root = root
 
     def sq(self, vec):
         return _sq(vec)
@@ -217,8 +215,6 @@ class _GridFields:
         return [self.grid.integrate(self.grid.sigma ** power * dens)]
 
     def partials(self, piece):
-        if self.root is not None and piece is self.root.omega.values:
-            return self.root.grad_omega
         return self.grid.partials(piece)  # [i, k] = d_k piece^i
 
     def flat(self, dp):
@@ -420,7 +416,7 @@ def _curl_terms(T: np.ndarray) -> np.ndarray:
 
 
 def _walk_strings(rep, vec, depth: int, shift: int = 0, state=None,
-                  flow_depth: int = -1):
+                  flow_depth: int = -1, root_partials=None):
     """Weighted integrals over the derivative strings of vec, each string
     differentiated once.
 
@@ -434,8 +430,9 @@ def _walk_strings(rep, vec, depth: int, shift: int = 0, state=None,
     sigma^(iota + n + shift) for n + l <= depth; flow[(n, l)], for n + l <=
     flow_depth < depth, integrates the sums of |grad_eta|^2, div_eta^2,
     |curl_eta|^2 and |flat curl|^2 against sigma^(iota + n + 1); head is
-    the flow and flat curl of vec.  Each integral is a list with one float
-    per record.  On node arrays the sums run in string order, so they match
+    the flow and flat curl of vec.  root_partials, when given, are vec's
+    partials, already formed.  Each integral is a list with one float per
+    record.  On node arrays the sums run in string order, so they match
     a string-by-string evaluation bit for bit.
     """
     iota = rep.grid.constants.iota
@@ -456,7 +453,8 @@ def _walk_strings(rep, vec, depth: int, shift: int = 0, state=None,
         flat_sq = ang_sq = 0.0
         flat, angular = [], []
         for piece in pieces:
-            dp = rep.partials(piece)
+            dp = (root_partials if n + l == 0 and root_partials is not None
+                  else rep.partials(piece))
             if sums is not None:
                 terms, curl_eta, curl = rep.flow(state, dp)
                 sums += terms
@@ -659,11 +657,11 @@ def energy_functionals(traj, t: float, gamma: float, J_max: int = 2,
     if J_max < 0:
         raise ValueError(f"J_max must be nonnegative, got {J_max}")
     state = deformation(traj.time_derivative(t, 0))
-    return _report(_GridFields(traj.grid, state),
-                   lambda q: (state.omega.values if q == 0
-                              else traj.time_derivative(t, q).values),
+    return _report(_GridFields(traj.grid),
+                   lambda q: traj.time_derivative(t, q).values,
                    traj.max_time_order, state, _m0_pointwise(gamma, state)[0],
-                   [t], gamma, J_max, truncation or Truncation())[0]
+                   [t], gamma, J_max, truncation or Truncation(),
+                   root_partials=state.grad_omega)[0]
 
 
 def radial_energy_functionals(fields: SeparatedFields, times, gamma: float,
@@ -696,10 +694,11 @@ def radial_energy_functionals(fields: SeparatedFields, times, gamma: float,
 
 
 def _report(rep, field, max_time_order: int, state, m0, times, gamma: float,
-            J_max: int, tr: Truncation) -> list:
+            J_max: int, tr: Truncation, root_partials=None) -> list:
     """Walk the strings of each time derivative field(q) in representation
     rep once for all its records and assemble one report per record, at
-    times[r]; m0 is the bulk term's integrand."""
+    times[r]; m0 is the bulk term's integrand, and root_partials, when
+    given, the partials of field(0)."""
     iota = rep.grid.constants.iota
 
     # the kept summands of time order m apply strings of n + l <= top[m]
@@ -712,7 +711,8 @@ def _report(rep, field, max_time_order: int, state, m0, times, gamma: float,
     for q in range(len(top) + 1):
         flow_depth = top.get(q, 0 if q in vadd_orders else -1)
         depth = max(flow_depth + 1, top.get(q - 1, -1))
-        walks[q] = _walk_strings(rep, field(q), depth, 0, state, flow_depth)
+        walks[q] = _walk_strings(rep, field(q), depth, 0, state, flow_depth,
+                                 root_partials if q == 0 else None)
     curl_first = {m: _walk_strings(rep, walks[m][2][1], top[m], 1)[0]
                   for m in top}
     after_curl = [_walk_strings(rep, walks[m][2][0], tr.nl_max, 1)[0]

@@ -23,7 +23,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg.blas import dgbmv
 
-from .geometry import BallGrid, VectorField, check_grid_shape, deformation
+from .geometry import (BallGrid, DegenerateDeformationError, VectorField,
+                       check_grid_shape, deformation)
 from .norms import (CallableTrajectory, SeparatedFields, Truncation,
                     energy_functionals, radial_energy_functionals,
                     report_defect)
@@ -43,9 +44,11 @@ STOP_NONFINITE = "nonfinite"
 # mode has w h/cs <= 6.09), not at gamma = 4/3 (14.05/10.81/7.96 on 32/64/128).
 DAMPING_BOUND = 2.5
 
-# Records per separated report walk.  A walk's cost is mostly per call: 13
-# records of 64 nodes cost about two single-record walks, and a walk of 16
-# peaks near 1 MB.
+# Records per separated report walk after the initial record.  A walk's
+# cost is mostly per call: 13 records of 64 nodes cost about two
+# single-record walks, and a walk of 16 peaks near 1 MB.  A run whose
+# energy monitor trips inside a chunk marches on to the chunk's end; the
+# log-weighted monitor closes a chunk early where it must trip.
 REPORT_CHUNK = 16
 
 
@@ -534,10 +537,12 @@ class RadialSolver:
         potential = i2 / (3.0 * g - 1.0) + 2.0 * self.internal_energy(state.f)
         return kinetic, potential
 
-    def mass(self, state: RadialState) -> float:
-        """Physical mass recomputed through the deformed configuration."""
+    def mass(self, state: RadialState, jac=None) -> float:
+        """Physical mass recomputed through the deformed configuration;
+        jac, when given, is the state's radial Jacobian, already formed."""
         c = self.constants
-        _, _, jac = self._pq(state.f)
+        if jac is None:
+            _, _, jac = self._pq(state.f)
         scale = state.theta**3
         density = self.sigma**c.iota / (scale * jac)
         return float(np.dot(self.H * 4.0 * np.pi * self.s**2,
@@ -727,15 +732,17 @@ def run(config: RunConfig) -> RunResult:
     J <= 0, is the last accepted one.
 
     A record's time derivatives, radius and mass are taken when the march
-    reaches it; its energy report waits for its chunk of REPORT_CHUNK
-    records, which one separated walk reports together.  The monitors then
-    scan the chunk in record order, and the first record that trips one
-    ends the run there: the records after it, and the steps taken past it,
-    are dropped.  After the loop the first and last records are also
-    reported by the 3D energy_functionals on the same grid, which keeps
-    their curl terms measured independently of the radial ansatz; those
-    records keep the 3D report, and the largest disagreement between the
-    two is the result's oracle_defect.
+    reaches it.  The initial record is reported at once; every later
+    record's energy report waits for its chunk of REPORT_CHUNK records,
+    which one separated walk reports together.  A chunk closes early at a
+    record where the log-weighted monitor trips on the sup already
+    reported.  The monitors then scan the chunk in record order, and the
+    first record that trips one ends the run there: the records after it,
+    and the steps taken past it, are dropped.  After the loop the first
+    and last records are also reported by the 3D energy_functionals on the
+    same grid, which keeps their curl terms measured independently of the
+    radial ansatz; those records keep the 3D report, and the largest
+    disagreement between the two is the result's oracle_defect.
     """
     start = time.perf_counter()
     solver = RadialSolver(config.gamma, config.mass, config.resolution)
@@ -767,32 +774,45 @@ def run(config: RunConfig) -> RunResult:
         derivs = solver.time_derivatives(st)
         pending.append(derivs)
         profiles[1:] = [derivs]
-        marks.append((st, steps, dt_min, dt_max,
-                      float(solver._pq(st.f)[2].min())))
+        _, _, jac = solver._pq(st.f)
+        marks.append((st, steps, dt_min, dt_max, float(jac.min())))
         times.append(st.time)
         radii.append(st.theta * (1.0 + solver.boundary_value(st.f))
                      * solver.constants.r0)
-        mass_err.append(abs(solver.mass(st) - config.mass) / config.mass)
+        mass_err.append(abs(solver.mass(st, jac) - config.mass) / config.mass)
         reporting_s += time.perf_counter() - rec_start
 
+    def walk(first):
+        # the pending records' reports from one walk; if a record's
+        # separated deformation is degenerate, from one walk per record,
+        # taken as the scan asks, so that a trip before it ends the scan
+        # first, as in a run that reports each record when it is reached
+        try:
+            return radial_energy_functionals(
+                separated, times[first:], config.gamma, pending,
+                J_max=config.J_max, truncation=config.truncation)
+        except DegenerateDeformationError:
+            return (radial_energy_functionals(
+                separated, [times[i]], config.gamma, [derivs],
+                J_max=config.J_max, truncation=config.truncation)[0]
+                for i, derivs in enumerate(pending, first))
+
     def report_pending():
-        # one walk for the pending records, then the monitors in record
-        # order; returns the stop reason of the first record to trip one
+        # the pending records' reports, then the monitors in record order;
+        # returns the stop reason of the first record to trip one
         nonlocal sup_energy, reporting_s, min_jacobian, tripped
         rec_start = time.perf_counter()
         first = len(reports)
-        reports.extend(radial_energy_functionals(
-            separated, times[first:], config.gamma, pending,
-            J_max=config.J_max, truncation=config.truncation))
         reason = None
-        for i in range(first, len(reports)):
-            sup_energy = max(sup_energy, reports[i].E_total)
-            if reports[i].E_total > config.eps0**2:
+        for i, rep in enumerate(walk(first), first):
+            reports.append(rep)
+            sup_energy = max(sup_energy, rep.E_total)
+            if rep.E_total > config.eps0**2:
                 reason = STOP_MONITOR_E
             elif math.log1p(times[i]) ** 2 * sup_energy > config.eps0**2:
                 reason = STOP_MONITOR_LOG
             if reason is not None:
-                for kept in (times, radii, reports, mass_err):
+                for kept in (times, radii, mass_err):
                     del kept[i + 1:]
                 profiles[1:] = [pending[i - first]] if i > 0 else []
                 del marks[i - first + 1:]
@@ -804,8 +824,10 @@ def run(config: RunConfig) -> RunResult:
         reporting_s += time.perf_counter() - rec_start
         return reason
 
+    # the initial data reports alone: a run whose data trips a monitor
+    # takes no step
     record(state)
-    stop_reason = None
+    stop_reason = report_pending()
     for target in rec_times:
         while stop_reason is None and t < target:
             rest = target - t
@@ -829,7 +851,10 @@ def run(config: RunConfig) -> RunResult:
             # an accepted step may end with J <= 0, which only a force sees
             stop_reason = STOP_DEGENERATE
             break
-        if len(pending) == REPORT_CHUNK:
+        # the log-weighted monitor trips here on the sup already reported,
+        # unless a pending record trips first: no need to march on
+        if (len(pending) == REPORT_CHUNK
+                or math.log1p(t) ** 2 * sup_energy > config.eps0**2):
             stop_reason = report_pending()
             if stop_reason is not None:
                 break

@@ -1602,6 +1602,19 @@ def poison_force_after_first_record(monkeypatch):
     monkeypatch.setattr(RadialSolver, "time_derivatives", poisoning)
 
 
+def counted_walks(monkeypatch):
+    """The record counts of run's separated report walks, in order."""
+    walks = []
+    original = radial_module.radial_energy_functionals
+
+    def counted(fields, times, *args, **kwargs):
+        walks.append(len(times))
+        return original(fields, times, *args, **kwargs)
+
+    monkeypatch.setattr(radial_module, "radial_energy_functionals", counted)
+    return walks
+
+
 def recorded_states(monkeypatch):
     """States run passes to its records, captured at time_derivatives."""
     states = []
@@ -1774,31 +1787,37 @@ def per_record_run(cfg):
             max(dts, default=None), reason or "completed", final)
 
 
-class TestChunkedReports:
-    """run reports its records in chunks of REPORT_CHUNK, one separated
-    walk each, and scans the monitors afterwards."""
+# E trips at record 4, inside the first chunk after record 0
+E_TRIP = RunConfig(gamma=GAMMA, resolution=32, t_end=50.0, amplitude=1e-3,
+                   records=30, J_max=2, eps0=0.016, report_angles=(4, 4))
 
-    @pytest.mark.parametrize("cfg,reason", [
-        # E trips at record 4, inside the first chunk
-        (RunConfig(gamma=GAMMA, resolution=32, t_end=50.0, amplitude=1e-3,
-                   records=30, J_max=2, eps0=0.016, report_angles=(4, 4)),
-         "monitor_E"),
-        # the log-weighted sup trips at record 37, inside the third chunk
+
+class TestChunkedReports:
+    """run reports record 0 alone and the later records in chunks of
+    REPORT_CHUNK, one separated walk each, and scans the monitors
+    afterwards."""
+
+    @pytest.mark.parametrize("cfg,reason,past", [
+        (E_TRIP, "monitor_E", True),
+        # the log-weighted sup trips at record 37, inside the third chunk;
+        # the sup reported before it already trips it there, so the chunk
+        # closes at the trip and no record past it is marched
         (RunConfig(gamma=GAMMA, resolution=32, t_end=200.0, amplitude=1e-3,
                    records=40, J_max=1, eps0=5e-3, report_angles=(4, 4)),
-         "monitor_logE"),
+         "monitor_logE", False),
     ], ids=["monitor_E", "monitor_logE"])
     def test_mid_chunk_trip_matches_per_record_run(self, monkeypatch, cfg,
-                                                   reason):
+                                                   reason, past):
         seen = recorded_states(monkeypatch)
         res = run(cfg)
         monkeypatch.undo()
         (times, radii, reports, mass_err, steps, dt_min, dt_max, want_reason,
          final) = per_record_run(cfg)
         assert res.stop_reason == want_reason == reason
-        # the trip is not the chunk's last record: the run stepped past it
-        assert res.records % radial_module.REPORT_CHUNK != 0
-        assert len(seen) > res.records == len(reports) > 1
+        # the trip is not a full chunk's last record
+        assert (res.records - 1) % radial_module.REPORT_CHUNK != 0
+        assert (len(seen) > res.records) == past
+        assert res.records == len(reports) > 1
         assert_array_equal(res.times, times)
         assert_array_equal(res.radii, radii)
         assert res.reports == tuple(reports)
@@ -1812,40 +1831,83 @@ class TestChunkedReports:
             solver._pq(st.f)[2].min() for st in seen[:res.records])
 
     def test_trip_before_a_nonfinite_stop_wins(self, monkeypatch):
-        # E trips at t = 0; the run marches on to the poisoned force's
-        # non-finite step before it reports, but stops as monitor_E at t = 0
+        # E trips at record 1, t = 0.01; the run marches on to the poisoned
+        # force's non-finite step before it reports, but stops as monitor_E
+        # at record 1
         poison_force_after_first_record(monkeypatch)
         cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0, amplitude=1e-3,
-                        records=4, J_max=0, eps0=1e-5, report_angles=(4, 4))
+                        records=4, J_max=2, eps0=5e-3, report_angles=(4, 4))
         seen = recorded_states(monkeypatch)
         res = run(cfg)
         assert len(seen) == 2
         times, _, reports, _, steps, _, _, reason, final = per_record_run(cfg)
         assert res.stop_reason == reason == "monitor_E"
-        assert res.steps == steps == 0 and res.dt_min is None
-        assert res.reports == tuple(reports) and res.records == 1
+        assert res.steps == steps > 0
+        assert res.reports == tuple(reports) and res.records == 2
         assert_states_match(res.final_state, final)
 
-    @pytest.mark.parametrize("records", [14, 15, 16, 40])
+    @pytest.mark.parametrize("records", [15, 16, 17, 40])
     def test_one_walk_per_chunk(self, monkeypatch, records):
-        walks = []
-        original = radial_module.radial_energy_functionals
-
-        def counted(fields, times, *args, **kwargs):
-            walks.append(len(times))
-            return original(fields, times, *args, **kwargs)
-
-        monkeypatch.setattr(radial_module, "radial_energy_functionals",
-                            counted)
+        walks = counted_walks(monkeypatch)
         cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0, amplitude=1e-3,
                         records=records, J_max=0, report_angles=(4, 4))
         res = run(cfg)
         assert res.stop_reason == "completed"
         assert res.records == len(res.reports) == records + 1
         chunk = radial_module.REPORT_CHUNK
-        assert len(walks) == -(-(records + 1) // chunk)
-        assert walks[:-1] == [chunk] * (len(walks) - 1)
+        assert len(walks) == 1 + -(-records // chunk)
+        assert walks[:-1] == [1] + [chunk] * (len(walks) - 2)
         assert sum(walks) == records + 1
+
+    def test_trip_at_the_initial_data_takes_no_step(self, monkeypatch):
+        seen = recorded_states(monkeypatch)
+        walks = counted_walks(monkeypatch)
+        cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0, amplitude=1e-3,
+                        records=20, J_max=0, eps0=1e-5, report_angles=(4, 4))
+        res = run(cfg)
+        assert res.stop_reason == "monitor_E"
+        assert len(seen) == res.records == 1 and walks == [1]
+        assert res.steps == 0 and res.dt_min is None
+
+    @pytest.mark.parametrize("bad,reason", [(6, "monitor_E"), (2, None)],
+                             ids=["after_trip", "before_trip"])
+    def test_degenerate_walk_after_a_trip(self, monkeypatch, bad, reason):
+        # the separated deformation of record bad and later is degenerate:
+        # a trip at an earlier record still ends the run as in the
+        # per-record reference, and a degenerate record before any trip
+        # raises there, as a run reporting each record would
+        seen = recorded_states(monkeypatch)
+        original = radial_module.radial_energy_functionals
+        t_bad = record_grid(E_TRIP)[bad - 1]
+
+        def degenerate_late(fields, times, *args, **kwargs):
+            if max(times) >= t_bad:
+                raise DegenerateDeformationError("planted")
+            return original(fields, times, *args, **kwargs)
+
+        monkeypatch.setattr(radial_module, "radial_energy_functionals",
+                            degenerate_late)
+        walks = counted_walks(monkeypatch)
+        if reason is None:
+            with pytest.raises(DegenerateDeformationError, match="planted"):
+                run(E_TRIP)
+            assert walks[-1] == 1 and len(walks) == 2 + bad
+            return
+        res = run(E_TRIP)
+        monkeypatch.undo()
+        (times, radii, reports, mass_err, steps, dt_min, dt_max, want_reason,
+         final) = per_record_run(E_TRIP)
+        assert res.stop_reason == want_reason == reason
+        assert len(seen) > bad >= res.records == len(reports)
+        # record 0, the failed chunk, then one walk per record to the trip
+        assert walks == [1, radial_module.REPORT_CHUNK] + [1] * (
+            res.records - 1)
+        assert_array_equal(res.times, times)
+        assert_array_equal(res.radii, radii)
+        assert res.reports == tuple(reports)
+        assert_array_equal(res.mass_error, mass_err)
+        assert (res.steps, res.dt_min, res.dt_max) == (steps, dt_min, dt_max)
+        assert_states_match(res.final_state, final)
 
     def test_telemetry_reads_the_records(self, monkeypatch):
         cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0, amplitude=0.3,
