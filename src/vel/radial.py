@@ -46,8 +46,8 @@ DAMPING_BOUND = 2.5
 
 # Records per separated report walk after the initial record.  A walk's
 # cost is mostly per call: 13 records of 64 nodes cost about two
-# single-record walks, and a walk of 16 peaks near 1 MB.  A run whose
-# energy monitor trips inside a chunk marches on to the chunk's end; the
+# single-record walks, and a walk of 16 peaks near 1 MB.  An energy trip
+# inside a chunk marches to its end but keeps nothing past the trip; the
 # log-weighted monitor closes a chunk early where it must trip.
 REPORT_CHUNK = 16
 
@@ -246,8 +246,8 @@ class RunConfig:
             raise ValueError("velocity_amplitude must be finite")
         if self.records < 2:
             raise ValueError("need at least 2 records")
-        if not self.eps0 > 0.0:
-            raise ValueError("eps0 must be positive")
+        if not 0.0 < self.eps0 < math.inf:
+            raise ValueError(f"eps0 must be positive and finite, got {self.eps0}")
         if self.J_max < 0:
             raise ValueError("J_max must be nonnegative")
 
@@ -492,8 +492,9 @@ class RadialSolver:
 
     def make_state(self, time: float, f, f_t, theta: float | None = None,
                    theta_t: float | None = None) -> RadialState:
-        """Validated state; theta defaults to the self-similar start at t=0.
-        A theta whose power theta^(-3 gamma) overflows is a ValueError."""
+        """Validated state; theta and theta_t default to the self-similar
+        start at t=0.  A theta_t without theta, or a theta whose power
+        theta^(-3 gamma) overflows, is a ValueError."""
         f = np.asarray(f, dtype=float)
         f_t = np.asarray(f_t, dtype=float)
         if f.shape != (self.n,):
@@ -501,6 +502,8 @@ class RadialSolver:
         if theta is None:
             if time != 0.0:
                 raise ValueError("theta context required away from t = 0")
+            if theta_t is not None:
+                raise ValueError("theta must accompany theta_t")
             theta = 1.0
             theta_t = nu(self.gamma, 0.0, 1)
         if theta_t is None:
@@ -726,21 +729,21 @@ def run(config: RunConfig) -> RunResult:
     energy monitors.  Returns a result with a labeled stop reason.
 
     The run marches z = [f | f_t] and the floats theta, theta_t up to
-    each record time in turn, the last step cut to end on it, and builds a
-    validated RadialState only for a record and for the final state, which
-    after a degenerate or non-finite step, or a record whose force finds
-    J <= 0, is the last accepted one.
+    each record time in turn, t = 0 first, the last step cut to end on it,
+    and builds a validated RadialState only for a record and for the final
+    state, which after a degenerate or non-finite step, or a record whose
+    force finds J <= 0, is the last accepted one.
 
-    A record's time derivatives, radius and mass are taken when the march
-    reaches it.  The initial record is reported at once; every later
-    record's energy report waits for its chunk of REPORT_CHUNK records,
-    which one separated walk reports together.  A chunk closes early at a
-    record where the log-weighted monitor trips on the sup already
-    reported.  The monitors then scan the chunk in record order, and the
-    first record that trips one ends the run there: the records after it,
-    and the steps taken past it, are dropped.  After the loop the first
-    and last records are also reported by the 3D energy_functionals on the
-    same grid, which keeps their curl terms measured independently of the
+    A record's time derivatives are taken when the march reaches it, and
+    its energy report waits for its chunk of REPORT_CHUNK records, which
+    one separated walk reports together.  The first chunk is the initial
+    record alone, and a chunk closes early at a record where the
+    log-weighted monitor trips on the sup already reported.  The monitors
+    then scan the chunk in record order, keeping each record with its
+    radius, mass error and report up to the first that trips one, whose
+    state and step counts end the run.  After the loop the first and last
+    records are also reported by the 3D energy_functionals on the same
+    grid, which keeps their curl terms measured independently of the
     radial ansatz; those records keep the 3D report, and the largest
     disagreement between the two is the result's oracle_defect.
     """
@@ -755,12 +758,11 @@ def run(config: RunConfig) -> RunResult:
     rec_times = np.geomspace(min(1e-2, config.t_end / config.records),
                              config.t_end, config.records)
     times, radii, reports, mass_err = [], [], [], []
-    # per record not yet reported: its time derivatives, and its state,
-    # the steps and dt range up to it and its least J
-    pending, marks = [], []
-    profiles = []  # time derivatives at the first and the latest record
+    # per record not yet reported: its state, its time derivatives, and the
+    # steps and dt range up to it; ends holds the first and the latest kept
+    pending, ends = [], []
     sup_energy = reporting_s = 0.0
-    min_jacobian, tripped = math.inf, None
+    min_jacobian = math.inf
     separated = SeparatedFields(grid)
     n, march, cfl = solver.n, solver._march, config.cfl
     t, z, th, tht = (state.time, np.concatenate([state.f, state.f_t]),
@@ -768,67 +770,51 @@ def run(config: RunConfig) -> RunResult:
     steps, dt_min, dt_max = 0, math.inf, 0.0
     setup_s = time.perf_counter() - start
 
-    def record(st: RadialState):
-        nonlocal reporting_s
-        rec_start = time.perf_counter()
-        derivs = solver.time_derivatives(st)
-        pending.append(derivs)
-        profiles[1:] = [derivs]
-        _, _, jac = solver._pq(st.f)
-        marks.append((st, steps, dt_min, dt_max, float(jac.min())))
-        times.append(st.time)
-        radii.append(st.theta * (1.0 + solver.boundary_value(st.f))
-                     * solver.constants.r0)
-        mass_err.append(abs(solver.mass(st, jac) - config.mass) / config.mass)
-        reporting_s += time.perf_counter() - rec_start
+    def reports_of(records):
+        return radial_energy_functionals(
+            separated, [rec[0].time for rec in records], config.gamma,
+            [rec[1] for rec in records], J_max=config.J_max,
+            truncation=config.truncation)
 
-    def walk(first):
+    def walk():
         # the pending records' reports from one walk; if a record's
         # separated deformation is degenerate, from one walk per record,
         # taken as the scan asks, so that a trip before it ends the scan
         # first, as in a run that reports each record when it is reached
         try:
-            return radial_energy_functionals(
-                separated, times[first:], config.gamma, pending,
-                J_max=config.J_max, truncation=config.truncation)
+            return reports_of(pending)
         except DegenerateDeformationError:
-            return (radial_energy_functionals(
-                separated, [times[i]], config.gamma, [derivs],
-                J_max=config.J_max, truncation=config.truncation)[0]
-                for i, derivs in enumerate(pending, first))
+            return (reports_of([rec])[0] for rec in pending)
 
     def report_pending():
-        # the pending records' reports, then the monitors in record order;
-        # returns the stop reason of the first record to trip one
-        nonlocal sup_energy, reporting_s, min_jacobian, tripped
+        # keep the pending records in order up to the first that trips a
+        # monitor, and return its stop reason
+        nonlocal sup_energy, reporting_s, min_jacobian
         rec_start = time.perf_counter()
-        first = len(reports)
         reason = None
-        for i, rep in enumerate(walk(first), first):
+        for rec, rep in zip(pending, walk()):
+            st = rec[0]
+            _, _, jac = solver._pq(st.f)
+            min_jacobian = min(min_jacobian, float(jac.min()))
+            times.append(st.time)
+            radii.append(st.theta * (1.0 + solver.boundary_value(st.f))
+                         * solver.constants.r0)
+            mass_err.append(abs(solver.mass(st, jac) - config.mass) / config.mass)
             reports.append(rep)
+            ends[1:] = [rec]
             sup_energy = max(sup_energy, rep.E_total)
             if rep.E_total > config.eps0**2:
                 reason = STOP_MONITOR_E
-            elif math.log1p(times[i]) ** 2 * sup_energy > config.eps0**2:
+            elif math.log1p(st.time) ** 2 * sup_energy > config.eps0**2:
                 reason = STOP_MONITOR_LOG
             if reason is not None:
-                for kept in (times, radii, mass_err):
-                    del kept[i + 1:]
-                profiles[1:] = [pending[i - first]] if i > 0 else []
-                del marks[i - first + 1:]
-                tripped = marks[-1]
                 break
-        min_jacobian = min(min_jacobian, *(m[4] for m in marks))
         pending.clear()
-        marks.clear()
         reporting_s += time.perf_counter() - rec_start
         return reason
 
-    # the initial data reports alone: a run whose data trips a monitor
-    # takes no step
-    record(state)
-    stop_reason = report_pending()
-    for target in rec_times:
+    stop_reason = None
+    for target in (0.0, *rec_times):
         while stop_reason is None and t < target:
             rest = target - t
             try:
@@ -845,15 +831,19 @@ def run(config: RunConfig) -> RunResult:
         if stop_reason is not None:
             break
         state = RadialState(time=t, f=z[:n], f_t=z[n:], theta=th, theta_t=tht)
+        rec_start = time.perf_counter()
         try:
-            record(state)
+            derivs = solver.time_derivatives(state)
         except DegenerateProfileError:
             # an accepted step may end with J <= 0, which only a force sees
             stop_reason = STOP_DEGENERATE
             break
-        # the log-weighted monitor trips here on the sup already reported,
-        # unless a pending record trips first: no need to march on
-        if (len(pending) == REPORT_CHUNK
+        pending.append((state, derivs, steps, dt_min, dt_max))
+        reporting_s += time.perf_counter() - rec_start
+        # the initial record reports alone, so a run whose data trips a
+        # monitor takes no step; the log-weighted monitor trips here on the
+        # sup already reported, unless a pending record trips first
+        if (len(pending) == REPORT_CHUNK or not reports
                 or math.log1p(t) ** 2 * sup_energy > config.eps0**2):
             stop_reason = report_pending()
             if stop_reason is not None:
@@ -861,16 +851,15 @@ def run(config: RunConfig) -> RunResult:
     if pending:
         # a monitor trip comes first: the run would have stopped there
         stop_reason = report_pending() or stop_reason
-    final = state if state.time == t else RadialState(
-        time=t, f=z[:n], f_t=z[n:], theta=th, theta_t=tht)
-    if tripped is not None:
-        final, steps, dt_min, dt_max, _ = tripped
+    final = RadialState(time=t, f=z[:n], f_t=z[n:], theta=th, theta_t=tht)
+    if stop_reason in (STOP_MONITOR_E, STOP_MONITOR_LOG):
+        final, _, steps, dt_min, dt_max = ends[-1]
 
     rec_start = time.perf_counter()
     separated = None  # free the angular factors before the 3D reports
     oracle_defect = 0.0
     # one pass when the run stopped at its first record
-    for i, derivs in zip((0, len(reports) - 1), profiles):
+    for i, (_, derivs, *_) in zip((0, len(reports) - 1), ends):
         traj = CallableTrajectory(grid, tuple(
             (lambda _, pos, p=p: p[:, None, None] * pos) for p in derivs))
         full = energy_functionals(traj, times[i], config.gamma,
@@ -922,8 +911,8 @@ def fit_growth(times, radii) -> GrowthFit:
     r = np.asarray(radii, dtype=float)
     if t.size != r.size or t.size < 3:
         raise ValueError("need matching series with at least 3 samples")
-    if np.any(r <= 0.0):
-        raise ValueError("radii must be positive")
+    if not (np.isfinite(t).all() and np.isfinite(r).all() and (r > 0.0).all()):
+        raise ValueError("times must be finite, radii finite and positive")
     span = (1.0 + t.max()) / (1.0 + t.min())
     if span < 10.0:
         raise ValueError(

@@ -139,6 +139,8 @@ class TestConfigParsing:
         ({"output": {"records": 1}}, "records"),
         ({"solver": {"cfl": 0.0}}, "cfl"),
         ({"solver": {"eps0": 0.0}}, "eps0"),
+        # json reads Infinity
+        ({"solver": {"eps0": math.inf}}, "eps0 must be positive and finite"),
         ({"solver": {"family": "spike"}}, "family"),
         ({"seed": -1}, "seed"),
         ({"ode": {"rtol": 0.0}}, "tolerances"),

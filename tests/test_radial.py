@@ -262,6 +262,11 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="theta"):
             self.solver.make_state(1.0, np.zeros(16), np.zeros(16))
 
+    def test_theta_t_needs_theta(self):
+        # a theta_t given alone would be replaced by nu'(0)
+        with pytest.raises(ValueError, match="theta must accompany theta_t"):
+            self.solver.make_state(0.0, np.zeros(16), np.zeros(16), theta_t=5.0)
+
     def test_nonpositive_theta(self):
         with pytest.raises(ValueError, match="positive"):
             RadialState(0.0, np.zeros(4), np.zeros(4), -1.0, 0.2)
@@ -1504,6 +1509,8 @@ class TestRunDriver:
         ("mass", math.inf, "mass must be positive and finite"),
         ("records", 1, "records"),
         ("eps0", 0.0, "eps0"),
+        # neither monitor could trip
+        ("eps0", math.inf, "eps0 must be positive and finite, got inf"),
         ("J_max", -1, "J_max"),
         ("resolution", 64.5, "resolution must be an integer, got 64.5"),
         ("resolution", True, "resolution must be an integer, got True"),
@@ -1909,6 +1916,22 @@ class TestChunkedReports:
         assert (res.steps, res.dt_min, res.dt_max) == (steps, dt_min, dt_max)
         assert_states_match(res.final_state, final)
 
+    def test_only_kept_records_are_measured(self, monkeypatch):
+        # E_TRIP marches past its trip before the scan reaches it; only the
+        # records the scan keeps get a mass
+        seen = recorded_states(monkeypatch)
+        masses = []
+        original = RadialSolver.mass
+
+        def counted(self, state, jac=None):
+            masses.append(state.time)
+            return original(self, state, jac)
+
+        monkeypatch.setattr(RadialSolver, "mass", counted)
+        res = run(E_TRIP)
+        assert len(seen) > res.records
+        assert masses == res.times.tolist()
+
     def test_telemetry_reads_the_records(self, monkeypatch):
         cfg = RunConfig(gamma=GAMMA, resolution=32, t_end=5.0, amplitude=0.3,
                         records=8, J_max=0, eps0=10.0, report_angles=(4, 4))
@@ -2034,6 +2057,8 @@ class TestGrowthFit:
         (np.linspace(0, 100, 2), np.ones(2), "3 samples"),
         (np.linspace(0, 100, 50), -np.ones(50), "positive"),
         (np.linspace(0, 100, 50), np.ones(49), "matching"),
+        (np.linspace(0, 100, 50), np.append(np.ones(49), np.nan), "finite"),
+        (np.append(np.linspace(0, 100, 49), np.inf), np.ones(50), "finite"),
     ])
     def test_validation(self, times, radii, match):
         with pytest.raises(ValueError, match=match):
