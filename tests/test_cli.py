@@ -139,8 +139,6 @@ class TestConfigParsing:
         ({"output": {"records": 1}}, "records"),
         ({"solver": {"cfl": 0.0}}, "cfl"),
         ({"solver": {"eps0": 0.0}}, "eps0"),
-        # json reads Infinity
-        ({"solver": {"eps0": math.inf}}, "eps0 must be positive and finite"),
         ({"solver": {"family": "spike"}}, "family"),
         ({"seed": -1}, "seed"),
         ({"ode": {"rtol": 0.0}}, "tolerances"),
@@ -148,6 +146,8 @@ class TestConfigParsing:
         ({"norms": {"nl_max": 4}}, "nl_max"),
         ({"solver": {"family_exponent": 1}}, "family_exponent"),
         ({"grid": {"resolution": 8}}, "resolution must be at least 16"),
+        # json reads Infinity
+        ({"solver": {"eps0": math.inf}}, "eps0 must be positive and finite"),
     ])
     def test_validation_messages(self, tmp_path, payload, message):
         path = write_config(tmp_path, payload)

@@ -1509,8 +1509,6 @@ class TestRunDriver:
         ("mass", math.inf, "mass must be positive and finite"),
         ("records", 1, "records"),
         ("eps0", 0.0, "eps0"),
-        # neither monitor could trip
-        ("eps0", math.inf, "eps0 must be positive and finite, got inf"),
         ("J_max", -1, "J_max"),
         ("resolution", 64.5, "resolution must be an integer, got 64.5"),
         ("resolution", True, "resolution must be an integer, got True"),
@@ -1526,6 +1524,8 @@ class TestRunDriver:
         ("report_angles", 8, "report_angles must be two integers, got 8"),
         ("velocity_amplitude", math.nan, "velocity_amplitude must be finite"),
         ("velocity_amplitude", -math.inf, "velocity_amplitude must be finite"),
+        # neither monitor could trip
+        ("eps0", math.inf, "eps0 must be positive and finite, got inf"),
     ])
     def test_config_validated(self, field, value, match):
         base = dict(gamma=GAMMA)
