@@ -43,36 +43,36 @@ class Config:
     """Effective run configuration after defaults, file, and flags."""
 
     gamma: float = 2.0
-    mass: float = 1.0
-    resolution: int = 64
-    n_mu: int = 8
-    n_psi: int = 8
+    mass: float = radial.RunConfig.mass
+    resolution: int = radial.RunConfig.resolution
+    n_mu: int = radial.RunConfig.report_angles[0]
+    n_psi: int = radial.RunConfig.report_angles[1]
     rtol: float = 1e-10
     atol: float = 1e-12
     t_end: float | None = None
-    cfl: float = 0.3
-    eps: float = 1e-3
-    family: str = "poly"
-    family_exponent: int = 2
-    eps0: float = 0.1
-    J_max: int = 2
-    m_max: int = 2
-    nl_max: int = 2
+    cfl: float = radial.RunConfig.cfl
+    eps: float = radial.RunConfig.amplitude
+    family: str = radial.RunConfig.family
+    family_exponent: int = radial.RunConfig.family_exponent
+    eps0: float = radial.RunConfig.eps0
+    J_max: int = radial.RunConfig.J_max
+    m_max: int = radial.RunConfig.truncation.m_max
+    nl_max: int = radial.RunConfig.truncation.nl_max
     out_dir: str | None = None
     fmt: str = "csv"
-    records: int = 120
+    records: int = radial.RunConfig.records
     seed: int = 0
 
     def __post_init__(self):
         # every other field is checked by the object that consumes it
         try:
             _run_config(self)
+            for tol in (self.rtol, self.atol):
+                params.check_positive("ode tolerances", tol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise ConfigError("ode tolerances must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 

@@ -9,8 +9,8 @@ evaluation is bit-reproducible.
 
 Trajectories are duck-typed: any object with a .grid attribute, a
 .max_time_order attribute, and a .time_derivative(t, order) method
-returning a VectorField works.  CallableTrajectory wraps analytic
-families; the radial solver provides its own adapter.
+returning a VectorField works.  CallableTrajectory, the one such type,
+wraps analytic families and the radial run's oracle records alike.
 """
 
 import math
@@ -34,6 +34,7 @@ from .geometry import (
     flow_ops,  # noqa: F401 (perfbench's tracer patches norms.flow_ops)
     flow_ops_from_partials,
 )
+from .params import check_gamma, check_integer, check_positive
 
 DECOMPOSITION_TOL = 1e-12
 MARGIN_SLACK = 1e-13
@@ -83,10 +84,9 @@ def hardy_check(f, k: float, delta: float,
     With constant=None the check passes whenever the ratio is finite;
     otherwise it passes iff ratio <= constant.
     """
-    if not k > -1.0:
-        raise ValueError(f"weight exponent must exceed -1, got {k}")
-    if not delta > 0.0:
-        raise ValueError(f"interval length must be positive, got {delta}")
+    if not -1.0 < k < math.inf:
+        raise ValueError(f"weight exponent must exceed -1 and be finite, got {k}")
+    check_positive("interval length", delta)
     from scipy.integrate import quad  # here only: 0.25 s and 20 MB to import
 
     h = 1e-4 * delta
@@ -136,9 +136,9 @@ def embedding_check(f: ScalarField, a: float, b: int) -> EmbeddingReport:
     The fractional norm is interpolated between the neighbouring integer
     orders: ||f||_s ~ ||f||_floor^(1-th) ||f||_ceil^th with th = s - floor(s).
     """
-    if a < 0.0:
-        raise ValueError(f"weight power must be nonnegative, got {a}")
-    if b != int(b) or b < 0:
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"weight power must be nonnegative and finite, got {a}")
+    if not float(b).is_integer() or b < 0:
         raise ValueError(f"derivative order must be a nonnegative integer, got {b}")
     b = int(b)
     if b > 4:
@@ -488,6 +488,11 @@ def _walk_strings(rep, vec, depth: int, shift: int = 0, state=None,
 # energy functionals
 
 
+def check_J_max(J_max) -> None:
+    """The rule of the top energy order: J_max is an integer >= 0."""
+    check_integer("J_max", J_max, 0)
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Retained derivative orders: time derivatives m <= m_max and mixed
@@ -499,8 +504,8 @@ class Truncation:
     nl_max: int = 2
 
     def __post_init__(self):
-        if self.m_max < 0 or self.nl_max < 0:
-            raise ValueError("truncation orders must be nonnegative")
+        for name in ("m_max", "nl_max"):
+            check_integer(name, getattr(self, name), 0)
         if self.nl_max + 1 > 4:
             raise ValueError("spatial order nl_max + 1 exceeds the "
                              "differentiation capability of 4")
@@ -623,8 +628,7 @@ def M0_e0(state: DeformationState, gamma: float) -> M0Report:
     smallness regime is flagged, not failed: the margins are then
     reported as nan and only the decomposition is checked.
     """
-    if not gamma > 1.0:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    check_gamma(gamma)
     m0, e0, quadratic, fro2, div, curl2 = _m0_pointwise(gamma, state)
     defect = float(np.abs(m0 - quadratic - e0).max())
     lower = (m0 + 0.5 * curl2) - (0.25 * fro2 + 0.5 * (gamma - 1.0) * div**2)
@@ -654,8 +658,8 @@ def energy_functionals(traj, t: float, gamma: float, J_max: int = 2,
     available time derivatives are dropped and recorded in the report's
     truncated list, never silently.
     """
-    if J_max < 0:
-        raise ValueError(f"J_max must be nonnegative, got {J_max}")
+    check_gamma(gamma)
+    check_J_max(J_max)
     state = deformation(traj.time_derivative(t, 0))
     return _report(_GridFields(traj.grid),
                    lambda q: traj.time_derivative(t, q).values,
@@ -681,8 +685,8 @@ def radial_energy_functionals(fields: SeparatedFields, times, gamma: float,
     them all, and reports made with the same fields share the angular
     factors it has built.
     """
-    if J_max < 0:
-        raise ValueError(f"J_max must be nonnegative, got {J_max}")
+    check_gamma(gamma)
+    check_J_max(J_max)
     profiles = np.asarray(profiles, dtype=float)  # [r, q, node]
     s = fields.grid.s
     omegas = [fields.field(s * profiles[:, q])
@@ -836,8 +840,7 @@ def zeroth_energy_balance(gamma: float, times, kinetic, potential,
     potential, so the defect vanishes at the integrator's order for a
     solution of the damped wave system.
     """
-    if not gamma > 1.0:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    check_gamma(gamma)
     times = np.asarray(times, dtype=float)
     kin = np.asarray(kinetic, dtype=float)
     pot = np.asarray(potential, dtype=float)

@@ -22,6 +22,9 @@ import numpy as np
 from scipy.special import beta, roots_legendre
 
 __all__ = [
+    "check_gamma",
+    "check_positive",
+    "check_integer",
     "GasParams",
     "BarenblattConstants",
     "BarenblattEval",
@@ -41,6 +44,26 @@ _MASS_ORDER = 64
 _SLOPE_STEP = 1e-6
 
 
+def check_gamma(gamma) -> None:
+    """The rule of every law here: the adiabatic exponent is finite and > 1."""
+    if not 1.0 < gamma < math.inf:
+        raise ValueError(f"gamma must exceed 1 and be finite, got {gamma}")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise unless the setting called name is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Raise unless the setting called name is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class GasParams:
     """Adiabatic exponent and total mass of the gas."""
@@ -49,10 +72,8 @@ class GasParams:
     mass: float
 
     def __post_init__(self):
-        if not 1.0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must exceed 1 and be finite, got {self.gamma}")
-        if not 0.0 < self.mass < math.inf:
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        check_gamma(self.gamma)
+        check_positive("mass", self.mass)
 
 
 @dataclass(frozen=True)

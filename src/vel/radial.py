@@ -26,9 +26,10 @@ from scipy.linalg.blas import dgbmv
 from .geometry import (BallGrid, DegenerateDeformationError, VectorField,
                        check_grid_shape, deformation)
 from .norms import (CallableTrajectory, SeparatedFields, Truncation,
-                    energy_functionals, radial_energy_functionals,
+                    check_J_max, energy_functionals, radial_energy_functionals,
                     report_defect)
-from .params import GasParams, derive_constants
+from .params import (GasParams, check_gamma, check_integer, check_positive,
+                     derive_constants)
 from .theta import nu, theta_acceleration
 
 STOP_COMPLETED = "completed"
@@ -170,8 +171,7 @@ class RadialState:
             raise ValueError("profile arrays must be finite")
         if not math.isfinite(self.time):
             raise ValueError("time must be finite")
-        if not (self.theta > 0.0 and math.isfinite(self.theta)):
-            raise ValueError("theta must be positive and finite")
+        check_positive("theta", self.theta)
         if not math.isfinite(self.theta_t):
             raise ValueError("theta_t must be finite")
         if np.any(1.0 + f <= 0.0):
@@ -187,6 +187,11 @@ class RadialState:
 
 
 FAMILIES = ("poly", "bump")
+
+
+def check_resolution(resolution) -> None:
+    """The rule of the radial cell count: an integer of at least 16."""
+    check_integer("resolution", resolution, 16)
 
 
 @dataclass(frozen=True)
@@ -224,32 +229,25 @@ class RunConfig:
         except (TypeError, ValueError):
             raise ValueError("report_angles must be two integers, got "
                              f"{self.report_angles!r}") from None
-        for name, value in (("resolution", self.resolution), ("records", self.records),
-                            ("J_max", self.J_max), ("report_angles", n_mu),
-                            ("report_angles", n_psi)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.resolution < 16:
-            raise ValueError(f"resolution must be at least 16, got {self.resolution}")
+        check_resolution(self.resolution)
+        # the grid's own check sets the least angle counts
+        for name, value, least in (("records", self.records, 2),
+                                   ("family_exponent", self.family_exponent, 2),
+                                   ("report_angles", n_mu, 0),
+                                   ("report_angles", n_psi, 0)):
+            check_integer(name, value, least)
         check_grid_shape(self.resolution, n_mu, n_psi, "midpoint")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not 0.0 < self.t_end < math.inf:
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        check_positive("t_end", self.t_end)
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.family_exponent < 2:
-            raise ValueError("family_exponent must be at least 2")
         if not 0.0 <= self.amplitude < math.inf:
             raise ValueError("amplitude must be nonnegative and finite")
         if not math.isfinite(self.velocity_amplitude):
             raise ValueError("velocity_amplitude must be finite")
-        if self.records < 2:
-            raise ValueError("need at least 2 records")
-        if not 0.0 < self.eps0 < math.inf:
-            raise ValueError(f"eps0 must be positive and finite, got {self.eps0}")
-        if self.J_max < 0:
-            raise ValueError("J_max must be nonnegative")
+        check_positive("eps0", self.eps0)
+        check_J_max(self.J_max)
 
 
 def profile_family(config: RunConfig, s: np.ndarray, r0: float) -> np.ndarray:
@@ -269,8 +267,7 @@ class RadialSolver:
 
     def __init__(self, gamma: float, mass: float = 1.0, resolution: int = 64,
                  constants=None):
-        if resolution < 16:
-            raise ValueError(f"resolution must be at least 16, got {resolution}")
+        check_resolution(resolution)
         self.gamma = float(gamma)
         gas = GasParams(gamma=self.gamma, mass=mass)
         self.constants = constants or derive_constants(gas)
@@ -541,8 +538,10 @@ class RadialSolver:
         return kinetic, potential
 
     def mass(self, state: RadialState, jac=None) -> float:
-        """Physical mass recomputed through the deformed configuration;
-        jac, when given, is the state's radial Jacobian, already formed."""
+        """Quadrature of sigma^iota / (theta^3 J) times theta^3 J: the factors
+        cancel, so it is the initial mass quadrature whatever the state and
+        cannot see a mass defect.  jac, when given, is the state's radial
+        Jacobian, already formed."""
         c = self.constants
         if jac is None:
             _, _, jac = self._pq(state.f)
@@ -640,8 +639,7 @@ def embedded_flux_divergence(gamma: float, grid: BallGrid, f, fp) -> OracleRepor
     against the scalar radial reduction, both differentiated on the same
     grid.  f and fp are callables of the radius.
     """
-    if not gamma > 1.0:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    check_gamma(gamma)
     c = grid.constants
     iota = c.iota
     prof = np.asarray(f(grid.s), dtype=float)

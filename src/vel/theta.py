@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .params import BarenblattConstants, GasParams, derive_constants, moment_integral
+from .params import (BarenblattConstants, GasParams, check_gamma, check_positive,
+                     derive_constants, moment_integral)
 
 __all__ = [
     "ThetaPath",
@@ -67,8 +68,7 @@ class ThetaPath:
     theta_tt: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.gamma > 1.0:
-            raise ValueError("gamma must exceed 1")
+        check_gamma(self.gamma)
         series = ("times", "h", "h_t", "theta", "theta_t", "theta_tt")
         n = None
         for name in series:
@@ -147,22 +147,16 @@ class LiuReport:
 
 def nu(gamma: float, t, order: int = 0):
     """Background power (1+t)^p with p = 1/(3*gamma - 1), or its derivative."""
-    if not gamma > 1.0:
-        raise ValueError("gamma must exceed 1")
-    _check_order(order)
+    check_gamma(gamma)
+    if (isinstance(order, bool) or not isinstance(order, numbers.Integral)
+            or order < 0):
+        raise ValueError(f"order must be a non-negative integer, got {order!r}")
     ts = np.asarray(t, dtype=float)
     if np.any(ts < 0.0):
         raise ValueError("t must be non-negative")
     coef, power = _nu_law(gamma, order)
     out = coef * np.power(1.0 + ts, power)
     return float(out) if ts.ndim == 0 else out
-
-
-def _check_order(order) -> None:
-    if (isinstance(order, bool) or not isinstance(order, numbers.Integral)
-            or order < 0):
-        raise ValueError(
-            f"order must be a non-negative integer, got {order!r}")
 
 
 def _nu_law(gamma: float, order: int) -> tuple[float, float]:
@@ -445,8 +439,7 @@ def _dopri5(
     Raises ValueError unless rtol and atol are positive and finite.
     """
     for name, tol in (("rtol", rtol), ("atol", atol)):
-        if not 0.0 < tol < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {tol}")
+        check_positive(name, tol)
     rtol = max(rtol, 100.0 * np.finfo(float).eps)  # scipy's floor
     rhs, loop = _dopri5_loop(law)(*parameters)
     root_n = len(y0) ** 0.5
@@ -487,10 +480,8 @@ def integrate_h(
     for theta = nu + h when F = c nu^{2-3g} - nu_tt - nu_t.  nu solves
     nu_t = c nu^{2-3g} exactly, so F = -nu_tt.
     """
-    if not 1.0 < gamma < math.inf:
-        raise ValueError(f"gamma must exceed 1 and be finite, got {gamma}")
-    if not 0.0 < t_end < math.inf:
-        raise ValueError("t_end must be positive and finite")
+    check_gamma(gamma)
+    check_positive("t_end", t_end)
     if num_samples < 2:
         raise ValueError("need at least two samples")
     c = 1.0 / (3.0 * gamma - 1.0)
@@ -507,15 +498,8 @@ def integrate_h(
     nu_tt = nu(gamma, times, 2)
     h_tt = -h_t + c * (theta**q - base**q) - nu_tt
     theta_tt = nu_tt + h_tt
-    return ThetaPath(
-        gamma=gamma,
-        times=times,
-        h=h,
-        h_t=h_t,
-        theta=theta,
-        theta_t=theta_t,
-        theta_tt=theta_tt,
-    )
+    return ThetaPath(gamma=gamma, times=times, h=h, h_t=h_t, theta=theta,
+                     theta_t=theta_t, theta_tt=theta_tt)
 
 
 def verify_decay(path: ThetaPath, n: int = 2) -> DecayReport:
@@ -539,13 +523,8 @@ def verify_decay(path: ThetaPath, n: int = 2) -> DecayReport:
         and monotone_violation <= BOUND_SLACK
         and bool(fits_finite)
     )
-    return DecayReport(
-        gamma=g,
-        K_fit=K_fit,
-        Cn_fit=Cn_fit,
-        max_violation=violations,
-        passed=passed,
-    )
+    return DecayReport(gamma=g, K_fit=K_fit, Cn_fit=Cn_fit,
+                       max_violation=violations, passed=passed)
 
 
 def liu_mass(gamma: float, b, e) -> np.ndarray | float:
@@ -579,10 +558,8 @@ def liu_integrate(
     atol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate the coefficient system; returns (times, a, b, e) samples."""
-    if not 1.0 < gamma < math.inf:
-        raise ValueError(f"gamma must exceed 1 and be finite, got {gamma}")
-    if not 0.0 < t_end < math.inf:
-        raise ValueError("t_end must be positive and finite")
+    check_gamma(gamma)
+    check_positive("t_end", t_end)
     times = _log_grid(float(t_end), 1001)
     samples, _ = _dopri5(_LIU_LAW, (gamma,), (initial.a, initial.b, initial.e),
                          float(t_end), rtol, atol, times)
@@ -633,12 +610,6 @@ def liu_vs_barenblatt(
     masses = liu_mass(gamma, b, e)
     mass_drift = float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
     passed = bool(np.all(np.isfinite(deviation))) and slope <= SLOPE_CEILING
-    return LiuReport(
-        gamma=gamma,
-        times=times,
-        deviation=deviation,
-        slope=slope,
-        bound_fit=bound_fit,
-        mass_drift=mass_drift,
-        passed=passed,
-    )
+    return LiuReport(gamma=gamma, times=times, deviation=deviation,
+                     slope=slope, bound_fit=bound_fit, mass_drift=mass_drift,
+                     passed=passed)

@@ -1,6 +1,8 @@
 """Command-line interface: config parsing, subcommands, exit codes."""
 
+import ast
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -10,7 +12,7 @@ import warnings
 
 import pytest
 
-from vel import cli, norms, params
+from vel import cli, norms, params, radial
 
 
 # 32 cells, 6x6 angles, J_max 1 and 10 records: a radial run of a few seconds
@@ -161,12 +163,37 @@ class TestConfigParsing:
         ({"t_end": math.inf}, "t_end must be positive and finite"),
         ({"t_end": math.nan}, "t_end must be positive and finite"),
         ({"eps": math.inf}, "amplitude must be nonnegative and finite"),
+        # json reads Infinity
+        ({"rtol": math.inf}, "ode tolerances must be positive and finite"),
+        ({"atol": math.nan}, "ode tolerances must be positive and finite"),
     ])
     def test_nonfinite_overrides_rejected(self, override, message):
         # every subcommand reads its t_end through this check, so
         # theta, liu and radial all stop here instead of running forever
         with pytest.raises(cli.ConfigError, match=message):
             cli.parse_config(None, override)
+
+
+class TestRadialDefaults:
+    # the radial fields of Config whose defaults are RunConfig's
+    RADIAL_FIELDS = ("mass", "resolution", "n_mu", "n_psi", "cfl", "eps",
+                     "family", "family_exponent", "eps0", "J_max", "m_max",
+                     "nl_max", "records")
+
+    def test_defaults_are_run_config_defaults(self):
+        got = cli._run_config(cli.Config())
+        want = radial.RunConfig(gamma=2.0, t_end=1e3)
+        for field in dataclasses.fields(radial.RunConfig):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+    def test_no_literal_copy_of_a_run_config_default(self):
+        tree = ast.parse(inspect.getsource(cli.Config))
+        literal = {node.target.id for node in ast.walk(tree)
+                   if isinstance(node, ast.AnnAssign)
+                   and isinstance(node.value, ast.Constant)}
+        assert literal.isdisjoint(self.RADIAL_FIELDS), literal
+        assert {f.name for f in dataclasses.fields(cli.Config)} >= set(
+            self.RADIAL_FIELDS)
 
 
 class TestExitCodes:

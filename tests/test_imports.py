@@ -186,3 +186,64 @@ def test_step_rule_read_only_by_the_march():
     found = {(path.stem, fn) for path in sorted(SRC.glob("*.py"))
              for fn in _readers(path.read_text(), "DAMPING_BOUND")}
     assert found == STEP_RULE_READERS
+
+
+# Each setting's rule has one home: the one function that states it.  The
+# gamma, positive-and-finite and integer rules state their messages in a
+# raise; the J_max and resolution rules pass their name and least value to
+# params.check_integer, which words their messages "<name> must be ...".
+# Every consumer calls the rule, so no other function may state it again.
+RULE_HOMES = {
+    "gamma must exceed 1": {("params", "check_gamma")},
+    "must be positive and finite": {("params", "check_positive")},
+    "must be an integer": {("params", "check_integer")},
+    "J_max must be": {("norms", "check_J_max")},
+    "resolution must be": {("radial", "check_resolution")},
+}
+
+
+def _stating(source, text):
+    """Names of the innermost functions in source that state the rule
+    worded text: a raise whose string (or f-string) literal contains text,
+    or a check_integer call whose name argument begins text."""
+    found = set()
+
+    def visit(node, fn, raising):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name, False)
+                continue
+            if (raising and isinstance(child, ast.Constant)
+                    and isinstance(child.value, str) and text in child.value):
+                found.add(fn)
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", None) == "check_integer"
+                    and isinstance(child.args[0], ast.Constant)
+                    and text.startswith(f"{child.args[0].value} must be")):
+                found.add(fn)
+            visit(child, fn, raising or isinstance(child, ast.Raise))
+
+    visit(ast.parse(source), "<module>", False)
+    return found
+
+
+def test_rule_lint_sees_a_second_home():
+    source = ('def check_gamma(g):\n'
+              '    raise ValueError(f"gamma must exceed 1, got {g}")\n'
+              'class ThetaPath:\n    def __post_init__(self):\n'
+              '        """gamma must exceed 1"""\n'
+              '        if not self.gamma > 1.0:\n'
+              '            raise ValueError("gamma must exceed 1")\n'
+              'def check_J_max(J_max):\n    check_integer("J_max", J_max, 0)\n'
+              'def energy(J_max):\n    check_integer("J_max", J_max, 1)\n'
+              '    print("J_max must be nonnegative")\n')
+    assert _stating(source, "gamma must exceed 1") == {"check_gamma",
+                                                       "__post_init__"}
+    assert _stating(source, "J_max must be") == {"check_J_max", "energy"}
+
+
+@pytest.mark.parametrize("text", sorted(RULE_HOMES))
+def test_each_rule_written_once(text):
+    found = {(path.stem, fn) for path in sorted(SRC.glob("*.py"))
+             for fn in _stating(path.read_text(), text)}
+    assert found == RULE_HOMES[text]

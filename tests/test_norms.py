@@ -129,6 +129,20 @@ class TestHardy:
         with pytest.raises(ValueError, match="positive"):
             norms.hardy_check(lambda r: 1.0, 0.0, 0.0)
 
+    def test_nonfinite_inputs_rejected(self):
+        # an infinite weight read ratio 0.0 and passed; an infinite interval
+        # ran quad to infinity
+        with pytest.raises(ValueError, match="weight exponent must exceed -1 "
+                           "and be finite, got inf"):
+            norms.hardy_check(lambda r: 1.0, math.inf, 1.0)
+        with pytest.raises(ValueError, match="weight exponent"):
+            norms.hardy_check(lambda r: 1.0, math.nan, 1.0)
+        with pytest.raises(ValueError, match="interval length must be "
+                           "positive and finite, got inf"):
+            norms.hardy_check(lambda r: 1.0, 0.0, math.inf)
+        with pytest.raises(ValueError, match="interval length"):
+            norms.hardy_check(lambda r: 1.0, 0.0, math.nan)
+
 
 class TestEmbedding:
     def test_constant(self):
@@ -173,6 +187,20 @@ class TestEmbedding:
             norms.embedding_check(one, 6.0, 2)
         with pytest.raises(ValueError, match="integer"):
             norms.embedding_check(one, 0.0, 1.5)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_nonfinite_weight_rejected(self, a):
+        one = ScalarField(GRID, np.ones(GRID.shape))
+        with pytest.raises(ValueError, match="weight power must be "
+                           f"nonnegative and finite, got {a}"):
+            norms.embedding_check(one, a, 1)
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf])
+    def test_nonfinite_order_rejected(self, b):
+        one = ScalarField(GRID, np.ones(GRID.shape))
+        with pytest.raises(ValueError, match="derivative order must be a "
+                           f"nonnegative integer, got {b}"):
+            norms.embedding_check(one, 0.0, b)
 
 
 class TestTrajectory:
@@ -232,6 +260,13 @@ class TestEnergyEj:
         with pytest.raises(ValueError, match="capability"):
             norms.Truncation(nl_max=4)
         assert norms.Truncation(nl_max=3).nl_max == 3
+
+    @pytest.mark.parametrize("field, value", [
+        ("m_max", 0.5), ("nl_max", 1.5), ("m_max", True), ("nl_max", -1)])
+    def test_truncation_orders_are_integers(self, field, value):
+        # a float order reached run as an unlabelled TypeError from range()
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            norms.Truncation(**{field: value})
 
 
 class TestEnergyFunctionals:

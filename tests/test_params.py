@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vel import params
+from vel import norms, params, radial, theta
+from vel.geometry import BallGrid, VectorField, deformation
 
 
 def consts(gamma, mass=1.0):
@@ -213,3 +214,46 @@ class TestVacuumSlope:
         exact = -2.0 * 3.0 * c.b_bar * rad / 2.0
         defect = abs(params.sound_speed_slope(c, 3.0, 1.0) / exact - 1.0)
         assert defect == pytest.approx(1.5e-6, rel=1e-3)
+
+
+# Every law holds for each finite gamma > 1, and one rule says so: each
+# consumer of gamma calls params.check_gamma, so each rejects a bad gamma
+# with the same message.
+RULE_GRID = BallGrid(consts(2.0), n_r=16, n_mu=4, n_psi=4,
+                     radial_scheme="midpoint")
+ZERO = VectorField(RULE_GRID, np.zeros((3, *RULE_GRID.shape)))
+SAMPLES = np.linspace(0.0, 1.0, 21)
+GAMMA_CONSUMERS = {
+    "GasParams": lambda g: params.GasParams(g, 1.0),
+    "ThetaPath": lambda g: theta.ThetaPath(
+        g, [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0],
+        [0.0, 0.0]),
+    "nu": lambda g: theta.nu(g, 1.0),
+    "integrate_h": lambda g: theta.integrate_h(g, 10.0),
+    "liu_integrate": lambda g: theta.liu_integrate(
+        g, theta.LiuState(a=0.05, b=0.2, e=0.8), 10.0),
+    "M0_e0": lambda g: norms.M0_e0(deformation(ZERO), g),
+    "zeroth_energy_balance": lambda g: norms.zeroth_energy_balance(
+        g, SAMPLES, 0 * SAMPLES, 0 * SAMPLES, 1 + 0 * SAMPLES, 0 * SAMPLES),
+    "energy_functionals": lambda g: norms.energy_functionals(
+        norms.CallableTrajectory(RULE_GRID, (lambda t, y: 0 * y,) * 3),
+        0.0, g, J_max=0),
+    "radial_energy_functionals": lambda g: norms.radial_energy_functionals(
+        norms.SeparatedFields(RULE_GRID), [0.0], g,
+        np.zeros((1, 3, RULE_GRID.shape[0])), J_max=0),
+    "embedded_flux_divergence": lambda g: radial.embedded_flux_divergence(
+        g, RULE_GRID, lambda s: 0 * s, lambda s: 0 * s),
+}
+
+
+class TestGammaRule:
+    @pytest.mark.parametrize("consumer", sorted(GAMMA_CONSUMERS))
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, math.nan, math.inf])
+    def test_every_consumer_rejects_alike(self, consumer, gamma):
+        with pytest.raises(ValueError) as info:
+            GAMMA_CONSUMERS[consumer](gamma)
+        assert str(info.value) == f"gamma must exceed 1 and be finite, got {gamma}"
+
+    @pytest.mark.parametrize("consumer", sorted(GAMMA_CONSUMERS))
+    def test_every_consumer_takes_a_valid_gamma(self, consumer):
+        GAMMA_CONSUMERS[consumer](2.0)

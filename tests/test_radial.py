@@ -140,6 +140,13 @@ class TestSolverSetup:
         with pytest.raises(ValueError, match="resolution"):
             RadialSolver(GAMMA, resolution=8)
 
+    @pytest.mark.parametrize("resolution", [64.7, 64.0, True])
+    def test_resolution_must_be_an_integer(self, resolution):
+        # RunConfig's rule: 64.7 built 64 cells
+        with pytest.raises(ValueError, match=f"resolution must be an integer, "
+                           f"got {resolution}"):
+            RadialSolver(GAMMA, resolution=resolution)
+
     def test_underflowing_weight_rejected(self):
         # sigma^iota with iota = 1000 is 0.0 at the rim nodes
         with pytest.raises(ValueError, match="gamma = 1.001 with 64 cells"):
@@ -1526,6 +1533,10 @@ class TestRunDriver:
         ("velocity_amplitude", -math.inf, "velocity_amplitude must be finite"),
         # neither monitor could trip
         ("eps0", math.inf, "eps0 must be positive and finite, got inf"),
+        # a nan exponent failed later as "profile arrays must be finite"
+        ("family_exponent", math.nan, "family_exponent must be an integer, got nan"),
+        ("family_exponent", 2.5, "family_exponent must be an integer, got 2.5"),
+        ("family_exponent", True, "family_exponent must be an integer, got True"),
     ])
     def test_config_validated(self, field, value, match):
         base = dict(gamma=GAMMA)
