@@ -532,10 +532,8 @@ def _cmd_report(config: Config, out):
     blocks = (
         ("constants", _cmd_constants),
         ("barenblatt-check", _cmd_barenblatt_check),
-        ("theta", lambda cfg, o: _cmd_theta(
-            replace(cfg, t_end=cfg.t_end or 1e3), o)),
-        ("liu", lambda cfg, o: _cmd_liu(
-            replace(cfg, t_end=cfg.t_end or 1e4), o)),
+        ("theta", _cmd_theta),
+        ("liu", _cmd_liu),
         ("identities", _cmd_identities),
         ("hardy", _cmd_hardy),
     )

@@ -42,14 +42,10 @@ __all__ = [
 # bounds (Jacobian pinned in [1/2, 2], gradient equivalences) are claimed.
 REGIME_THRESHOLD = 0.1
 
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
-
 
 def _curl(X: np.ndarray) -> np.ndarray:
     """Flat curl eps_ijk X[k, j] of a 3x3 (component, derivative) stack."""
-    return np.einsum("ijk,kj...->i...", _EPS, X)
+    return np.stack([X[2, 1] - X[1, 2], X[0, 2] - X[2, 0], X[1, 0] - X[0, 1]])
 
 
 class DegenerateDeformationError(RuntimeError):
@@ -129,7 +125,8 @@ class BallGrid:
     end with antipodal ghost values and the outer end with one-sided rows.
     Angular derivatives are two small real matrices either way: Fourier
     collocation in psi, and in mu the collocation derivative applied to the
-    psi-modes even and odd under the half-period roll.
+    psi-modes even and odd under the half-period roll; partials applies
+    them, with the frame, as one matrix over the angular nodes.
     All nodes stay strictly inside (0, r0), so sigma > 0 and s > 0 everywhere.
     """
 
@@ -187,8 +184,7 @@ class BallGrid:
             [np.outer(np.ones(n_mu), -spsi), np.outer(np.ones(n_mu), cpsi),
              np.zeros((n_mu, n_psi))]
         )
-        self._frame = np.stack([self._yhat, self._that_phi, self._that_psi],
-                               axis=1)
+        self._angular_op = None
         self.y = self.s[:, None, None] * self._yhat[:, None, :, :]
 
         sigma_r = constants.a_bar - constants.b_bar * self.s**2
@@ -258,17 +254,36 @@ class BallGrid:
         rolled = np.roll(vals, self.shape[2] // 2, axis=-1)
         return self._Dphi @ np.concatenate([vals + rolled, vals - rolled], axis=-2)
 
+    def _tangential(self, vals: np.ndarray) -> np.ndarray:
+        # Cartesian components of the unit-sphere gradient, on a new axis
+        # before the last three: (..., n, n_mu, n_psi) -> (..., 3, n, ...)
+        fphi = self._dphi(vals)
+        fpsi = self._dpsi(vals) / self._sphi[:, None]
+        return (self._that_phi[:, None] * fphi[..., None, :, :, :]
+                + self._that_psi[:, None] * fpsi[..., None, :, :, :])
+
     def partials(self, vals: np.ndarray) -> np.ndarray:
         """Cartesian partial derivatives of node values with any leading
-        batch axes: shape (*batch, *grid) in, (*batch, 3, *grid) out."""
+        batch axes: shape (*batch, *grid) in, (*batch, 3, *grid) out.
+
+        The angular part is one (3, M, M) matrix over the M angular nodes,
+        built on the first call.  It costs O(M) per node against O(n_mu +
+        n_psi) for _dphi and _dpsi, and breaks even near 10x12 angles.
+        """
         if vals.shape[-3:] != self.shape:
             raise ValueError("values do not conform to the grid")
-        s = self.s[:, None, None]
-        inv_s_sphi = 1.0 / (s * self._sphi[None, :, None])
-        # radial, phi and psi derivatives along yhat, that_phi, that_psi
-        parts = np.stack([self._ds(vals), self._dphi(vals) / s,
-                          self._dpsi(vals) * inv_s_sphi], axis=-4)
-        return np.einsum("kcmp,...crmp->...krmp", self._frame, parts)
+        n_r, n_mu, n_psi = self.shape
+        M = n_mu * n_psi
+        if self._angular_op is None:
+            # row j of matrix k: component k of the j-th unit field's gradient
+            units = np.eye(M).reshape(M, n_mu, n_psi)
+            self._angular_op = self._tangential(units).reshape(3, M, M)
+        flat = (vals / self.s[:, None, None]).reshape(*vals.shape[:-3], 1,
+                                                      n_r, M)
+        out = (flat @ self._angular_op).reshape(*vals.shape[:-3], 3,
+                                                *self.shape)
+        out += self._yhat[:, None] * self._ds(vals)[..., None, :, :, :]
+        return out
 
 
 def _conforming(values: np.ndarray, grid: BallGrid, ncomp: int | None) -> np.ndarray:

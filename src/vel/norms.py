@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (
-    _EPS,
     _adjugate_rows,
     _angular,
     _curl,
@@ -212,7 +211,8 @@ class _GridFields:
         return _sq(vec)
 
     def integrate(self, power, dens) -> list:
-        return [self.grid.integrate(self.grid.sigma ** power * dens)]
+        sigma = self.grid.sigma_r[:, None, None]
+        return [self.grid.integrate(sigma ** power * dens)]
 
     def partials(self, piece):
         return self.grid.partials(piece)  # [i, k] = d_k piece^i
@@ -358,18 +358,9 @@ class SeparatedFields:
     def partials(self, piece: _Terms) -> _Terms:
         grid = self.grid
 
-        def normal_and_tangential():
-            T = piece.angular
-            fphi, fpsi = grid._dphi(T), grid._dpsi(T)
-            tangential = (
-                grid._that_phi[:, None] * fphi[..., None, :, :, :]
-                + grid._that_psi[:, None]
-                * (fpsi / grid._sphi[:, None])[..., None, :, :, :])
-            return np.concatenate([self.yhat * T[..., None, :, :, :],
-                                   tangential])
-
-        key, angular = self._once(("partials", piece.key),
-                                  normal_and_tangential)
+        key, angular = self._once(("partials", piece.key), lambda: (
+            np.concatenate([self.yhat * piece.angular[..., None, :, :, :],
+                            grid._tangential(piece.angular)])))
         ds = grid._ds(piece.radial[..., None, None], piece.parity)[..., 0, 0]
         return _Terms(np.concatenate([ds, piece.radial / self.s]), angular,
                       -piece.parity, key)
@@ -412,7 +403,7 @@ class SeparatedFields:
 
 def _curl_terms(T: np.ndarray) -> np.ndarray:
     """eps_ijk T[..., k, j] over the component axes of separated terms."""
-    return np.einsum("ijk,cskj...->csi...", _EPS, T)
+    return np.moveaxis(_curl(np.moveaxis(T, (2, 3), (0, 1))), 0, 2)
 
 
 def _walk_strings(rep, vec, depth: int, shift: int = 0, state=None,

@@ -593,3 +593,14 @@ class TestReport:
                       "identities", "hardy"):
             assert payload[block] == "pass"
         assert "== identities ==" in out
+
+    # an unset t_end gives each dilation block its own subcommand's horizon
+    @pytest.mark.parametrize("args,theta_end,liu_end", [
+        ([], 1e4, 1e5), (["--t-end", "5e3"], 5e3, 5e3)],
+        ids=["unset", "given"])
+    def test_dilation_horizons(self, capsys, tmp_path, args, theta_end,
+                               liu_end):
+        run_cli(["report", "--out", str(tmp_path)] + args, capsys)
+        theta_json = json.loads((tmp_path / "theta_decay.json").read_text())
+        liu_json = json.loads((tmp_path / "liu.json").read_text())
+        assert (theta_json["t_end"], liu_json["t_end"]) == (theta_end, liu_end)

@@ -272,6 +272,63 @@ class TestAngularOperators:
                         atol=1e-14 * np.abs(got).max())
 
 
+def reference_partials(grid, vals):
+    """partials as three directional derivatives (radial, phi, psi) stacked
+    and rotated into Cartesian components by one einsum over the frame."""
+    s = grid.s[:, None, None]
+    parts = np.stack([grid._ds(vals), grid._dphi(vals) / s,
+                      grid._dpsi(vals) / (s * grid._sphi[None, :, None])],
+                     axis=-4)
+    frame = np.stack([grid._yhat, grid._that_phi, grid._that_psi], axis=1)
+    return np.einsum("kcmp,...crmp->...krmp", frame, parts)
+
+
+class TestPartialsOperator:
+    """partials' one (3, M, M) angular matrix against the directional
+    derivatives it regroups."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("angles", ANGLES, ids=lambda a: "%dx%d" % a)
+    @pytest.mark.parametrize("batch", [(), (3, 3)], ids=["scalar", "3x3"])
+    def test_matches_directional_reference(self, scheme, angles, batch):
+        grid = make_grid(8, *angles, scheme=scheme)
+        vals = np.random.default_rng(sum(angles)).normal(
+            size=(*batch, *grid.shape))
+        want = reference_partials(grid, vals)
+        got = grid.partials(vals)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_operator_built_on_first_call(self):
+        grid = make_grid()
+        assert grid._angular_op is None
+        grid.partials(np.zeros(grid.shape))
+        n_mu, n_psi = grid.shape[1:]
+        assert grid._angular_op.shape == (3, n_mu * n_psi, n_mu * n_psi)
+
+
+def signed_zeros(rng, shape):
+    """Normal draws with about a third +0 and a third -0."""
+    x = rng.normal(size=shape)
+    pick = rng.integers(0, 3, size=shape)
+    x[pick == 1] = 0.0
+    x[pick == 2] = -0.0
+    return x
+
+
+class TestCurl:
+    # equal bit for bit but for the sign of a zero: a component whose two
+    # entries are -0 and +0 is -0 as a difference and +0 as the einsum's
+    # sum; every consumer squares the curl or takes its absolute value
+    @pytest.mark.parametrize("batch", [(), (5,), (4, 6, 8)])
+    def test_equals_levi_civita_einsum(self, batch):
+        X = signed_zeros(np.random.default_rng(len(batch)), (3, 3, *batch))
+        got = geo._curl(X)
+        want = np.einsum("ijk,kj...->i...", EPS, X)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 class TestAngularDerivative:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_annihilates_radial_functions(self, scheme):

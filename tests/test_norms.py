@@ -9,11 +9,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vel import cli, norms, radial
-from vel.geometry import (_EPS, BallGrid, DegenerateDeformationError,
+from vel.geometry import (BallGrid, DegenerateDeformationError,
                           ScalarField, VectorField, deformation, flow_ops)
 from vel.params import GasParams, derive_constants
 
 CONSTANTS = derive_constants(GasParams(gamma=2.0, mass=1.0))
+EPS = np.zeros((3, 3, 3))
+EPS[0, 1, 2] = EPS[1, 2, 0] = EPS[2, 0, 1] = 1.0
+EPS[0, 2, 1] = EPS[2, 1, 0] = EPS[1, 0, 2] = -1.0
 GRID = BallGrid(CONSTANTS, n_r=12, n_mu=10, n_psi=12)
 
 
@@ -400,7 +403,7 @@ def _naive_density(grid, vec, n, l):
 
 def _naive_curl(grid, vec):
     p = np.stack([grid.partials(vec[i]) for i in range(3)])
-    return np.einsum("ijk,kj...->i...", _EPS, p)
+    return np.einsum("ijk,kj...->i...", EPS, p)
 
 
 def naive_report(traj, t, gamma, J_max, tr):
