@@ -297,7 +297,7 @@ class RadialSolver:
                 f"kinetic weight sigma^iota underflows at gamma = {self.gamma:g} "
                 f"with {self.n} cells")
         # f's kinetic weight is w_f = s^2 w_kin, and its force per kinetic
-        # weight is A2 m + G q for pointwise factors m, q (see _grad):
+        # weight is A2 m + G q for pointwise factors m, q (see _bind):
         # diag(s) is folded into the columns of Dh, so Dh f = (s f)', and the
         # weights into A2 and the weighted transpose G = diag(1/w_f) Dh^T
         # diag(w_u); Dh and G are kept only in band storage
@@ -313,16 +313,25 @@ class RadialSolver:
         self._bind()
 
     def _bind(self):
-        """Bind the force and the RK4 march once, as closures over the
+        """Bind the stage and the RK4 march once, as closures over the
         operands.  A ufunc takes 0-d array operands (same floats) and a
-        positional out faster than Python floats and the out keyword, and
-        a closure reads the names bound here faster than np.add and such."""
+        positional out faster than Python floats and the out keyword, a
+        closure reads the names bound here faster than np.add and such, and
+        dgbmv takes positional arguments faster than keywords.
+
+        A stage is one call: its force A2 m + G q and the law
+        f_tt = -theta^(1-3 gamma) (f/(3 gamma - 1) + A2 m + G q)
+        - (1 + 2 theta_t/theta) f_t are one dot of the stage's coefficient
+        triple with its row block [A2 m | f | f_t], plus G q from dgbmv
+        with alpha -theta^(1-3 gamma) added in place.  A step makes 5
+        Python-level calls (the march and its four stages) and 68 numpy
+        calls, 14 per stage and 12 outside (BENCH_stage_law.json)."""
         n, g, s, Dh, G, A2 = self.n, self.gamma, self.s, self._Dh, self._G, self._A2
-        one, one_minus_gamma, stiff, weights = (
-            np.array(v) for v in (1.0, 1.0 - g, 3.0 * g - 1.0, [1.0, 2.0, 2.0, 1.0]))
-        for arr in (one, one_minus_gamma, stiff, weights):
+        one, one_minus_gamma, weights = (
+            np.array(v) for v in (1.0, 1.0 - g, [1.0, 2.0, 2.0, 1.0]))
+        for arr in (one, one_minus_gamma, weights):
             arr.setflags(write=False)
-        thp, damp, dts = (np.empty(()) for _ in range(3))
+        dts, coef = np.empty(()), np.empty(3)
         add, multiply, divide, subtract, power = (
             np.add, np.multiply, np.divide, np.subtract, np.power)
         # the power of theta in the law for f_tt, and theta_tt = -theta_t +
@@ -331,22 +340,25 @@ class RadialSolver:
         # the CFL step cfl cell / c_s(theta), c_s = cs theta^cs_power the
         # center's sound speed
         cell, cs, cs_power = self.h, math.sqrt(g * self.constants.a_bar), fp / 2.0
-        # W holds [gp | gq | J] (see pq); stage i's row [f, f_t, f_tt] holds
-        # its state in [:2n] and its derivative k_i in [n:].  Scratch that
-        # no returned array aliases
+        # W holds [gp | gq | J] (see stage); stage i's row [A2 m, f, f_t,
+        # f_tt] holds its law's block in [:3n], its state in [n:3n] and its
+        # derivative k_i in [2n:].  Scratch that no returned array aliases
         W = np.empty(3 * n)
         gp, gq, jac = W.reshape(3, n)
         m_q = W[:2 * n]
-        rows = np.empty((4, 3, n))
-        K = rows.reshape(4, -1)[:, n:]
-        z1, z2, z3, z4 = rows.reshape(4, -1)[:, :2 * n]
-        (f1, v1, a1), (f2, v2, a2), (f3, v3, a3), (f4, v4, a4) = rows
+        rows = np.empty((4, 4, n))
+        K = rows.reshape(4, -1)[:, 2 * n:]
+        z1, z2, z3, z4 = rows.reshape(4, -1)[:, n:3 * n]
+        b1, b2, b3, b4 = rows[:, :3]
+        (m1, f1, v1, a1), (m2, f2, _, a2), (m3, f3, _, a3), (m4, f4, _, a4) = rows
         k1, k2, k3, _ = K
-        argmin, wdot, gbmv, band = W.argmin, weights.dot, dgbmv, _BAND
+        # the array methods, unlike np.dot, call no Python dispatcher
+        argmin, wdot, cdot, gbmv, band = (
+            W.argmin, weights.dot, coef.dot, dgbmv, _BAND)
 
-        def pq(f):
-            # views of W holding gp = 1 + f, gq = 1 + (s f)' and J = gp^2 gq,
-            # valid until the next call
+        def stage(f, am=None, block=None, ftt=None, th=None, tht=None):
+            # gp = 1 + f, gq = 1 + (s f)' and J = gp^2 gq in W; without am,
+            # returns these views of W, valid until the next call
             add(f, one, gp)
             add(gbmv(n, n, band, band, 1.0, Dh, f), one, gq)
             multiply(gp, gp, jac)
@@ -360,33 +372,36 @@ class RadialSolver:
                 raise DegenerateProfileError(
                     f"jacobian nonpositive at s = {s[idx]:.6g} "
                     f"(node {idx}, J = {jac[idx]:.3e})")
-            return gp, gq, jac
+            if am is None:
+                return gp, gq, jac
+            # the force per kinetic weight A2 m + G q with u = J^(1-gamma),
+            # m = 1 - u/gp and q = 1 - u/gq, formed in W as [m | q]; both
+            # vanish exactly at f = 0, which a precomputed A2 + G 1 minus
+            # the rest would not.  A2 m goes to am
+            power(jac, one_minus_gamma, jac)
+            divide(jac, gp, gp)
+            divide(jac, gq, gq)
+            subtract(one, m_q, m_q)
+            multiply(gp, A2, am)
+            if block is None:
+                # the force alone, in a fresh array
+                return gbmv(n, n, band, band, 1.0, G, gq, 1, 0, 1.0, am, 1, 0, 0, 0)
+            # the law into ftt, the row block being [A2 m | f | f_t]; th and
+            # tht are floats
+            thp = -th ** fp
+            coef[:] = thp, thp / tc, -1.0 - 2.0 * tht / th
+            cdot(block, ftt)
+            gbmv(n, n, band, band, thp, G, gq, 1, 0, 1.0, ftt, 1, 0, 0, 1)
 
         def grad(f):
-            # force gradient per kinetic weight, A2 m + G q with
-            # u = jac^(1-gamma), m = 1 - u/gp and q = 1 - u/gq, formed in W
-            # as [m | q]; both vanish exactly at f = 0, which a precomputed
-            # A2 + G 1 minus the rest would not
-            m, q, u = pq(f)
-            power(u, one_minus_gamma, u)
-            divide(u, m, m)
-            divide(u, q, q)
-            subtract(one, m_q, m_q)
-            m *= A2
-            out = gbmv(n, n, band, band, 1.0, G, q)
-            out += m
-            return out
+            return stage(f, m1)
 
-        def accel(f, ft, th, tht, force, out=None):
-            # the radial law for f_tt given the force gradient, written to
-            # out when given; th and tht are floats
-            thp[()] = -th ** fp
-            damp[()] = 1.0 + 2.0 * tht / th
-            acc = divide(f, stiff, out)
-            acc += force
-            acc *= thp
-            acc -= ft * damp
-            return acc
+        def accel(f, ft, th, tht):
+            # the law's f_tt at (f, f_t, theta, theta_t), in a fresh array
+            f1[:] = f
+            v1[:] = ft
+            stage(f1, m1, b1, a1, th, tht)
+            return a1.copy()
 
         def march(z, th, tht, rest, cfl):
             # one RK4 step of z = [f | f_t] and of the floats theta, theta_t
@@ -400,7 +415,7 @@ class RadialSolver:
                      DAMPING_BOUND / damping if damping > 0.0 else math.inf,
                      rest)
             z1[:] = z
-            accel(f1, v1, th, tht, grad(f1), a1)
+            stage(f1, m1, b1, a1, th, tht)
             tt1 = -tht + th ** tq / tc
             h = 0.5 * dt
             dts[()] = h
@@ -408,20 +423,20 @@ class RadialSolver:
             add(z2, z, z2)
             th2, tht2 = th + tht * h, tht + tt1 * h
             th2 = th2 if th2 > 0.0 else math.nan
-            accel(f2, v2, th2, tht2, grad(f2), a2)
+            stage(f2, m2, b2, a2, th2, tht2)
             tt2 = -tht2 + th2 ** tq / tc
             multiply(k2, dts, z3)
             add(z3, z, z3)
             th3, tht3 = th + tht2 * h, tht + tt2 * h
             th3 = th3 if th3 > 0.0 else math.nan
-            accel(f3, v3, th3, tht3, grad(f3), a3)
+            stage(f3, m3, b3, a3, th3, tht3)
             tt3 = -tht3 + th3 ** tq / tc
             dts[()] = dt
             multiply(k3, dts, z4)
             add(z4, z, z4)
             th4, tht4 = th + tht3 * dt, tht + tt3 * dt
             th4 = th4 if th4 > 0.0 else math.nan
-            accel(f4, v4, th4, tht4, grad(f4), a4)
+            stage(f4, m4, b4, a4, th4, tht4)
             tt4 = -tht4 + th4 ** tq / tc
             # z + (dt/6) (k1 + 2 k2 + 2 k3 + k4); 2 k is exact, and the dot
             # sums left to right, ((k1 + 2 k2) + 2 k3) + k4, into one fresh
@@ -444,7 +459,7 @@ class RadialSolver:
                     f"1 + f nonpositive at node {idx} (value {z_new[idx]:.6g})")
             return z_new, th_new, tht_new, dt
 
-        self._pq, self._grad, self._accel, self._march = pq, grad, accel, march
+        self._pq, self._grad, self._accel, self._march = stage, grad, accel, march
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -558,7 +573,7 @@ class RadialSolver:
         thtt = theta_acceleration(g, th, tht)
         grad = self._grad(f)
         dgrad = self._hess_apply(f, ft)
-        ftt = self._accel(f, ft, th, tht, grad)
+        ftt = self._accel(f, ft, th, tht)
         thp = th ** (1.0 - 3.0 * g)
         thp_t = (1.0 - 3.0 * g) * th ** (-3.0 * g) * tht
         damp_t = 2.0 * (thtt * th - tht * tht) / (th * th)
@@ -617,8 +632,7 @@ def reduce_equation(solver: RadialSolver, state: RadialState) -> np.ndarray:
     which the solver co-integrates.  Raises DegenerateProfileError with
     the node location if the radial Jacobian is nonpositive.
     """
-    return solver._accel(state.f, state.f_t, state.theta, state.theta_t,
-                         solver._grad(state.f))
+    return solver._accel(state.f, state.f_t, state.theta, state.theta_t)
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,23 @@ class TestRadial:
         assert series[0].startswith("t,R,E_0")
         assert len(series) >= 40
 
+    def test_benchmark_configuration_matches_reference(self, capsys, tmp_path):
+        # the radial-report workload's run: its answers sit within round-off
+        # of the reference the benchmark checks to 1e-6, so a march change
+        # that moves them more fails here first
+        bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+        with open(os.path.join(bench, "reference.json"), encoding="utf-8") as fh:
+            ref = json.load(fh)["radial-report"]
+        code, _, _ = run_cli(
+            ["radial", "--config", os.path.join(bench, "radial_report.json"),
+             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        payload = json.loads((tmp_path / "radial_fit.json").read_text())
+        assert payload["stop_reason"] == "completed"
+        assert payload["sup_energy"] == pytest.approx(ref["sup_energy"], rel=1e-8)
+        assert payload["growth_fit"]["exponent"] == pytest.approx(
+            ref["exponent"], rel=1e-8)
+
     def test_zero_amplitude_skips_fit(self, capsys, tmp_path):
         config = write_config(tmp_path, {
             "grid": {"resolution": 32, "n_mu": 6, "n_psi": 6},

@@ -110,7 +110,7 @@ def test_einsum_without_path_search(path):
 
 
 # The closures RadialSolver binds at build, which every RK4 stage runs.
-STAGE_FUNCTIONS = ("pq", "grad", "accel", "march")
+STAGE_FUNCTIONS = ("stage", "grad", "accel", "march")
 REDUCTIONS = {"min", "max", "all", "any"}
 
 
@@ -129,8 +129,8 @@ def _stage_reductions(source):
 
 
 def test_stage_lint_sees_a_reduction():
-    source = "class RadialSolver:\n    def pq(self, x):\n        return x.min()\n"
-    assert _stage_reductions(source) == {"pq": [(3, "min")]}
+    source = "class RadialSolver:\n    def stage(self, x):\n        return x.min()\n"
+    assert _stage_reductions(source) == {"stage": [(3, "min")]}
 
 
 def test_stage_lint_sees_a_reduction_in_a_closure():

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 import time
 import tracemalloc
 import types
@@ -12,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg.blas import dgbmv
 
 from vel import cli, norms
 from vel import radial as radial_module
@@ -205,13 +207,15 @@ class TestSolverSetup:
                     sizes[name] = [val.size]
 
         walk(vars(solver))
-        # the four stage rows of 3n are held only as views: the (4, 2n)
-        # derivative block K, and per stage its state and its f, f_t and
-        # f_tt views; the force's scratch W = [gp | gq | J] is one array of
-        # 3n, with its [m | q] view
+        # the four stage rows [A2 m | f | f_t | f_tt] of 4n are held only as
+        # views: the (4, 2n) derivative block K, and per stage its law's
+        # block [A2 m | f | f_t], its state and its A2 m, f, f_t and f_tt
+        # views (f_t only in the first stage's, where _accel writes it);
+        # the force's scratch W = [gp | gq | J] is one array of 3n, with
+        # its [m | q] view
         assert sizes["_G"] == sizes["G"] and sizes["K"] == [8 * n]
-        assert [sizes[f"{v}{i}"] for i in range(1, 5) for v in "zfva"] == \
-            [[2 * n], [n], [n], [n]] * 4
+        assert [sizes[f"{v}{i}"] for i in range(1, 5) for v in "bzmfa"] == \
+            [[3 * n], [2 * n], [n], [n], [n]] * 4 and sizes["v1"] == [n]
         assert sizes["W"] == [3 * n] and sizes["m_q"] == [2 * n]
         assert [sizes[v] for v in ("gp", "gq", "jac")] == [[n]] * 3
         assert {"_pq", "_grad", "_accel", "_march"} <= sizes.keys()
@@ -600,8 +604,9 @@ class TestOracle:
 # time stepping
 
 
-def reference_grad(solver, f):
-    """_pq and _grad with Python-float operands and a min() scan."""
+def reference_force(solver, f):
+    """The stage's pq and force with Python-float operands and a min()
+    scan: (A2 m, q) in fresh arrays."""
     gp = f + 1.0
     gq = solver._apply_Dh(f)
     gq += 1.0
@@ -613,24 +618,26 @@ def reference_grad(solver, f):
     q = 1.0 - u / gq
     m = 1.0 - u / gp
     m *= solver._A2
-    out = solver._apply_G(q)
-    out += m
-    return out
+    return m, q
 
 
 def reference_rhs(solver, y, out):
     """The packed derivative of y = [f, f_t, theta, theta_t] with
-    Python-float operands, through _accel's float operations."""
+    Python-float operands, through the stage's primitives: the dot of the
+    law's coefficient triple with a fresh [A2 m | f | f_t], then G q added
+    by dgbmv with alpha -theta^(1-3 gamma)."""
     n, g = solver.n, solver.gamma
     f, ft = y[:n], y[n:2 * n]
     th, tht = y[-2:].tolist()
     if not th > 0.0:
         th = math.nan
     out[:n] = ft
-    acc = np.divide(f, 3.0 * g - 1.0, out=out[n:2 * n])
-    acc += reference_grad(solver, f)
-    acc *= -th ** (1.0 - 3.0 * g)
-    acc -= ft * (1.0 + 2.0 * tht / th)
+    am, q = reference_force(solver, f)
+    thp = -th ** (1.0 - 3.0 * g)
+    acc = np.dot(np.array([thp, thp / (3.0 * g - 1.0), -1.0 - 2.0 * tht / th]),
+                 np.array([am, f, ft]))
+    band = radial_module._BAND
+    out[n:2 * n] = dgbmv(n, n, band, band, thp, solver._G, q, beta=1.0, y=acc)
     out[-2] = tht
     out[-1] = theta_acceleration(g, th, tht)
 
@@ -710,19 +717,18 @@ def closure_values(fn):
 
 def hook_stages(monkeypatch, solver, stage):
     """Route every stage of the solver's march through
-    stage(law, f, f_t, f_tt), by the cells of the march's closure: f, f_t
-    and f_tt are the views of the stage's row, and law() runs the stage's
-    own force and law; a stage that does not call it never looks at the
-    profile.  Theta is stepped by its law either way."""
+    stage(law, f, f_t, f_tt), by the cell of the march's closure that holds
+    its stage: f, f_t and f_tt are the views of the stage's row, and law()
+    runs the stage's own force and law; a stage that does not call it never
+    looks at the profile.  Theta is stepped by its law either way."""
     cells = dict(zip(solver._march.__code__.co_freevars,
                      solver._march.__closure__))
-    grad, accel = cells["grad"].cell_contents, cells["accel"].cell_contents
+    own = cells["stage"].cell_contents
 
-    def hooked(f, ft, th, tht, _, ftt):
-        stage(lambda: accel(f, ft, th, tht, grad(f), ftt), f, ft, ftt)
+    def hooked(f, am, block, ftt, th, tht):
+        stage(lambda: own(f, am, block, ftt, th, tht), f, block[2], ftt)
 
-    monkeypatch.setattr(cells["grad"], "cell_contents", lambda f: None)
-    monkeypatch.setattr(cells["accel"], "cell_contents", hooked)
+    monkeypatch.setattr(cells["stage"], "cell_contents", hooked)
 
 
 def packed(state):
@@ -930,6 +936,83 @@ class TestReferenceStep:
         for got, want in zip(seen, states, strict=True):
             assert_states_match(got, want)
         assert_states_match(res.final_state, states[-1])
+
+
+def unfused_law(solver, f, ft, th, tht):
+    """The radial law as a chain of ufuncs: the force A2 m + G q, then
+    -theta^(1-3 gamma) (f/(3 gamma - 1) + force) - (1 + 2 theta_t/theta) f_t."""
+    am, q = reference_force(solver, f)
+    force = solver._apply_G(q)
+    force += am
+    acc = f / (3.0 * solver.gamma - 1.0)
+    acc += force
+    acc *= -th ** (1.0 - 3.0 * solver.gamma)
+    acc -= ft * (1.0 + 2.0 * tht / th)
+    return acc
+
+
+def assert_law_close(solver, got, f, ft, th, tht):
+    """got agrees with unfused_law to 1e-14 of the size of the law's terms
+    at each node, |theta^(1-3 gamma)| (|f|/(3 gamma - 1) + |A2 m| + |G| |q|)
+    + |1 + 2 theta_t/theta| |f_t|.  Near the center the terms are O(1/h)
+    band sums that cancel to f_tt, up to 1.4e5 times max |f_tt| at 256
+    cells, so two orders of the same sum differ by far more than 1e-14 of
+    max |f_tt| but by well under an ulp of the terms."""
+    am, q = reference_force(solver, f)
+    g = solver.gamma
+    band = radial_module._BAND
+    Gq = dgbmv(solver.n, solver.n, band, band, 1.0, np.abs(solver._G), np.abs(q))
+    terms = (th ** (1.0 - 3.0 * g) * (np.abs(f) / (3.0 * g - 1.0) + np.abs(am) + Gq)
+             + abs(1.0 + 2.0 * tht / th) * np.abs(ft))
+    want = unfused_law(solver, f, ft, th, tht)
+    assert np.all(np.abs(got - want) <= 1e-14 * terms)
+
+
+class TestStageLaw:
+    """The stage's law, one dot of the coefficient triple with [A2 m | f |
+    f_t] and G q added by dgbmv, against the ufunc chain."""
+
+    @staticmethod
+    def state(solver, late):
+        psi = poly_profile(solver, amplitude=1.0)
+        if late:
+            t = 1e3
+            return solver.make_state(t, 2e-4 * psi, -3e-7 * psi,
+                                     theta=nu(GAMMA, t), theta_t=nu(GAMMA, t, 1))
+        return solver.make_state(0.0, 1e-3 * psi, 5e-4 * psi)
+
+    @pytest.mark.parametrize("late", [False, True], ids=["t0", "late"])
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    def test_matches_unfused_law(self, n, late):
+        solver = RadialSolver(GAMMA, resolution=n)
+        st = self.state(solver, late)
+        assert_law_close(solver, reduce_equation(solver, st),
+                         st.f, st.f_t, st.theta, st.theta_t)
+
+    def test_zero_profile_zero_law(self):
+        # m and q vanish exactly at f = 0 (TestForceForm), so f_tt does at rest
+        solver = RadialSolver(GAMMA, resolution=64)
+        zero = np.zeros(64)
+        for th, tht in ((1.0, 0.5), (nu(GAMMA, 1e3), nu(GAMMA, 1e3, 1))):
+            assert_array_equal(solver._accel(zero, zero, th, tht), zero)
+
+    def test_python_calls_per_step(self):
+        # the march and its four stages: pq, the force and the law run
+        # inline in each stage
+        solver = RadialSolver(GAMMA, resolution=64)
+        z, th, tht = packed(self.state(solver, False))
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            solver._march(z, th, tht, math.inf, 0.3)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["march"] + ["stage"] * 4
 
 
 class TestStageChecks:
