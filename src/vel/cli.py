@@ -529,15 +529,9 @@ def _cmd_radial(config: Config, out):
 
 def _cmd_report(config: Config, out):
     codes = {}
-    blocks = (
-        ("constants", _cmd_constants),
-        ("barenblatt-check", _cmd_barenblatt_check),
-        ("theta", _cmd_theta),
-        ("liu", _cmd_liu),
-        ("identities", _cmd_identities),
-        ("hardy", _cmd_hardy),
-    )
-    for name, fn in blocks:
+    for name, fn in _COMMANDS.items():
+        if name in ("radial", "report"):
+            continue
         print(f"== {name} ==")
         codes[name] = fn(config, out)
     payload = {name: ("pass" if code == 0 else "fail")

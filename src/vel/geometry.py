@@ -18,26 +18,6 @@ import numpy as np
 
 from .params import BarenblattConstants
 
-__all__ = [
-    "REGIME_THRESHOLD",
-    "DegenerateDeformationError",
-    "BallGrid",
-    "check_grid_shape",
-    "ScalarField",
-    "VectorField",
-    "DeformationState",
-    "CommutatorReport",
-    "gradient",
-    "spatial_derivative",
-    "angular_derivative",
-    "deformation",
-    "flow_ops",
-    "flow_ops_from_partials",
-    "piola_residual",
-    "identity_nabt_nab",
-    "commutator_defect",
-]
-
 # Frobenius size of the displacement gradient below which the small-strain
 # bounds (Jacobian pinned in [1/2, 2], gradient equivalences) are claimed.
 REGIME_THRESHOLD = 0.1
@@ -511,7 +491,6 @@ def identity_nabt_nab(
     F,
     F_t,
     t: float,
-    dt: float | None = None,
 ) -> tuple[float, float]:
     """Max-norm defects of the two contraction identities for flow gradients.
 
@@ -520,16 +499,10 @@ def identity_nabt_nab(
     The first identity equates the contraction of the flow gradient of F
     with the flow gradient of F_t against the time derivative of
     (|grad_eta F|^2 - |curl_eta F|^2)/2 plus a cubic transport term; the
-    second is its time-independent analogue. With dt given, the composite
-    time derivative is taken by centered differencing of states at t +- dt
-    instead of the exact product rule.
+    second is its time-independent analogue.
     """
     y = grid.y
-
-    def make_state(tau: float) -> DeformationState:
-        return deformation(VectorField(grid, np.asarray(omega(tau, y), dtype=float)))
-
-    state = make_state(t)
+    state = deformation(VectorField(grid, np.asarray(omega(t, y), dtype=float)))
     Fv = VectorField(grid, np.asarray(F(t, y), dtype=float))
     Ftv = VectorField(grid, np.asarray(F_t(t, y), dtype=float))
     wt = VectorField(grid, np.asarray(omega_t(t, y), dtype=float))
@@ -546,23 +519,12 @@ def identity_nabt_nab(
     W = np.einsum("kr...,sk...->sr...", A, Xdot)
     transport = np.einsum("ri...,sr...,is...->...", G, W, G)
 
-    if dt is None:
-        # d_t A = -A (d omega_t) A, then the product rule on G and curl
-        A_t = -np.einsum("ka...,ab...,bi...->ki...", A, Xdot, A)
-        G_t = Gt_raw + np.einsum("kr...,ik...->ir...", A_t, dF)
-        curlF_t = _curl(G_t)
-        dcomposite = 2.0 * (np.einsum("ir...,ir...->...", G, G_t)
-                            - np.einsum("i...,i...->...", curlF, curlF_t))
-    else:
-        vals = []
-        for tau in (t - dt, t + dt):
-            st = make_state(tau)
-            Gq, _, curlq = flow_ops(
-                st, VectorField(grid, np.asarray(F(tau, y), dtype=float))
-            )
-            vals.append(np.einsum("ir...,ir...->...", Gq, Gq)
-                        - np.einsum("i...,i...->...", curlq, curlq))
-        dcomposite = (vals[1] - vals[0]) / (2.0 * dt)
+    # d_t A = -A (d omega_t) A, then the product rule on G and curl
+    A_t = -np.einsum("ka...,ab...,bi...->ki...", A, Xdot, A)
+    G_t = Gt_raw + np.einsum("kr...,ik...->ir...", A_t, dF)
+    curlF_t = _curl(G_t)
+    dcomposite = 2.0 * (np.einsum("ir...,ir...->...", G, G_t)
+                        - np.einsum("i...,i...->...", curlF, curlF_t))
 
     nabt_defect = float(np.max(np.abs(lhs - 0.5 * dcomposite - transport)))
 

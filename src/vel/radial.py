@@ -397,11 +397,13 @@ class RadialSolver:
             return stage(f, m1)
 
         def accel(f, ft, th, tht):
-            # the law's f_tt at (f, f_t, theta, theta_t), in a fresh array
+            # the law's f_tt at (f, f_t, theta, theta_t) and the force A2 m +
+            # G q of the same stage, as grad forms it, in fresh arrays
             f1[:] = f
             v1[:] = ft
             stage(f1, m1, b1, a1, th, tht)
-            return a1.copy()
+            return a1.copy(), gbmv(n, n, band, band, 1.0, G, gq, 1, 0, 1.0, m1,
+                                   1, 0, 0, 0)
 
         def march(z, th, tht, rest, cfl):
             # one RK4 step of z = [f | f_t] and of the floats theta, theta_t
@@ -571,9 +573,8 @@ class RadialSolver:
         f, ft = state.f, state.f_t
         th, tht = state.theta, state.theta_t
         thtt = theta_acceleration(g, th, tht)
-        grad = self._grad(f)
+        ftt, grad = self._accel(f, ft, th, tht)
         dgrad = self._hess_apply(f, ft)
-        ftt = self._accel(f, ft, th, tht)
         thp = th ** (1.0 - 3.0 * g)
         thp_t = (1.0 - 3.0 * g) * th ** (-3.0 * g) * tht
         damp_t = 2.0 * (thtt * th - tht * tht) / (th * th)
@@ -632,7 +633,7 @@ def reduce_equation(solver: RadialSolver, state: RadialState) -> np.ndarray:
     which the solver co-integrates.  Raises DegenerateProfileError with
     the node location if the radial Jacobian is nonpositive.
     """
-    return solver._accel(state.f, state.f_t, state.theta, state.theta_t)
+    return solver._accel(state.f, state.f_t, state.theta, state.theta_t)[0]
 
 
 # ---------------------------------------------------------------------------

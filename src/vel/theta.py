@@ -24,21 +24,6 @@ import numpy as np
 from .params import (BarenblattConstants, GasParams, check_gamma, check_positive,
                      derive_constants, moment_integral)
 
-__all__ = [
-    "ThetaPath",
-    "DecayReport",
-    "LiuState",
-    "LiuReport",
-    "nu",
-    "theta_acceleration",
-    "integrate_h",
-    "verify_decay",
-    "liu_mass",
-    "barenblatt_path",
-    "liu_integrate",
-    "liu_vs_barenblatt",
-]
-
 # Margin below which a constant-1 bound still counts as holding (rounding slack).
 BOUND_SLACK = 1e-10
 # Highest last-decade log-log slope of the Liu deviation series that passes.
@@ -470,7 +455,6 @@ def integrate_h(
     t_end: float,
     rtol: float = 1e-10,
     atol: float = 1e-10,
-    num_samples: int = 2001,
 ) -> ThetaPath:
     """Integrate the correction law from rest and sample on a log grid.
 
@@ -482,11 +466,9 @@ def integrate_h(
     """
     check_gamma(gamma)
     check_positive("t_end", t_end)
-    if num_samples < 2:
-        raise ValueError("need at least two samples")
     c = 1.0 / (3.0 * gamma - 1.0)
     q = 2.0 - 3.0 * gamma
-    times = _log_grid(float(t_end), num_samples)
+    times = _log_grid(float(t_end), 2001)
     samples, _ = _dopri5(_THETA_LAW, (gamma,), (0.0, 0.0), float(t_end),
                          rtol, atol, times)
     h, h_t = samples.T

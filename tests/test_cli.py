@@ -611,6 +611,31 @@ class TestReport:
             assert payload[block] == "pass"
         assert "== identities ==" in out
 
+    def test_runs_each_suite_once_in_command_order(self, capsys, tmp_path,
+                                                   monkeypatch):
+        calls = []
+
+        def suite(name, code):
+            def run(config, out):
+                calls.append(name)
+                return code
+            return run
+
+        for name in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, name,
+                                suite(name, int(name == "liu")))
+        monkeypatch.setitem(cli._COMMANDS, "report", cli._cmd_report)
+        code, out, _ = run_cli(["report", "--out", str(tmp_path)], capsys)
+        suites = ["constants", "barenblatt-check", "theta", "liu",
+                  "identities", "hardy"]
+        assert calls == suites
+        assert code == 1
+        assert out == "".join(f"== {name} ==\n" for name in suites)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload == {**{name: "pass" for name in suites}, "liu": "fail",
+                           "gamma": cli.Config().gamma,
+                           "seed": cli.Config().seed}
+
     # an unset t_end gives each dilation block its own subcommand's horizon
     @pytest.mark.parametrize("args,theta_end,liu_end", [
         ([], 1e4, 1e5), (["--t-end", "5e3"], 5e3, 5e3)],

@@ -573,13 +573,6 @@ class TestIdentities:
         assert_allclose(lhs, 3.0 * np.ones(grid.shape), atol=1e-12)
         assert_allclose(rhs, 3.0 * np.ones(grid.shape), atol=1e-12)
 
-    def test_difference_quotient_path_consistent(self):
-        grid = make_grid()
-        d_nabt, _ = geo.identity_nabt_nab(
-            grid, poly_omega, poly_omega_t, smooth_F, smooth_F_t, 0.3, dt=1e-4
-        )
-        assert d_nabt < 1e-7
-
 
 class TestCommutator:
     def test_empty_angular_part(self):

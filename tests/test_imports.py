@@ -247,3 +247,31 @@ def test_each_rule_written_once(text):
     found = {(path.stem, fn) for path in sorted(SRC.glob("*.py"))
              for fn in _stating(path.read_text(), text)}
     assert found == RULE_HOMES[text]
+
+
+# Public names have one convention: no leading underscore.  An __all__ list
+# would state them a second time, and nothing in this tree reads one.
+def _all_assignments(source):
+    """Lines of source that assign, augment or annotate __all__."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            found.append(node.lineno)
+    return found
+
+
+def test_all_lint_sees_an_assignment():
+    source = ('import math\n__all__ = ["f"]\n__all__ += ["g"]\n'
+              'all_names: list = []\n__all__: list = ["h"]\n')
+    assert _all_assignments(source) == [2, 3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_assigns_all(path):
+    assert _all_assignments(path.read_text()) == []

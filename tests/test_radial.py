@@ -414,6 +414,38 @@ class TestForce:
         _, _, f_tt, _ = solver.time_derivatives(state)
         assert_array_equal(f_tt, reduce_equation(solver, state))
 
+    def test_accel_force_is_grad(self):
+        # the force _accel forms in its stage is the one _grad forms
+        solver = RadialSolver(GAMMA, resolution=32)
+        rng = np.random.default_rng(5)
+        f = poly_profile(solver, amplitude=2e-2) + 1e-3 * rng.standard_normal(32)
+        f_tt, force = solver._accel(f, 0.3 * f, 1.4, 0.1)
+        assert_array_equal(force, solver._grad(f))
+        assert not np.shares_memory(f_tt, force)
+
+    def test_time_derivatives_match_separate_force(self):
+        # the jerk from the force of _accel's stage equals the jerk from a
+        # force formed by _grad on its own, bit for bit
+        solver = RadialSolver(GAMMA, resolution=32)
+        g = GAMMA
+        f = poly_profile(solver, amplitude=2e-2)
+        ft = -0.4 * f
+        th, tht = 1.4, 0.1
+        state = solver.make_state(3.0, f, ft, theta=th, theta_t=tht)
+        thtt = theta_acceleration(g, th, tht)
+        grad = solver._grad(f)
+        dgrad = solver._hess_apply(f, ft)
+        ftt = solver._accel(f, ft, th, tht)[0]
+        thp = th ** (1.0 - 3.0 * g)
+        thp_t = (1.0 - 3.0 * g) * th ** (-3.0 * g) * tht
+        damp_t = 2.0 * (thtt * th - tht * tht) / (th * th)
+        fttt = (-(1.0 + 2.0 * tht / th) * ftt - damp_t * ft
+                - thp_t * (f / (3.0 * g - 1.0) + grad)
+                - thp * (ft / (3.0 * g - 1.0) + dgrad))
+        got = solver.time_derivatives(state)
+        for a, b in zip(got, (f, ft, ftt, fttt)):
+            assert_array_equal(a, b)
+
     def test_jerk_matches_differenced_acceleration(self):
         solver = RadialSolver(GAMMA, resolution=48)
         state = solver.make_state(0.0, poly_profile(solver), np.zeros(48))
@@ -994,7 +1026,7 @@ class TestStageLaw:
         solver = RadialSolver(GAMMA, resolution=64)
         zero = np.zeros(64)
         for th, tht in ((1.0, 0.5), (nu(GAMMA, 1e3), nu(GAMMA, 1e3, 1))):
-            assert_array_equal(solver._accel(zero, zero, th, tht), zero)
+            assert_array_equal(solver._accel(zero, zero, th, tht)[0], zero)
 
     def test_python_calls_per_step(self):
         # the march and its four stages: pq, the force and the law run

@@ -74,7 +74,7 @@ class TestNu:
 class TestIntegrateH:
     def test_initial_acceleration(self):
         # h = h_t = 0 at t = 0, so h_tt(0) is the forcing p(1-p) with p = 0.2
-        path = theta.integrate_h(2.0, 10.0, num_samples=201)
+        path = theta.integrate_h(2.0, 10.0)
         h_tt = path.theta_tt - theta.nu(2.0, path.times, 2)
         assert_allclose(h_tt[0], 0.16, rtol=1e-12)
 
@@ -144,7 +144,7 @@ class TestIntegrateH:
                         <= decimal.Decimal(math.ulp(nu_0)))
 
     def test_initial_values(self):
-        path = theta.integrate_h(2.0, 10.0, num_samples=201)
+        path = theta.integrate_h(2.0, 10.0)
         assert path.h[0] == 0.0 and path.h_t[0] == 0.0
         assert_allclose(path.theta[0], 1.0, rtol=1e-14)
         assert_allclose(path.theta_t[0], 0.2, rtol=1e-14)
@@ -540,7 +540,7 @@ class TestVerifyDecay:
         assert abs(a.Cn_fit[2] - b.Cn_fit[2]) / a.Cn_fit[2] < 0.01
 
     def test_order_cap(self):
-        path = theta.integrate_h(2.0, 10.0, num_samples=101)
+        path = theta.integrate_h(2.0, 10.0)
         with pytest.raises(ValueError):
             theta.verify_decay(path, n=4)
 
