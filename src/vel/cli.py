@@ -272,7 +272,7 @@ def _cmd_theta(config: Config, out):
     return checks.finish(
         {"gamma": config.gamma, "t_end": t_end, "K_fit": rep.K_fit,
          "Cn_fit": {str(k): v for k, v in rep.Cn_fit.items()},
-         "max_violation": rep.max_violation,
+         "max_violation": rep.max_violation, "steps": asdict(path.steps),
          "series": os.path.basename(series_path)},
         os.path.join(out, "theta_decay.json"))
 
@@ -295,7 +295,7 @@ def _cmd_liu(config: Config, out):
     return checks.finish(
         {"gamma": config.gamma, "t_end": t_end, "slope": rep.slope,
          "bound_fit": rep.bound_fit, "mass_drift": rep.mass_drift,
-         "series": os.path.basename(series_path)},
+         "steps": asdict(rep.steps), "series": os.path.basename(series_path)},
         os.path.join(out, "liu.json"))
 
 

@@ -315,6 +315,10 @@ class TestSuites:
         payload = json.loads((tmp_path / "theta_decay.json").read_text())
         assert payload["passed"]
         assert payload["K_fit"] > 0.0
+        # the solve switched to its stiff phase before t = 1e4
+        steps = payload["steps"]
+        assert steps["explicit"] > 0 and steps["stiff"] > 0
+        assert 0.0 < steps["stiff_onset"] < 1e4
 
     def test_liu(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -326,6 +330,9 @@ class TestSuites:
         payload = json.loads((tmp_path / "liu.json").read_text())
         assert payload["passed"]
         assert payload["slope"] <= 0.05
+        steps = payload["steps"]
+        assert steps["explicit"] > 0 and steps["stiff"] > 0
+        assert 0.0 < steps["stiff_onset"] < 1e4
         series = (tmp_path / "liu_deviation.csv").read_text().splitlines()
         assert series[0] == "t,deviation"
         assert len(series) > 100

@@ -227,7 +227,7 @@ GAMMA_CONSUMERS = {
     "GasParams": lambda g: params.GasParams(g, 1.0),
     "ThetaPath": lambda g: theta.ThetaPath(
         g, [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0],
-        [0.0, 0.0]),
+        [0.0, 0.0], theta.StepCounts(1)),
     "nu": lambda g: theta.nu(g, 1.0),
     "integrate_h": lambda g: theta.integrate_h(g, 10.0),
     "liu_integrate": lambda g: theta.liu_integrate(

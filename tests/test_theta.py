@@ -62,6 +62,11 @@ class TestNu:
         with pytest.raises(ValueError):
             theta.nu(2.0, -0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, [1.0, math.nan]])
+    def test_nan_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be non-negative"):
+            theta.nu(2.0, t)
+
     @pytest.mark.parametrize("order", [-1, 1.5, 2.0, True])
     def test_invalid_order_rejected(self, order):
         with pytest.raises(ValueError, match="non-negative integer"):
@@ -197,11 +202,12 @@ class TestIntegrateH:
 
 
 def _scipy_rk45(law, parameters, y0, t_end, rtol, atol, times):
-    """scipy's RK45 with the signature and return of theta._dopri5."""
+    """scipy's RK45 with the signature of theta._dopri5, all explicit; it
+    returns the end times of its accepted steps after the two results."""
     sol = solve_ivp(law_rhs(law, *parameters), (0.0, t_end), y0,
                     method="RK45", rtol=rtol, atol=atol, dense_output=True)
     assert sol.status == 0
-    return sol.sol(times).T, sol.t.size - 1
+    return sol.sol(times).T, theta.StepCounts(sol.t.size - 1), sol.t[1:]
 
 
 # Shampine's quartic dense output, as columns: the weights of the seven
@@ -228,13 +234,12 @@ def left_sum(terms):
     return functools.reduce(operator.add, terms, 0.0)
 
 
-def reference_dopri5(rhs, y0, t_end, rtol, atol, times):
-    """theta._dopri5 as a loop over lists of components: the reference
-    the generated loop must match bit for bit."""
-    for name, tol in (("rtol", rtol), ("atol", atol)):
-        if not 0.0 < tol < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {tol}")
-    rtol = max(rtol, 100.0 * np.finfo(float).eps)
+def reference_dopri5(rhs, y0, t_end, rtol, atol, times, switches):
+    """The explicit phase of theta._dopri5 as a loop over lists of
+    components, with Hairer's stiffness test when the law switches: the
+    reference the generated loop must match bit for bit.  Returns the
+    samples, the accepted steps, and the time, state and step size at
+    which it stopped."""
     root_n = len(y0) ** 0.5
     t, y = 0.0, list(y0)
     f = rhs(t, y)
@@ -255,7 +260,8 @@ def reference_dopri5(rhs, y0, t_end, rtol, atol, times):
 
     ts = times.tolist()
     samples = []
-    i = steps = 0
+    i = steps = stiff = calm = 0
+    h_lambda = 0.0
     while t < t_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -279,10 +285,10 @@ def reference_dopri5(rhs, y0, t_end, rtol, atol, times):
                 v + (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c
                      - 212 / 729 * d) * h
                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = rhs(t + h, [
-                v + (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
-                     + 49 / 176 * d - 5103 / 18656 * e) * h
-                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y6 = [v + (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
+                       + 49 / 176 * d - 5103 / 18656 * e) * h
+                  for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]
+            k6 = rhs(t + h, y6)
             y_new = [
                 v + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
                          - 2187 / 6784 * e + 11 / 84 * g)
@@ -314,13 +320,38 @@ def reference_dopri5(rhs, y0, t_end, rtol, atol, times):
                 i += 1
         t, y, f = t_new, y_new, f_new
         steps += 1
-    return np.array(samples), steps
+        if switches:
+            den = left_sum([(a - b) ** 2 for a, b in zip(y_new, y6)])
+            if den > 0.0:
+                h_lambda = h * math.sqrt(left_sum(
+                    [(a - b) ** 2 for a, b in zip(f_new, k6)]) / den)
+            if h_lambda > 3.25:
+                calm, stiff = 0, stiff + 1
+                if stiff == 15:
+                    break
+            else:
+                calm += 1
+                if calm == 6:
+                    stiff = 0
+    return samples, steps, t, y, h_abs
 
 
-def reference_solve(law, parameters, *args):
-    """reference_dopri5 with the signature of theta._dopri5, stepping the
-    callable compiled from the same law text."""
-    return reference_dopri5(law_rhs(law, *parameters), *args)
+def reference_solve(law, parameters, y0, t_end, rtol, atol, times):
+    """theta._dopri5 with reference_dopri5 as its explicit phase, stepping
+    the callable compiled from the same law text; the stiff phase is
+    theta's own loop."""
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {tol}")
+    rtol = max(rtol, 100.0 * np.finfo(float).eps)
+    samples, steps, t, y, h_abs = reference_dopri5(
+        law_rhs(law, *parameters), y0, t_end, rtol, atol, times,
+        bool((law.stiff or law).jacobian))
+    if not t < t_end:
+        return np.array(samples), theta.StepCounts(steps)
+    rest, stiff_steps = theta._rosenbrock_loop(law)(*parameters)(
+        t, y, h_abs, rtol, atol, times[len(samples):].tolist())
+    return np.array(samples + rest), theta.StepCounts(steps, stiff_steps, t)
 
 
 def solves_of(call, solver):
@@ -344,7 +375,19 @@ ROTATION = theta._Law(derivatives=("y_1", "-y_0"))
 DAMPED_PAIR = theta._Law(derivatives=(
     "y_1", "-y_0 - 0.1 * y_1 + 0.3 * y_2",
     "y_3", "-2.0 * y_2 - 0.05 * y_3 + 0.3 * y_0"))
+# Prothero-Robinson: y' = -lambda (y - cos t) - sin t, y = cos t from y = 1,
+# at lambda = 1e4, with and without its Jacobian and f_t
+STIFF_PR = theta._Law(
+    derivatives=("-1e4 * (y_0 - math.cos(t)) - math.sin(t)",),
+    jacobian=("-1e4",), time_derivative=("-1e4 * math.sin(t) - math.cos(t)",))
+EXPLICIT_PR = dataclasses.replace(STIFF_PR, jacobian=(), time_derivative=())
+# y' = t y^2, y = 1 / (1 - t^2 / 2) from y = 1: nonlinear, and without
+# its f_t the stages would be first order
+QUADRATIC = theta._Law(derivatives=("t * y_0 * y_0",),
+                       jacobian=("2.0 * t * y_0",),
+                       time_derivative=("y_0 * y_0",))
 
+NO_JACOBIAN = ("decay-1d", "rotation-2d", "oscillators-4d")
 LOOP_CASES = {
     "decay-1d": lambda: theta._dopri5(
         DECAY, (), (1.0,), 5.0, 1e-8, 1e-14, np.linspace(0.0, 5.0, 51)),
@@ -365,7 +408,8 @@ LOOP_CASES = {
 
 class TestGeneratedLoop:
     """theta._dopri5's loop, generated per law, against the loop over lists
-    that calls the law's rhs."""
+    that calls the law's rhs.  The dilation laws switch to the stiff loop,
+    in both, at the state where the explicit phases stop."""
 
     @pytest.mark.parametrize("case", sorted(LOOP_CASES))
     def test_matches_list_loop_bit_for_bit(self, case):
@@ -373,32 +417,47 @@ class TestGeneratedLoop:
         ref = solves_of(LOOP_CASES[case], reference_solve)
         assert len(ours) == len(ref) == 1
         (samples, steps), (ref_samples, ref_steps) = ours[0], ref[0]
-        assert steps == ref_steps > 0
+        assert steps == ref_steps and steps.explicit > 0
+        assert (steps.stiff_onset is None) == (case in NO_JACOBIAN)
         assert samples.shape == ref_samples.shape
         assert np.array_equal(samples, ref_samples)
 
     @pytest.mark.parametrize("law", ["_THETA_LAW", "_LIU_LAW"])
     def test_loop_calls_no_max_min_sum_len(self, law):
         # the step control is written as comparisons and additions
-        loop = theta._dopri5_loop(getattr(theta, law))(2.0)[1]
-        assert not {"max", "min", "sum", "len"} & set(loop.__code__.co_names)
+        law = getattr(theta, law)
+        loops = (theta._dopri5_loop(law)(2.0)[1],
+                 theta._rosenbrock_loop(law)(2.0))
+        for loop in loops:
+            assert not ({"max", "min", "sum", "len"}
+                        & set(loop.__code__.co_names))
 
     def test_one_loop_per_law(self):
-        assert theta._dopri5_loop(DAMPED_PAIR) is theta._dopri5_loop(
-            dataclasses.replace(DAMPED_PAIR))
+        for compiled in (theta._dopri5_loop, theta._rosenbrock_loop):
+            assert compiled(STIFF_PR) is compiled(
+                dataclasses.replace(STIFF_PR))
+            assert compiled(STIFF_PR) is not compiled(
+                dataclasses.replace(STIFF_PR, jacobian=("-1e3",)))
         assert theta._dopri5_loop(ROTATION) is not theta._dopri5_loop(
             theta._Law(derivatives=("y_1", "y_0")))
 
     def test_parameters_share_the_compiled_loop(self):
         # the constants are bound per solve, so no parameter adds a loop
         theta._dopri5_loop.cache_clear()
+        theta._rosenbrock_loop.cache_clear()
         for gamma in (4.0 / 3.0, 2.0, 3.0):
             for scale in (1.0, 0.5):
-                theta.integrate_h(gamma, 1e2, rtol=1e-10 * scale,
+                theta.integrate_h(gamma, 1e4, rtol=1e-10 * scale,
                                   atol=1e-10 * scale)
         for gamma in (5.0 / 3.0, 2.0):
-            theta.liu_vs_barenblatt(gamma, 1.0, 1e2)
+            theta.liu_vs_barenblatt(gamma, 1.0, 1e4)
         assert theta._dopri5_loop.cache_info().currsize == 2
+        assert theta._rosenbrock_loop.cache_info().currsize == 2
+
+    def test_stiff_loop_compiled_on_first_switch(self):
+        theta._rosenbrock_loop.cache_clear()
+        assert theta.integrate_h(2.0, 1e2).steps.stiff_onset is None
+        assert theta._rosenbrock_loop.cache_info().currsize == 0
 
     def test_nan_rhs_raises_the_reference_error(self):
         args = (theta._Law(derivatives=("y_1", "math.nan")), (), (1.0, 0.0),
@@ -414,16 +473,17 @@ class TestGeneratedLoop:
 @pytest.fixture(scope="module")
 def acceptance_runs():
     """The acceptance-02/03 problems through theta._dopri5 and through
-    scipy's RK45: (decay report, Liu report, accepted steps) per side."""
+    scipy's RK45: (decay report, Liu report, per solve the results after
+    the samples) per side."""
     real = theta._dopri5
     out = {}
     for name, solver in (("dopri5", real), ("scipy", _scipy_rk45)):
         steps = []
 
         def counted(*args, solver=solver, steps=steps):
-            samples, n = solver(*args)
-            steps.append(n)
-            return samples, n
+            samples, *rest = solver(*args)
+            steps.append(rest)
+            return samples, rest[0]
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(theta, "_dopri5", counted)
@@ -463,10 +523,12 @@ class TestDopri5:
         assert np.all(np.diff(times) > 0.0)
 
     def test_step_count_matches_scipy(self, acceptance_runs):
+        # up to the switch, the explicit phase takes RK45's steps
         ours, ref = acceptance_runs["dopri5"][2], acceptance_runs["scipy"][2]
         assert len(ours) == len(ref) == 2
-        for n, m in zip(ours, ref):
-            assert abs(n - m) <= 0.005 * m
+        for (steps,), (_, ends) in zip(ours, ref):
+            m = np.count_nonzero(ends <= steps.stiff_onset)
+            assert abs(steps.explicit - m) <= 0.005 * m
 
     def test_decay_fits_match_scipy(self, acceptance_runs):
         ours, ref = acceptance_runs["dopri5"][0], acceptance_runs["scipy"][0]
@@ -510,6 +572,122 @@ class TestDopri5:
         assert not hasattr(theta, "solve_ivp")
 
 
+class TestStiffPhase:
+    """The Rosenbrock loop that takes over once DOPRI5's stiffness test
+    fires."""
+
+    def test_prothero_robinson(self):
+        times = np.linspace(0.0, 10.0, 11)
+        rtol = 1e-6
+        samples, steps = theta._dopri5(STIFF_PR, (), (1.0,), 10.0, rtol,
+                                       1e-10, times)
+        _, explicit = theta._dopri5(EXPLICIT_PR, (), (1.0,), 10.0, rtol,
+                                    1e-10, times)
+        assert np.max(np.abs(samples[:, 0] - np.cos(times))) <= 10.0 * rtol
+        assert steps.stiff_onset is not None and explicit.stiff_onset is None
+        assert steps.explicit + steps.stiff < 0.01 * explicit.explicit
+
+    def test_observed_order(self):
+        # fixed steps: at tolerances this loose each step ends at the
+        # next sample time
+        loop = theta._rosenbrock_loop(QUADRATIC)()
+        errors = []
+        for n in (256, 512):
+            ts = np.linspace(0.0, 1.0, n + 1)[1:]
+            samples, steps = loop(0.0, (1.0,), 1.0 / n, 1e10, 1e10,
+                                  ts.tolist())
+            assert steps == n
+            errors.append(np.max(np.abs(np.array(samples)[:, 0]
+                                        - 1.0 / (1.0 - ts * ts / 2.0))))
+        assert math.log2(errors[0] / errors[1]) == pytest.approx(4.0, abs=0.2)
+
+    def test_l_stable(self):
+        # y' = -lambda y: one step at h lambda = 1e8 leaves R(-1e8) y, a
+        # few times 1e-8, where an A-stable method that is not L-stable
+        # leaves about y
+        law = theta._Law(derivatives=("-1e8 * y_0",), jacobian=("-1e8",))
+        samples, _ = theta._rosenbrock_loop(law)()(0.0, (1.0,), 1.0, 1e10,
+                                                   1e10, [1.0])
+        assert abs(samples[0][0]) < 1e-6
+
+    @pytest.mark.parametrize("name", ["theta", "liu"])
+    def test_jacobian_matches_central_differences(self, name):
+        law, points = {
+            "theta": (theta._THETA_LAW,
+                      [(0.0, (0.0, 0.0)), (10.0, (0.01, -0.002)),
+                       (2e3, (1e-3, 1e-6))]),
+            # the stiff form over the law's constants
+            "liu": (dataclasses.replace(
+                theta._LIU_LAW.stiff, parameters=("gamma",),
+                constants=theta._LIU_LAW.constants),
+                    [(0.0, (0.05, math.log(0.2), -0.3)),
+                     (3e3, (1e-4, math.log(3e-5), 2.0))]),
+        }[name]
+        n = len(law.derivatives)
+        rhs = law_rhs(law, 2.0)
+        rows = [law_rhs(dataclasses.replace(
+            law, derivatives=law.jacobian[i * n:(i + 1) * n]), 2.0)
+            for i in range(n)]
+        f_t = (law_rhs(dataclasses.replace(
+            law, derivatives=law.time_derivative), 2.0)
+            if law.time_derivative else None)
+        d = 1e-6
+        for t, y in points:
+            for j in range(n):
+                up, down = list(y), list(y)
+                up[j] += d
+                down[j] -= d
+                column = (np.array(rhs(t, up)) - np.array(rhs(t, down))) / (2 * d)
+                exact = [row(t, y)[j] for row in rows]
+                assert_allclose(exact, column, rtol=1e-7, atol=1e-7)
+            if f_t is not None:
+                dt = d * (1.0 + t)
+                column = (np.array(rhs(t + dt, y))
+                          - np.array(rhs(t - dt, y))) / (2 * dt)
+                assert_allclose(f_t(t, y), column, rtol=1e-7, atol=1e-7)
+
+    @pytest.mark.parametrize("gamma", [5.0 / 3.0, 2.0])
+    def test_liu_mass_kept_after_the_switch(self, gamma, monkeypatch):
+        handed = []
+        compiled = theta._rosenbrock_loop
+
+        def spy(law):
+            def bind(*parameters):
+                loop = compiled(law)(*parameters)
+
+                def recorded(now, state, *rest):
+                    handed.append(state)
+                    return loop(now, state, *rest)
+                return recorded
+            return bind
+
+        monkeypatch.setattr(theta, "_rosenbrock_loop", spy)
+        times, _, b, e, steps = theta.liu_integrate(
+            gamma, theta.LiuState(a=0.05, b=0.2, e=0.8), 1e5)
+        (state,) = handed
+        at_switch = theta.liu_mass(gamma, state[1], state[2])
+        after = times > steps.stiff_onset
+        assert np.count_nonzero(after) > 100
+        masses = theta.liu_mass(gamma, b[after], e[after])
+        assert np.max(np.abs(masses / at_switch - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("gamma", [4.0 / 3.0, 3.0])
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_integrate_h_step_count(self, gamma, scale):
+        # DOPRI5 alone takes 3,278-3,454 steps, most at its stability bound
+        steps = theta.integrate_h(gamma, 1e4, rtol=1e-10 * scale,
+                                  atol=1e-10 * scale).steps
+        assert steps.stiff_onset is not None
+        assert steps.explicit + steps.stiff <= 2000
+
+    @pytest.mark.parametrize("gamma", [5.0 / 3.0, 2.0])
+    def test_liu_step_count(self, gamma):
+        # DOPRI5 alone takes about 30,680 steps
+        steps = theta.liu_vs_barenblatt(gamma, 1.0, 1e5).steps
+        assert steps.stiff_onset is not None
+        assert steps.explicit + steps.stiff <= 3000
+
+
 class TestVerifyDecay:
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_constant_one_bounds(self, gamma):
@@ -543,6 +721,18 @@ class TestVerifyDecay:
         path = theta.integrate_h(2.0, 10.0)
         with pytest.raises(ValueError):
             theta.verify_decay(path, n=4)
+
+    @pytest.mark.parametrize("n,match", [
+        (3, "n must be between 0 and 2"),
+        (-1, "n must be at least 0, got -1"),
+        (1.5, "n must be an integer, got 1.5"),
+        (True, "n must be an integer, got True"),
+        (2.0, "n must be an integer, got 2.0"),
+    ])
+    def test_invalid_n_rejected(self, n, match):
+        path = theta.integrate_h(2.0, 10.0)
+        with pytest.raises(ValueError, match=match):
+            theta.verify_decay(path, n=n)
 
 
 class TestLiuRhs:
@@ -625,7 +815,7 @@ class TestLiuMass:
             assert_allclose(theta.liu_mass(gamma, b0, e0), mass, rtol=1e-10)
 
     def test_conserved_along_trajectory(self):
-        times, a, b, e = theta.liu_integrate(
+        times, a, b, e, _ = theta.liu_integrate(
             2.0, theta.LiuState(a=0.05, b=0.2, e=0.8), 1e4
         )
         masses = theta.liu_mass(2.0, b, e)
