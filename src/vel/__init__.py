@@ -9,5 +9,3 @@ discrete force is the exact gradient of the discrete internal energy.
 """
 
 __version__ = "0.1.0"
-
-from . import params, theta, geometry, norms, radial  # noqa: F401

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import BarenblattConstants
+from .params import BarenblattConstants, check_finite, check_integer
 
 # Frobenius size of the displacement gradient below which the small-strain
 # bounds (Jacobian pinned in [1/2, 2], gradient equivalences) are claimed.
@@ -26,6 +26,10 @@ REGIME_THRESHOLD = 0.1
 def _curl(X: np.ndarray) -> np.ndarray:
     """Flat curl eps_ijk X[k, j] of a 3x3 (component, derivative) stack."""
     return np.stack([X[2, 1] - X[1, 2], X[0, 2] - X[2, 0], X[1, 0] - X[0, 1]])
+
+
+# The 3x3 identity of a (component, derivative) stack, broadcast over nodes.
+_EYE = np.eye(3)[:, :, None, None, None]
 
 
 class DegenerateDeformationError(RuntimeError):
@@ -88,6 +92,8 @@ def check_grid_shape(n_r: int, n_mu: int, n_psi: int,
     """Reject node counts the BallGrid differentiation stencils cannot use."""
     if radial_scheme not in ("gauss", "midpoint"):
         raise ValueError("radial_scheme must be 'gauss' or 'midpoint'")
+    for name, value in (("n_r", n_r), ("n_mu", n_mu), ("n_psi", n_psi)):
+        check_integer(name, value, 0)
     min_r = 4 if radial_scheme == "gauss" else 8
     if n_r < min_r or n_mu < 4 or n_psi < 4 or n_psi % 2:
         raise ValueError(
@@ -271,8 +277,7 @@ def _conforming(values: np.ndarray, grid: BallGrid, ncomp: int | None) -> np.nda
     want = grid.shape if ncomp is None else (ncomp,) + grid.shape
     if arr.shape != want:
         raise ValueError(f"field values must have shape {want}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("field values must be finite")
+    check_finite("field values", arr)
     arr.setflags(write=False)
     return arr
 
@@ -388,13 +393,6 @@ def _adjugate_rows(X: np.ndarray) -> np.ndarray:
     return np.stack([_cross(c1, c2), _cross(c2, c0), _cross(c0, c1)])
 
 
-def _identity_like(X: np.ndarray) -> np.ndarray:
-    eye = np.zeros_like(X)
-    for i in range(3):
-        eye[i, i] = 1.0
-    return eye
-
-
 def deformation(omega: VectorField) -> DeformationState:
     """Deformation state of a displacement field, with self-verification.
 
@@ -411,10 +409,9 @@ def deformation(omega: VectorField) -> DeformationState:
     adjX = _adjugate_rows(X)
     detX = np.einsum("i...,i...->...", X[:, 0], adjX[0])
 
-    eye = _identity_like(X)
-    M = eye + X
+    M = _EYE + X
     # Cayley-Hamilton: adj(Id + X) = (1 + tr X) Id - X + adj X
-    adjM = (1.0 + div) * eye - X + adjX
+    adjM = (1.0 + div) * _EYE - X + adjX
     J = np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
     if np.any(~np.isfinite(J)) or np.any(J <= 0.0):
         raise DegenerateDeformationError(
@@ -430,7 +427,7 @@ def deformation(omega: VectorField) -> DeformationState:
 
     A = adjM / J
     prod = np.einsum("ik...,kj...->ij...", M, A)
-    gap = np.abs(prod - eye).max(axis=(0, 1))
+    gap = np.abs(prod - _EYE).max(axis=(0, 1))
     half = J >= 0.5
     inverse_defect = float(gap[half].max()) if np.any(half) else 0.0
 
@@ -476,7 +473,7 @@ def piola_residual(state: DeformationState) -> ScalarField:
     grid = state.grid
     X = state.grad_omega
     div = X[0, 0] + X[1, 1] + X[2, 2]
-    JA = (1.0 + div) * _identity_like(X) - X + state.adjugate
+    JA = (1.0 + div) * _EYE - X + state.adjugate
     parts = grid.partials(JA)  # parts[k, i, c] = d_c JA[k, i]
     rows = np.zeros((3, *grid.shape))
     for k in range(3):
@@ -562,10 +559,12 @@ def commutator_defect(
     is capped at 4 (differentiation is reliable only to that depth on desk
     grids).
     """
-    alpha = tuple(int(a) for a in alpha)
-    beta = tuple(int(b) for b in beta)
-    if len(alpha) != 3 or len(beta) != 3 or min(alpha) < 0 or min(beta) < 0:
-        raise ValueError("alpha and beta must be length-3 non-negative tuples")
+    if len(alpha) != 3 or len(beta) != 3:
+        raise ValueError("alpha and beta must be length-3 tuples")
+    for name, index in (("alpha", alpha), ("beta", beta)):
+        for k in index:
+            check_integer(name, k, 0)
+    alpha, beta = tuple(map(int, alpha)), tuple(map(int, beta))
     na, nb = sum(alpha), sum(beta)
     if na + nb > 4:
         raise ValueError("total derivative order is capped at 4")

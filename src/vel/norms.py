@@ -137,8 +137,7 @@ def embedding_check(f: ScalarField, a: float, b: int) -> EmbeddingReport:
     """
     if not 0.0 <= a < math.inf:
         raise ValueError(f"weight power must be nonnegative and finite, got {a}")
-    if not float(b).is_integer() or b < 0:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {b}")
+    check_integer("derivative order", b, 0)
     b = int(b)
     if b > 4:
         raise ValueError("derivative order is capped at 4")
@@ -552,8 +551,7 @@ def energy_Ej(traj, j: int, t: float, truncation: Truncation | None = None) -> f
     Raises if the truncation caps or the trajectory's available time
     derivatives would silently drop a summand.
     """
-    if j < 0:
-        raise ValueError(f"energy order must be nonnegative, got {j}")
+    check_integer("energy order", j, 0)
     tr = truncation or Truncation()
     for m, n, l in _triples(j):
         if m > tr.m_max or n + l > tr.nl_max:

@@ -40,6 +40,12 @@ def check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def check_finite(name: str, value) -> None:
+    """Raise unless the value called name, or each of its entries, is finite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+
+
 def check_integer(name: str, value, least: int) -> None:
     """Raise unless the setting called name is an integer >= least."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

@@ -28,8 +28,8 @@ from .geometry import (BallGrid, DegenerateDeformationError, VectorField,
 from .norms import (CallableTrajectory, SeparatedFields, Truncation,
                     check_J_max, energy_functionals, radial_energy_functionals,
                     report_defect)
-from .params import (GasParams, check_gamma, check_integer, check_positive,
-                     derive_constants)
+from .params import (GasParams, check_finite, check_gamma, check_integer,
+                     check_positive, derive_constants)
 from .theta import nu, theta_acceleration
 
 STOP_COMPLETED = "completed"
@@ -167,13 +167,11 @@ class RadialState:
         f_t = np.asarray(self.f_t, dtype=float)
         if f.ndim != 1 or f.shape != f_t.shape:
             raise ValueError("profile arrays must be matching 1-d arrays")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(f_t))):
-            raise ValueError("profile arrays must be finite")
-        if not math.isfinite(self.time):
-            raise ValueError("time must be finite")
+        check_finite("profile arrays", f)
+        check_finite("profile arrays", f_t)
+        check_finite("time", self.time)
         check_positive("theta", self.theta)
-        if not math.isfinite(self.theta_t):
-            raise ValueError("theta_t must be finite")
+        check_finite("theta_t", self.theta_t)
         if np.any(1.0 + f <= 0.0):
             idx = int(np.argmin(1.0 + f))
             raise DegenerateProfileError(
@@ -244,8 +242,7 @@ class RunConfig:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if not 0.0 <= self.amplitude < math.inf:
             raise ValueError("amplitude must be nonnegative and finite")
-        if not math.isfinite(self.velocity_amplitude):
-            raise ValueError("velocity_amplitude must be finite")
+        check_finite("velocity_amplitude", self.velocity_amplitude)
         check_positive("eps0", self.eps0)
         check_J_max(self.J_max)
 
@@ -383,9 +380,6 @@ class RadialSolver:
             divide(jac, gq, gq)
             subtract(one, m_q, m_q)
             multiply(gp, A2, am)
-            if block is None:
-                # the force alone, in a fresh array
-                return gbmv(n, n, band, band, 1.0, G, gq, 1, 0, 1.0, am, 1, 0, 0, 0)
             # the law into ftt, the row block being [A2 m | f | f_t]; th and
             # tht are floats
             thp = -th ** fp
@@ -393,12 +387,9 @@ class RadialSolver:
             cdot(block, ftt)
             gbmv(n, n, band, band, thp, G, gq, 1, 0, 1.0, ftt, 1, 0, 0, 1)
 
-        def grad(f):
-            return stage(f, m1)
-
         def accel(f, ft, th, tht):
             # the law's f_tt at (f, f_t, theta, theta_t) and the force A2 m +
-            # G q of the same stage, as grad forms it, in fresh arrays
+            # G q of the same stage, in fresh arrays
             f1[:] = f
             v1[:] = ft
             stage(f1, m1, b1, a1, th, tht)
@@ -461,7 +452,7 @@ class RadialSolver:
                     f"1 + f nonpositive at node {idx} (value {z_new[idx]:.6g})")
             return z_new, th_new, tht_new, dt
 
-        self._pq, self._grad, self._accel, self._march = stage, grad, accel, march
+        self._pq, self._accel, self._march = stage, accel, march
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -490,7 +481,7 @@ class RadialSolver:
         return float(np.dot(self.w_u, m0))
 
     def _hess_apply(self, f: np.ndarray, pv: np.ndarray) -> np.ndarray:
-        # directional derivative of _grad along pv
+        # directional derivative of the force A2 m + G q along pv
         gp, gq, jac = self._pq(f)
         jg = jac ** (-self.gamma)
         jg1 = jac ** (-self.gamma - 1.0)
@@ -924,8 +915,10 @@ def fit_growth(times, radii) -> GrowthFit:
     r = np.asarray(radii, dtype=float)
     if t.size != r.size or t.size < 3:
         raise ValueError("need matching series with at least 3 samples")
-    if not (np.isfinite(t).all() and np.isfinite(r).all() and (r > 0.0).all()):
-        raise ValueError("times must be finite, radii finite and positive")
+    check_finite("times", t)
+    check_finite("radii", r)
+    if not (r > 0.0).all():
+        raise ValueError("radii must be positive")
     span = (1.0 + t.max()) / (1.0 + t.min())
     if span < 10.0:
         raise ValueError(

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .params import (BarenblattConstants, GasParams, check_gamma,
-                     check_integer, check_positive, derive_constants,
-                     moment_integral)
+from .params import (BarenblattConstants, GasParams, check_finite,
+                     check_gamma, check_integer, check_positive,
+                     derive_constants, moment_integral)
 
 # Margin below which a constant-1 bound still counts as holding (rounding slack).
 BOUND_SLACK = 1e-10
@@ -115,8 +114,7 @@ class LiuState:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "e"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            check_finite(name, getattr(self, name))
         if not (self.b > 0.0 and self.e > 0.0):
             raise ValueError("b and e must be positive")
 
@@ -149,9 +147,7 @@ class LiuReport:
 def nu(gamma: float, t, order: int = 0):
     """Background power (1+t)^p with p = 1/(3*gamma - 1), or its derivative."""
     check_gamma(gamma)
-    if (isinstance(order, bool) or not isinstance(order, numbers.Integral)
-            or order < 0):
-        raise ValueError(f"order must be a non-negative integer, got {order!r}")
+    check_integer("order", order, 0)
     ts = np.asarray(t, dtype=float)
     if not np.all(ts >= 0.0):  # also a NaN time
         raise ValueError("t must be non-negative")

@@ -365,7 +365,7 @@ class TestDeformation:
         st = geo.deformation(geo.VectorField(grid, np.zeros((3, *grid.shape))))
         assert_allclose(st.jacobian, np.ones(grid.shape), atol=1e-13)
         assert np.abs(st.adjugate).max() < 1e-13
-        eye = geo._identity_like(st.grad_omega)
+        eye = geo._EYE
         assert np.abs(st.a_inv - eye).max() < 1e-13
 
     def test_uniform_dilation(self):
@@ -385,7 +385,7 @@ class TestDeformation:
         grid = make_grid()
         st = geo.deformation(smooth_displacement(grid, 5))
         X = st.grad_omega
-        eye = geo._identity_like(X)
+        eye = geo._EYE
         M = eye + X
         div = X[0, 0] + X[1, 1] + X[2, 2]
         adjM = (1.0 + div) * eye - X + st.adjugate
@@ -414,7 +414,7 @@ class TestDeformation:
         fro = np.sqrt(np.einsum("ij...,ij...->...", X, X))
         live = fro > 1e-8
         dJ = np.abs(st.jacobian - 1.0)
-        diffA = st.a_inv - geo._identity_like(X)
+        diffA = st.a_inv - geo._EYE
         dA = np.sqrt(np.einsum("ij...,ij...->...", diffA, diffA))
         assert (dJ[live] / fro[live]).max() <= 10.0
         assert (dA[live] / fro[live]).max() <= 10.0
@@ -457,7 +457,7 @@ class TestFlowOps:
         eta = geo.VectorField(grid, grid.y + w.values)
         G, _, curl = geo.flow_ops(st, eta)
         assert np.abs(curl).max() < 1e-12
-        eye = geo._identity_like(G)
+        eye = geo._EYE
         assert np.abs(G - eye).max() < 1e-12
 
     def test_curl_of_flow_gradient(self):

@@ -36,10 +36,6 @@ def _unused_imports(path):
     for name, node in imported.items():
         if name in used:
             continue
-        # a package's `from . import submodule` makes vel.submodule available
-        if (path.name == "__init__.py" and isinstance(node, ast.ImportFrom)
-                and node.level == 1 and node.module is None):
-            continue
         if (path.stem, name) in REEXPORTS:
             continue
         unused.append(name)
@@ -110,7 +106,7 @@ def test_einsum_without_path_search(path):
 
 
 # The closures RadialSolver binds at build, which every RK4 stage runs.
-STAGE_FUNCTIONS = ("stage", "grad", "accel", "march")
+STAGE_FUNCTIONS = ("stage", "accel", "march")
 REDUCTIONS = {"min", "max", "all", "any"}
 
 
@@ -136,8 +132,8 @@ def test_stage_lint_sees_a_reduction():
 def test_stage_lint_sees_a_reduction_in_a_closure():
     source = ("class RadialSolver:\n    def _bind(self):\n"
               "        def march(z):\n            return z.all()\n"
-              "        def grad(x):\n            return x\n")
-    assert _stage_reductions(source) == {"march": [(4, "all")], "grad": []}
+              "        def accel(x):\n            return x\n")
+    assert _stage_reductions(source) == {"march": [(4, "all")], "accel": []}
 
 
 def test_stage_without_method_reductions():
@@ -189,24 +185,33 @@ def test_step_rule_read_only_by_the_march():
 
 
 # Each setting's rule has one home: the one function that states it.  The
-# gamma, positive-and-finite and integer rules state their messages in a
-# raise; the J_max and resolution rules pass their name and least value to
-# params.check_integer, which words their messages "<name> must be ...".
+# gamma, positive-and-finite, finite and integer rules state their messages
+# in a raise; the J_max and resolution rules pass their name and least value
+# to params.check_integer, which words their messages "<name> must be ...".
 # Every consumer calls the rule, so no other function may state it again.
+# cli._coerce states its own rule: a config value's JSON type.
 RULE_HOMES = {
     "gamma must exceed 1": {("params", "check_gamma")},
     "must be positive and finite": {("params", "check_positive")},
+    "must be finite": {("params", "check_finite")},
     "must be an integer": {("params", "check_integer")},
+    "expected an integer": {("cli", "_coerce")},
     "J_max must be": {("norms", "check_J_max")},
     "resolution must be": {("radial", "check_resolution")},
+}
+# Other words a second home might state a rule in.
+REWORDINGS = {
+    "must be an integer": ("non-negative integer", "nonnegative integer"),
 }
 
 
 def _stating(source, text):
     """Names of the innermost functions in source that state the rule
-    worded text: a raise whose string (or f-string) literal contains text,
-    or a check_integer call whose name argument begins text."""
+    worded text: a raise whose string (or f-string) literal contains text
+    or one of its rewordings, or a check_integer call whose name argument
+    begins text."""
     found = set()
+    wordings = (text, *REWORDINGS.get(text, ()))
 
     def visit(node, fn, raising):
         for child in ast.iter_child_nodes(node):
@@ -214,7 +219,8 @@ def _stating(source, text):
                 visit(child, child.name, False)
                 continue
             if (raising and isinstance(child, ast.Constant)
-                    and isinstance(child.value, str) and text in child.value):
+                    and isinstance(child.value, str)
+                    and any(w in child.value for w in wordings)):
                 found.add(fn)
             if (isinstance(child, ast.Call)
                     and getattr(child.func, "id", None) == "check_integer"
@@ -236,10 +242,18 @@ def test_rule_lint_sees_a_second_home():
               '            raise ValueError("gamma must exceed 1")\n'
               'def check_J_max(J_max):\n    check_integer("J_max", J_max, 0)\n'
               'def energy(J_max):\n    check_integer("J_max", J_max, 1)\n'
-              '    print("J_max must be nonnegative")\n')
+              '    print("J_max must be nonnegative")\n'
+              'def check_integer(name, value, least):\n'
+              '    raise ValueError(f"{name} must be an integer")\n'
+              'def nu(order):\n'
+              '    raise ValueError(f"order must be a non-negative integer")\n'
+              'def embed(b):\n    if b < 0:\n'
+              '        raise ValueError(f"b must be a nonnegative integer, got {b}")\n')
     assert _stating(source, "gamma must exceed 1") == {"check_gamma",
                                                        "__post_init__"}
     assert _stating(source, "J_max must be") == {"check_J_max", "energy"}
+    assert _stating(source, "must be an integer") == {"check_integer", "nu",
+                                                      "embed"}
 
 
 @pytest.mark.parametrize("text", sorted(RULE_HOMES))

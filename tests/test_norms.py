@@ -201,8 +201,8 @@ class TestEmbedding:
     @pytest.mark.parametrize("b", [math.nan, math.inf])
     def test_nonfinite_order_rejected(self, b):
         one = ScalarField(GRID, np.ones(GRID.shape))
-        with pytest.raises(ValueError, match="derivative order must be a "
-                           f"nonnegative integer, got {b}"):
+        with pytest.raises(ValueError, match="derivative order must be an "
+                           f"integer, got {b}"):
             norms.embedding_check(one, 0.0, b)
 
 
@@ -254,7 +254,8 @@ class TestEnergyEj:
         traj = dilation_trajectory(GRID)
         with pytest.raises(ValueError, match="truncation"):
             norms.energy_Ej(traj, 3, 0.0)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError,
+                           match="energy order must be at least 0, got -1"):
             norms.energy_Ej(traj, -1, 0.0)
 
     def test_truncation_validation(self):

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vel import norms, params, radial, theta
-from vel.geometry import BallGrid, VectorField, deformation
+from vel.geometry import (BallGrid, ScalarField, VectorField, commutator_defect,
+                          deformation)
 
 
 def consts(gamma, mass=1.0):
@@ -257,3 +258,77 @@ class TestGammaRule:
     @pytest.mark.parametrize("consumer", sorted(GAMMA_CONSUMERS))
     def test_every_consumer_takes_a_valid_gamma(self, consumer):
         GAMMA_CONSUMERS[consumer](2.0)
+
+
+# An order or a node count is an integer: params.check_integer rejects a float
+# or a bool where each consumer takes one, rather than truncating it or
+# failing later in numpy.  theta.nu's orders are in TestNu's own table.
+ONE = ScalarField(RULE_GRID, RULE_GRID.y[0])
+STILL = norms.CallableTrajectory(RULE_GRID, (lambda t, y: 0 * y,) * 4)
+INTEGER_REJECTIONS = {
+    "commutator alpha 1.5": (lambda: commutator_defect(ONE, (1.5, 0, 0), (0, 1, 0)),
+                             "alpha must be an integer, got 1.5"),
+    "commutator alpha 1.9": (lambda: commutator_defect(ONE, (1.9, 0, 0), (0, 1, 0)),
+                             "alpha must be an integer, got 1.9"),
+    "commutator beta True": (lambda: commutator_defect(ONE, (1, 0, 0), (0, True, 0)),
+                             "beta must be an integer, got True"),
+    "grid n_mu 8.0": (lambda: BallGrid(consts(2.0), n_mu=8.0),
+                      "n_mu must be an integer, got 8.0"),
+    "grid n_psi 8.0": (lambda: BallGrid(consts(2.0), n_psi=8.0),
+                       "n_psi must be an integer, got 8.0"),
+    "grid n_r 16.0": (lambda: BallGrid(consts(2.0), n_r=16.0),
+                      "n_r must be an integer, got 16.0"),
+    "grid midpoint n_r 16.7": (
+        lambda: BallGrid(consts(2.0), n_r=16.7, radial_scheme="midpoint"),
+        "n_r must be an integer, got 16.7"),
+    "embedding b True": (lambda: norms.embedding_check(ONE, 0.0, True),
+                         "derivative order must be an integer, got True"),
+    "embedding b 1.0": (lambda: norms.embedding_check(ONE, 0.0, 1.0),
+                        "derivative order must be an integer, got 1.0"),
+    "energy_Ej j True": (lambda: norms.energy_Ej(STILL, True, 0.0),
+                         "energy order must be an integer, got True"),
+    "energy_Ej j 1.5": (lambda: norms.energy_Ej(STILL, 1.5, 0.0),
+                        "energy order must be an integer, got 1.5"),
+}
+
+# Each finiteness check is params.check_finite, worded "<name> must be finite".
+FINITE_REJECTIONS = {
+    "scalar": (lambda: params.check_finite("x", math.nan), "x must be finite"),
+    "array entry": (lambda: params.check_finite("x", [0.0, math.inf]),
+                    "x must be finite"),
+    "field values": (lambda: ScalarField(RULE_GRID, np.full(RULE_GRID.shape,
+                                                            math.nan)),
+                     "field values must be finite"),
+    "LiuState e": (lambda: theta.LiuState(a=0.0, b=1.0, e=math.inf),
+                   "e must be finite"),
+    "RadialState f_t": (lambda: radial.RadialState(
+        0.0, np.zeros(16), np.full(16, math.nan), 1.0, 0.0),
+        "profile arrays must be finite"),
+    "RadialState time": (lambda: radial.RadialState(
+        math.nan, np.zeros(16), np.zeros(16), 1.0, 0.0), "time must be finite"),
+    "fit_growth times": (lambda: radial.fit_growth(
+        [0.0, 10.0, math.nan], [1.0, 2.0, 3.0]), "times must be finite"),
+    "fit_growth radii": (lambda: radial.fit_growth(
+        [0.0, 10.0, 100.0], [1.0, math.inf, 3.0]), "radii must be finite"),
+}
+
+
+class TestRuleTables:
+    @pytest.mark.parametrize("case", sorted(INTEGER_REJECTIONS))
+    def test_integer_rule(self, case):
+        call, message = INTEGER_REJECTIONS[case]
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", sorted(FINITE_REJECTIONS))
+    def test_finite_rule(self, case):
+        call, message = FINITE_REJECTIONS[case]
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_commutator_takes_numpy_integers(self):
+        rep = commutator_defect(ONE, (np.int64(1), 0, 0), (0, np.int32(1), 0))
+        assert rep.alpha == (1, 0, 0) and rep.beta == (0, 1, 0)
+        assert all(type(k) is int for k in rep.alpha + rep.beta)

@@ -35,6 +35,12 @@ def poly_profile(solver, amplitude=1e-3, exponent=2):
     return amplitude * (1.0 - x * x) ** exponent
 
 
+def stage_force(solver, f):
+    """The force per kinetic weight A2 m + G q that every RK4 stage forms,
+    from _accel at f_t = 0, theta = 1, theta_t = 0 (the force reads f only)."""
+    return solver._accel(f, np.zeros_like(f), 1.0, 0.0)[1]
+
+
 # ---------------------------------------------------------------------------
 # derivative/weight pair
 
@@ -218,7 +224,7 @@ class TestSolverSetup:
             [[3 * n], [2 * n], [n], [n], [n]] * 4 and sizes["v1"] == [n]
         assert sizes["W"] == [3 * n] and sizes["m_q"] == [2 * n]
         assert [sizes[v] for v in ("gp", "gq", "jac")] == [[n]] * 3
-        assert {"_pq", "_grad", "_accel", "_march"} <= sizes.keys()
+        assert {"_pq", "_accel", "_march"} <= sizes.keys()
         assert "D" not in vars(solver)
         assert max(max(v, default=0) for v in sizes.values()) <= 11 * n, sizes
 
@@ -388,7 +394,7 @@ class TestForce:
             f = poly_profile(solver, amplitude=1e-2)
             s = solver.s
             # the force per kinetic weight in F = s f
-            var = s * solver._grad(f)
+            var = s * stage_force(solver, f)
             gp, gq, jac = solver._pq(f)
             j1 = jac ** (1.0 - GAMMA) / gp - 1.0
             j2 = -gp * (gq - gp) / s**2 * jac ** (-GAMMA)
@@ -415,17 +421,18 @@ class TestForce:
         assert_array_equal(f_tt, reduce_equation(solver, state))
 
     def test_accel_force_is_grad(self):
-        # the force _accel forms in its stage is the one _grad forms
+        # the force _accel forms in its stage reads f only, not the law's
+        # f_t, theta and theta_t
         solver = RadialSolver(GAMMA, resolution=32)
         rng = np.random.default_rng(5)
         f = poly_profile(solver, amplitude=2e-2) + 1e-3 * rng.standard_normal(32)
         f_tt, force = solver._accel(f, 0.3 * f, 1.4, 0.1)
-        assert_array_equal(force, solver._grad(f))
+        assert_array_equal(force, stage_force(solver, f))
         assert not np.shares_memory(f_tt, force)
 
     def test_time_derivatives_match_separate_force(self):
         # the jerk from the force of _accel's stage equals the jerk from a
-        # force formed by _grad on its own, bit for bit
+        # force formed by a separate stage, bit for bit
         solver = RadialSolver(GAMMA, resolution=32)
         g = GAMMA
         f = poly_profile(solver, amplitude=2e-2)
@@ -433,7 +440,7 @@ class TestForce:
         th, tht = 1.4, 0.1
         state = solver.make_state(3.0, f, ft, theta=th, theta_t=tht)
         thtt = theta_acceleration(g, th, tht)
-        grad = solver._grad(f)
+        grad = stage_force(solver, f)
         dgrad = solver._hess_apply(f, ft)
         ftt = solver._accel(f, ft, th, tht)[0]
         thp = th ** (1.0 - 3.0 * g)
@@ -545,10 +552,10 @@ class TestFoldedOperator:
 
         for got, want in zip(solver._pq(f), ref.pq(f)):
             close(got, want[n:])
-        close(solver.w_f * solver._grad(f), ref.force_gradient(f)[n:])
+        close(solver.w_f * stage_force(solver, f), ref.force_gradient(f)[n:])
         # the folded force per kinetic weight, as every RK4 stage uses it,
         # and its directional derivative
-        close(solver._grad(f), ref.force_gradient(f)[n:] / ref.w_f[n:])
+        close(stage_force(solver, f), ref.force_gradient(f)[n:] / ref.w_f[n:])
         close(solver._hess_apply(f, f_t), ref.hess_apply(f, f_t)[n:] / ref.w_f[n:])
         close(solver.internal_energy(f), ref.internal_energy(f))
         for got, want in zip(solver.zeroth_energy(state),
@@ -557,7 +564,7 @@ class TestFoldedOperator:
 
 
 def jac_power_grad(solver, f):
-    """_grad in its jac^-gamma form: A2 m + G q with jg = jac^-gamma,
+    """The stage force in its jac^-gamma form: A2 m + G q with jg = jac^-gamma,
     m = 1 - jg gp gq and q = 1 - jg gp^2."""
     gp, gq, jac = solver._pq(f)
     jg = jac ** -solver.gamma * gp
@@ -565,13 +572,13 @@ def jac_power_grad(solver, f):
 
 
 class TestForceForm:
-    """_grad takes m = 1 - u/gp and q = 1 - u/gq from u = jac^(1-gamma)."""
+    """The stage force takes m = 1 - u/gp and q = 1 - u/gq from u = jac^(1-gamma)."""
 
     @pytest.mark.parametrize("gamma", [4.0 / 3.0, 5.0 / 3.0, 2.0, 3.0])
     def test_matches_jac_power_form(self, gamma):
         solver = RadialSolver(gamma, resolution=64)
         zero = np.zeros(64)
-        assert_array_equal(solver._grad(zero), zero)
+        assert_array_equal(stage_force(solver, zero), zero)
         assert_array_equal(jac_power_grad(solver, zero), zero)
         rng = np.random.default_rng(7)
         f = poly_profile(solver, amplitude=2e-2) + 1e-4 * rng.standard_normal(64)
@@ -579,7 +586,7 @@ class TestForceForm:
         # cancellation of O(1/h) band terms, and the 1/s of the f-state
         # makes that node the largest
         want = solver.s * jac_power_grad(solver, f)
-        got = solver.s * solver._grad(f)
+        got = solver.s * stage_force(solver, f)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -1092,7 +1099,7 @@ class TestStageChecks:
         solver = RadialSolver(GAMMA, resolution=64)
         x = solver.s / solver.constants.r0
         with pytest.raises(DegenerateProfileError, match=r"\(node 26,"):
-            solver._grad(-2.0 * x * x)
+            stage_force(solver, -2.0 * x * x)
 
     def test_gp_alone_degenerate(self):
         # s f = 2h (-1)^j, tapered to 0 from node 4 to node 20: the interior
