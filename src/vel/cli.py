@@ -390,7 +390,6 @@ def _cmd_hardy(config: Config, out):
     rng = np.random.default_rng(config.seed)
     delta, ceiling, emb_ceiling = 1.0, 10.0, 2.5
     rows = []
-    worst = 0.0
     for trial in range(20):
         a, b_, cc, d = rng.uniform(-1.0, 1.0, size=4)
         b_ = 1.0 + 2.0 * abs(b_)
@@ -401,7 +400,8 @@ def _cmd_hardy(config: Config, out):
         for k in (0.0, iota, iota + 1.0):
             rep = norms.hardy_check(f, k, delta, constant=ceiling)
             rows.append((trial, k, rep.ratio, int(rep.passed)))
-            worst = max(worst, rep.ratio)
+    # np.max keeps a NaN ratio, which Python's max drops
+    worst = float(np.max([ratio for _, _, ratio, _ in rows]))
     checks.record(
         "hardy-random", all(passed for *_, passed in rows),
         f"60 profile/weight combinations, max ratio {worst:.3f} "
@@ -411,14 +411,13 @@ def _cmd_hardy(config: Config, out):
         params.GasParams(gamma=config.gamma, mass=config.mass))
     grid = geometry.BallGrid(c, n_r=max(config.resolution, 24),
                              n_mu=config.n_mu, n_psi=config.n_psi)
-    emb_worst = 0.0
     emb_rows = []
     for freq in range(1, 11):
         fld = geometry.ScalarField(grid, np.cos(freq * grid.s)[:, None, None]
                                    * np.ones(grid.shape))
         rep = norms.embedding_check(fld, a=1.0, b=1)
         emb_rows.append((freq, rep.ratio))
-        emb_worst = max(emb_worst, rep.ratio)
+    emb_worst = float(np.max([r for _, r in emb_rows]))
     checks.record(
         "embedding-oscillatory", all(r <= emb_ceiling for _, r in emb_rows),
         f"10 frequencies, max fractional/weighted ratio {emb_worst:.3f} "

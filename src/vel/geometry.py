@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import BarenblattConstants, check_finite, check_integer
+from .params import (BarenblattConstants, check_finite, check_integer,
+                     check_positive)
 
 # Frobenius size of the displacement gradient below which the small-strain
 # bounds (Jacobian pinned in [1/2, 2], gradient equivalences) are claimed.
@@ -193,8 +194,7 @@ class BallGrid:
             * self.w_mu[None, :, None]
             * self.w_psi
         ) * np.ones((1, 1, n_psi))
-        if np.any(self.weights <= 0.0):
-            raise RuntimeError("quadrature weights must be positive")
+        check_positive("quadrature weights", self.weights)
         volume = 4.0 / 3.0 * np.pi * self.r0**3
         if abs(self.weights.sum() - volume) > 1e-10 * volume:
             raise RuntimeError("quadrature weights do not sum to the ball volume")

@@ -838,8 +838,7 @@ def zeroth_energy_balance(gamma: float, times, kinetic, potential,
         raise ValueError("need at least 5 samples for the interior stencil")
     if not (kin.shape == pot.shape == th.shape == th_t.shape == times.shape):
         raise ValueError("sample arrays must share the time grid's shape")
-    if np.any(th <= 0.0):
-        raise ValueError("theta must stay positive")
+    check_positive("theta", th)
     steps = np.diff(times)
     h = steps[0]
     if not np.all(np.abs(steps - h) <= 1e-9 * max(abs(h), 1.0)):

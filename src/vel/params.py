@@ -35,8 +35,9 @@ def check_gamma(gamma) -> None:
 
 
 def check_positive(name: str, value) -> None:
-    """Raise unless the setting called name is positive and finite."""
-    if not 0.0 < value < math.inf:
+    """Raise unless the value called name, or each of its entries, is
+    positive and finite."""
+    if not np.all(np.greater(value, 0.0) & np.less(value, math.inf)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 

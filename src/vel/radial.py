@@ -10,7 +10,8 @@ the discrete internal energy built on a summation-by-parts derivative
 pair; together with the vanishing sigma-weights at the outer rim this
 supplies the natural vacuum boundary behavior without an imposed boundary
 condition, and the semi-discrete energy balance holds to integrator
-order.  Time stepping is explicit RK4: one march per solver picks dt
+order.  The folded operators are stored in band form and applied as CSR
+row sums.  Time stepping is explicit RK4: one march per solver picks dt
 under a CFL cap and a damping cap, steps [f | f_t] in numpy and co-steps
 the scaling factor theta and theta_t on floats by the same RK4 formulas.
 """
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
+# y += A x for CSR arrays; about half the fixed cost of a dgbmv call
+from scipy.sparse._sparsetools import csr_matvec
 
 from .geometry import (BallGrid, DegenerateDeformationError, VectorField,
                        check_grid_shape, deformation)
@@ -89,6 +91,33 @@ def _band_T(ab: np.ndarray) -> np.ndarray:
     """The transpose in band storage, abT[_BAND + d, j] = ab[_BAND - d, j + d];
     the slots outside the matrix hold zeros, so the wrapped reads are 0."""
     return np.take_along_axis(ab[::-1], _band_rows(ab.shape[1]) % ab.shape[1], 1)
+
+
+def _csr(vals: np.ndarray, cols: np.ndarray, n_col: int) -> tuple:
+    """(n_row, n_col, indptr, indices, data), the operands csr_matvec takes,
+    of the nonzero entries of a matrix given row by row: row i holds vals[i]
+    at the columns cols[i], which increase.  The arrays are read-only."""
+    keep = vals != 0.0
+    indptr = np.zeros(len(vals) + 1, dtype=np.intc)
+    np.cumsum(keep.sum(1), out=indptr[1:])
+    arrays = (indptr, cols[keep].astype(np.intc), vals[keep])
+    for arr in arrays:
+        arr.setflags(write=False)
+    return (len(vals), n_col, *arrays)
+
+
+def _band_csr(ab: np.ndarray) -> tuple:
+    """_csr of the square matrix held in band storage: row j of the
+    transposed band holds the entries (j, j + d) for d = -_BAND.._BAND."""
+    n = ab.shape[1]
+    return _csr(_band_T(ab).T, _band_rows(n).T, n)
+
+
+def _apply(op: tuple, x: np.ndarray) -> np.ndarray:
+    """The product of a _csr operator with x, in a fresh array."""
+    y = np.zeros(op[0])
+    csr_matvec(*op, x, y)
+    return y
 
 
 def _from_band(ab: np.ndarray) -> np.ndarray:
@@ -296,7 +325,7 @@ class RadialSolver:
         # weight is A2 m + G q for pointwise factors m, q (see _bind):
         # diag(s) is folded into the columns of Dh, so Dh f = (s f)', and the
         # weights into A2 and the weighted transpose G = diag(1/w_f) Dh^T
-        # diag(w_u); Dh and G are kept only in band storage
+        # diag(w_u); Dh and G are kept in band storage and applied as CSR
         self.w_f = self.w_kin * self.s**2
         Dh *= self.s
         self._A2 = 2.0 * self.w_u / self.w_f
@@ -306,23 +335,34 @@ class RadialSolver:
         for arr in (self.s, self.sigma, self.w_u, self.w_kin, self.w_f,
                     self._A2, self._Dh, self._G):
             arr.setflags(write=False)
+        self._Dh_csr, self._G_csr = _band_csr(self._Dh), _band_csr(self._G)
+        # P maps a stage row [A2 m | f | f_t | f_tt | 1] to [1 + f | 1 + Dh f]:
+        # its rows are those of the identity and of Dh on the f slots, each
+        # ending in the ones column, so the 1 is added after the row sum
+        vals = np.vstack([np.zeros((n, 2 * _BAND + 1)), _band_T(self._Dh).T])
+        vals[:n, _BAND] = 1.0
+        cols = np.vstack([rows.T, rows.T]) + n
+        self._P = _csr(np.column_stack([vals, np.ones(2 * n)]),
+                       np.column_stack([cols, np.full(2 * n, 4 * n)]),
+                       4 * n + 1)
         self._bind()
 
     def _bind(self):
         """Bind the stage and the RK4 march once, as closures over the
         operands.  A ufunc takes 0-d array operands (same floats) and a
-        positional out faster than Python floats and the out keyword, a
-        closure reads the names bound here faster than np.add and such, and
-        dgbmv takes positional arguments faster than keywords.
+        positional out faster than Python floats and the out keyword, and a
+        closure reads the names bound here faster than np.add and such.
 
-        A stage is one call: its force A2 m + G q and the law
-        f_tt = -theta^(1-3 gamma) (f/(3 gamma - 1) + A2 m + G q)
-        - (1 + 2 theta_t/theta) f_t are one dot of the stage's coefficient
-        triple with its row block [A2 m | f | f_t], plus G q from dgbmv
-        with alpha -theta^(1-3 gamma) added in place.  A step makes 5
-        Python-level calls (the march and its four stages) and 68 numpy
-        calls, 14 per stage and 12 outside (BENCH_stage_law.json)."""
-        n, g, s, Dh, G, A2 = self.n, self.gamma, self.s, self._Dh, self._G, self._A2
+        A stage is one call on its row [A2 m | f | f_t | f_tt | 1]: one CSR
+        row sum by P forms [1 + f | 1 + Dh f], a second adds G q to A2 m in
+        place, making the force, and the law f_tt = -theta^(1-3 gamma)
+        (f/(3 gamma - 1) + force) - (1 + 2 theta_t/theta) f_t is one dot of
+        the stage's coefficient triple with its block [force | f | f_t].  A
+        step makes 5 Python-level calls (the march and its four stages) and
+        64 numpy calls, 13 per stage and 12 outside (BENCH_csr_stage.json)."""
+        n, g, s, A2 = self.n, self.gamma, self.s, self._A2
+        (p_rows, p_cols, p_ptr, p_idx, p_val), (_, _, g_ptr, g_idx, g_val) = (
+            self._P, self._G_csr)
         one, one_minus_gamma, weights = (
             np.array(v) for v in (1.0, 1.0 - g, [1.0, 2.0, 2.0, 1.0]))
         for arr in (one, one_minus_gamma, weights):
@@ -336,27 +376,32 @@ class RadialSolver:
         # the CFL step cfl cell / c_s(theta), c_s = cs theta^cs_power the
         # center's sound speed
         cell, cs, cs_power = self.h, math.sqrt(g * self.constants.a_bar), fp / 2.0
-        # W holds [gp | gq | J] (see stage); stage i's row [A2 m, f, f_t,
-        # f_tt] holds its law's block in [:3n], its state in [n:3n] and its
-        # derivative k_i in [2n:].  Scratch that no returned array aliases
+        # W holds [gp | gq | J] (see stage); stage i's row [A2 m | f | f_t |
+        # f_tt | 1] holds its law's block in [:3n], its state in [n:3n] and
+        # its derivative k_i in [2n:4n].  Scratch that no returned array
+        # aliases
         W = np.empty(3 * n)
         gp, gq, jac = W.reshape(3, n)
         m_q = W[:2 * n]
-        rows = np.empty((4, 4, n))
-        K = rows.reshape(4, -1)[:, 2 * n:]
-        z1, z2, z3, z4 = rows.reshape(4, -1)[:, n:3 * n]
-        b1, b2, b3, b4 = rows[:, :3]
-        (m1, f1, v1, a1), (m2, f2, _, a2), (m3, f3, _, a3), (m4, f4, _, a4) = rows
+        rows = np.empty((4, 4 * n + 1))
+        rows[:, -1] = 1.0
+        r1, r2, r3, r4 = rows
+        K = rows[:, 2 * n:4 * n]
+        z1, z2, z3, z4 = rows[:, n:3 * n]
+        quads = rows[:, :4 * n].reshape(4, 4, n, copy=False)
+        b1, b2, b3, b4 = quads[:, :3]
+        (m1, f1, v1, a1), (m2, _, _, a2), (m3, _, _, a3), (m4, _, _, a4) = quads
         k1, k2, k3, _ = K
         # the array methods, unlike np.dot, call no Python dispatcher
-        argmin, wdot, cdot, gbmv, band = (
-            W.argmin, weights.dot, coef.dot, dgbmv, _BAND)
+        argmin, wdot, cdot, zero = W.argmin, weights.dot, coef.dot, m_q.fill
+        csr = csr_matvec
 
-        def stage(f, am=None, block=None, ftt=None, th=None, tht=None):
-            # gp = 1 + f, gq = 1 + (s f)' and J = gp^2 gq in W; without am,
-            # returns these views of W, valid until the next call
-            add(f, one, gp)
-            add(gbmv(n, n, band, band, 1.0, Dh, f), one, gq)
+        def stage(row, am=None, block=None, ftt=None, th=None, tht=None):
+            # gp = 1 + f, gq = 1 + (s f)' and J = gp^2 gq in W, from the f
+            # of the stage row; without am, returns these views of W, valid
+            # until the next call
+            zero(0.0)
+            csr(p_rows, p_cols, p_ptr, p_idx, p_val, row, m_q)
             multiply(gp, gp, jac)
             multiply(jac, gq, jac)
             # where gp > 0, gp^2 > 0 and so gq <= 0 exactly when J <= 0: one
@@ -373,27 +418,31 @@ class RadialSolver:
             # the force per kinetic weight A2 m + G q with u = J^(1-gamma),
             # m = 1 - u/gp and q = 1 - u/gq, formed in W as [m | q]; both
             # vanish exactly at f = 0, which a precomputed A2 + G 1 minus
-            # the rest would not.  A2 m goes to am
+            # the rest would not.  A2 m, then G q added, go to am
             power(jac, one_minus_gamma, jac)
             divide(jac, gp, gp)
             divide(jac, gq, gq)
             subtract(one, m_q, m_q)
             multiply(gp, A2, am)
-            # the law into ftt, the row block being [A2 m | f | f_t]; th and
-            # tht are floats
+            csr(n, n, g_ptr, g_idx, g_val, gq, am)
+            # the law into ftt, the row block being [force | f | f_t]; th
+            # and tht are floats
             thp = -th ** fp
             coef[:] = thp, thp / tc, -1.0 - 2.0 * tht / th
             cdot(block, ftt)
-            gbmv(n, n, band, band, thp, G, gq, 1, 0, 1.0, ftt, 1, 0, 0, 1)
+
+        def pq(f):
+            # gp, gq and J of the profile f, through the first stage's row
+            f1[:] = f
+            return stage(r1)
 
         def accel(f, ft, th, tht):
-            # the law's f_tt at (f, f_t, theta, theta_t) and the force A2 m +
-            # G q of the same stage, in fresh arrays
+            # the law's f_tt at (f, f_t, theta, theta_t) and the force of
+            # the same stage, in fresh arrays
             f1[:] = f
             v1[:] = ft
-            stage(f1, m1, b1, a1, th, tht)
-            return a1.copy(), gbmv(n, n, band, band, 1.0, G, gq, 1, 0, 1.0, m1,
-                                   1, 0, 0, 0)
+            stage(r1, m1, b1, a1, th, tht)
+            return a1.copy(), m1.copy()
 
         def march(z, th, tht, rest, cfl):
             # one RK4 step of z = [f | f_t] and of the floats theta, theta_t
@@ -407,7 +456,7 @@ class RadialSolver:
                      DAMPING_BOUND / damping if damping > 0.0 else math.inf,
                      rest)
             z1[:] = z
-            stage(f1, m1, b1, a1, th, tht)
+            stage(r1, m1, b1, a1, th, tht)
             tt1 = -tht + th ** tq / tc
             h = 0.5 * dt
             dts[()] = h
@@ -415,20 +464,20 @@ class RadialSolver:
             add(z2, z, z2)
             th2, tht2 = th + tht * h, tht + tt1 * h
             th2 = th2 if th2 > 0.0 else math.nan
-            stage(f2, m2, b2, a2, th2, tht2)
+            stage(r2, m2, b2, a2, th2, tht2)
             tt2 = -tht2 + th2 ** tq / tc
             multiply(k2, dts, z3)
             add(z3, z, z3)
             th3, tht3 = th + tht2 * h, tht + tt2 * h
             th3 = th3 if th3 > 0.0 else math.nan
-            stage(f3, m3, b3, a3, th3, tht3)
+            stage(r3, m3, b3, a3, th3, tht3)
             tt3 = -tht3 + th3 ** tq / tc
             dts[()] = dt
             multiply(k3, dts, z4)
             add(z4, z, z4)
             th4, tht4 = th + tht3 * dt, tht + tt3 * dt
             th4 = th4 if th4 > 0.0 else math.nan
-            stage(f4, m4, b4, a4, th4, tht4)
+            stage(r4, m4, b4, a4, th4, tht4)
             tt4 = -tht4 + th4 ** tq / tc
             # z + (dt/6) (k1 + 2 k2 + 2 k3 + k4); 2 k is exact, and the dot
             # sums left to right, ((k1 + 2 k2) + 2 k3) + k4, into one fresh
@@ -451,7 +500,7 @@ class RadialSolver:
                     f"1 + f nonpositive at node {idx} (value {z_new[idx]:.6g})")
             return z_new, th_new, tht_new, dt
 
-        self._pq, self._accel, self._march = stage, accel, march
+        self._pq, self._accel, self._march = pq, accel, march
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -467,10 +516,10 @@ class RadialSolver:
     # -- discrete energy and its gradient
 
     def _apply_Dh(self, x: np.ndarray) -> np.ndarray:
-        return dgbmv(self.n, self.n, _BAND, _BAND, 1.0, self._Dh, x)
+        return _apply(self._Dh_csr, x)
 
     def _apply_G(self, x: np.ndarray) -> np.ndarray:
-        return dgbmv(self.n, self.n, _BAND, _BAND, 1.0, self._G, x)
+        return _apply(self._G_csr, x)
 
     def internal_energy(self, f: np.ndarray) -> float:
         """sigma^(iota+1)-weighted integral of the bulk term (physical)."""
@@ -577,15 +626,14 @@ class RadialSolver:
         """One RK4 step of (f, f_t, theta, theta_t) by the march run takes,
         at cfl 1: z = [f | f_t] in the solver's scratch (one solver steps one
         state at a time), theta and theta_t co-stepped on floats.  Raises
-        ValueError for a nonpositive dt, for a theta too small for the law
-        (as make_state does), or for a dt above the CFL or damping bound
-        once the march has taken the bound instead (the result is
-        dropped), DegenerateProfileError from any stage or when 1 + f of the
-        result is nonpositive, and FloatingPointError when the result is
-        non-finite or theta nonpositive, or an entry above about 1e154
-        overflows the sum of squares that tests this (numpy warns)."""
-        if not dt > 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        ValueError for a dt not positive and finite, for a theta too small
+        for the law (as make_state does), or for a dt above the CFL or
+        damping bound once the march has taken the bound instead (the
+        result is dropped), DegenerateProfileError from any stage or when
+        1 + f of the result is nonpositive, and FloatingPointError when the
+        result is non-finite or theta nonpositive, or an entry above about
+        1e154 overflows the sum of squares that tests this (numpy warns)."""
+        check_positive("dt", dt)
         self._check_theta(state.theta)
         z, th, tht, taken = self._march(np.concatenate([state.f, state.f_t]),
                                         state.theta, state.theta_t, dt, 1.0)
@@ -920,8 +968,7 @@ def fit_growth(times, radii) -> GrowthFit:
         raise ValueError("need matching series with at least 3 samples")
     check_finite("times", t)
     check_finite("radii", r)
-    if not (r > 0.0).all():
-        raise ValueError("radii must be positive")
+    check_positive("radii", r)
     span = (1.0 + t.max()) / (1.0 + t.min())
     if span < 10.0:
         raise ValueError(

@@ -115,8 +115,8 @@ class LiuState:
     def __post_init__(self) -> None:
         for name in ("a", "b", "e"):
             check_finite(name, getattr(self, name))
-        if not (self.b > 0.0 and self.e > 0.0):
-            raise ValueError("b and e must be positive")
+        check_positive("b", self.b)
+        check_positive("e", self.e)
 
 
 @dataclass(frozen=True)

@@ -383,6 +383,30 @@ class TestSuites:
         assert payload["hardy_max_ratio"] <= 10.0
         assert len(payload["embedding"]) == 10
 
+    @pytest.mark.parametrize("check,nan_fields,gate,line", [
+        ("hardy_check", {"ratio": math.nan, "passed": False}, "hardy-random",
+         "max ratio nan"),
+        ("embedding_check", {"ratio": math.nan}, "embedding-oscillatory",
+         "max fractional/weighted ratio nan")])
+    def test_hardy_prints_a_nan_ratio(self, capsys, tmp_path, monkeypatch,
+                                      check, nan_fields, gate, line):
+        # one NaN ratio among finite ones fails the gate, and the printed
+        # maximum is that NaN, not the largest finite ratio
+        own, calls = getattr(norms, check), []
+
+        def nan_once(*args, **kwargs):
+            rep = own(*args, **kwargs)
+            calls.append(1)
+            return (dataclasses.replace(rep, **nan_fields) if len(calls) == 3
+                    else rep)
+
+        monkeypatch.setattr(norms, check, nan_once)
+        code, out, _ = run_cli(
+            ["hardy", "--gamma", "2", "--out", str(tmp_path)], capsys)
+        assert code != 0
+        failed = [ln for ln in out.splitlines() if f"FAIL {gate}" in ln]
+        assert len(failed) == 1 and line in failed[0], out
+
 
 class TestRadial:
     def test_light_run_passes_growth_gate(self, capsys, tmp_path):

@@ -336,6 +336,30 @@ NONNEGATIVE_REJECTIONS = {
        for a in (-1.0, math.inf)},
 }
 
+# Each positivity check is params.check_positive, worded "<name> must be
+# positive and finite, got <value>": a NaN or an infinity fails it as a
+# nonpositive value does, in a scalar or in any entry of an array.
+STEP_SOLVER = radial.RadialSolver(2.0, resolution=16)
+STEP_STATE = STEP_SOLVER.make_state(0.0, np.zeros(16), np.zeros(16))
+POSITIVE_REJECTIONS = {
+    "array entry": (lambda: params.check_positive("x", np.array([1.0, math.nan])),
+                    "x must be positive and finite"),
+    **{f"step dt {dt}": (lambda dt=dt: STEP_SOLVER.step(STEP_STATE, dt),
+                         "dt must be positive and finite")
+       for dt in (0.0, math.inf, math.nan)},
+    "fit_growth radii": (lambda: radial.fit_growth(
+        [0.0, 10.0, 100.0], [1.0, 0.0, 3.0]), "radii must be positive and finite"),
+    **{f"balance theta {th}": (
+        lambda th=th: norms.zeroth_energy_balance(
+            2.0, np.linspace(0.0, 1.0, 5), np.zeros(5), np.zeros(5),
+            np.array([1.0, 1.0, th, 1.0, 1.0]), np.zeros(5)),
+        "theta must be positive and finite") for th in (0.0, math.nan)},
+    "LiuState b": (lambda: theta.LiuState(a=0.1, b=-0.2, e=1.0),
+                   "b must be positive and finite"),
+    "LiuState e": (lambda: theta.LiuState(a=0.1, b=0.2, e=0.0),
+                   "e must be positive and finite"),
+}
+
 
 class TestRuleTables:
     @pytest.mark.parametrize("case", sorted(INTEGER_REJECTIONS))
@@ -358,6 +382,13 @@ class TestRuleTables:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", sorted(POSITIVE_REJECTIONS))
+    def test_positive_rule(self, case):
+        call, message = POSITIVE_REJECTIONS[case]
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value).startswith(f"{message}, got ")
 
     def test_jacobian_rule(self):
         folded = VectorField(RULE_GRID, -2.0 * RULE_GRID.y)

@@ -12,8 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.linalg.blas import dgbmv
 
 from vel import cli, norms
 from vel import radial as radial_module
@@ -196,6 +196,51 @@ class TestSolverSetup:
         close(solver._apply_G(v), (Dh.T @ (solver.w_u * v)) / solver.w_f)
 
     @pytest.mark.parametrize("n", [16, 256])
+    def test_csr_operators_hold_the_band(self, n):
+        # Dh, G and the stage operator P as CSR: each row's nonzero band
+        # entries in increasing column order, in read-only arrays; P maps a
+        # stage row [A2 m | f | f_t | f_tt | 1] to [1 + f | 1 + Dh f]
+        solver = RadialSolver(GAMMA, resolution=n)
+        Dh = radial_module._from_band(solver._Dh)
+        P = np.zeros((2 * n, 4 * n + 1))
+        P[:n, n:2 * n] = np.eye(n)
+        P[n:, n:2 * n] = Dh
+        P[:, -1] = 1.0
+        for op, want in ((solver._Dh_csr, Dh), (solver._P, P),
+                         (solver._G_csr, radial_module._from_band(solver._G))):
+            n_row, n_col, indptr, indices, data = op
+            assert (n_row, n_col) == want.shape
+            assert indptr[-1] == np.count_nonzero(want) and np.all(data != 0.0)
+            got = np.zeros_like(want)
+            for i in range(n_row):
+                cols = indices[indptr[i]:indptr[i + 1]]
+                assert np.all(np.diff(cols) > 0)
+                got[i, cols] = data[indptr[i]:indptr[i + 1]]
+            assert_array_equal(got, want)
+            assert not any(a.flags.writeable for a in (indptr, indices, data))
+        # the ones column comes last in each row, so 1 is added after the
+        # row sum, as _apply_Dh(f) + 1 adds it
+        f = poly_profile(solver, amplitude=2e-2)
+        gp, gq, _ = solver._pq(f)
+        assert_array_equal(gp, f + 1.0)
+        assert_array_equal(gq, solver._apply_Dh(f) + 1.0)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_csr_kernel_matches_public_product(self, n):
+        # the stage's kernel is scipy's private csr_matvec; a scipy that
+        # moves or changes it fails here against the public csr_array
+        # product on the solver's own operators
+        solver = RadialSolver(GAMMA, resolution=n)
+        rng = np.random.default_rng(n)
+        for op in (solver._P, solver._G_csr, solver._Dh_csr):
+            n_row, n_col, indptr, indices, data = op
+            x = rng.standard_normal(n_col)
+            want = scipy.sparse.csr_array((data, indices, indptr),
+                                          shape=(n_row, n_col)) @ x
+            got = radial_module._apply(op, x)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [16, 256])
     def test_memory_linear_in_cells(self, n):
         # no array grows faster than the band; the dense D is only made
         # on demand
@@ -204,26 +249,36 @@ class TestSolverSetup:
         sizes = {}
 
         def walk(names):
-            # the arrays the solver holds, and those its closures bind
+            # the arrays the solver holds, those of its CSR operators, and
+            # those its closures bind
             for name, val in names.items():
                 if isinstance(val, types.FunctionType) and name not in sizes:
                     sizes[name] = []
                     walk(closure_values(val))
+                elif isinstance(val, tuple):
+                    walk({f"{name}[{i}]": v for i, v in enumerate(val)})
                 elif isinstance(val, np.ndarray):
                     sizes[name] = [val.size]
 
         walk(vars(solver))
-        # the four stage rows [A2 m | f | f_t | f_tt] of 4n are held only as
-        # views: the (4, 2n) derivative block K, and per stage its law's
-        # block [A2 m | f | f_t], its state and its A2 m, f, f_t and f_tt
-        # views (f_t only in the first stage's, where _accel writes it);
-        # the force's scratch W = [gp | gq | J] is one array of 3n, with
-        # its [m | q] view
-        assert sizes["_G"] == sizes["G"] and sizes["K"] == [8 * n]
-        assert [sizes[f"{v}{i}"] for i in range(1, 5) for v in "bzmfa"] == \
-            [[3 * n], [2 * n], [n], [n], [n]] * 4 and sizes["v1"] == [n]
+        # the four stage rows [A2 m | f | f_t | f_tt | 1] of 4n + 1 are
+        # bound whole and as views: the (4, 2n) derivative block K, and per
+        # stage its law's block [A2 m | f | f_t], its state and its A2 m and
+        # f_tt views (f and f_t only in the first stage's, where _pq and
+        # _accel write them); the force's scratch W = [gp | gq | J] is one
+        # array of 3n, with its [m | q] view
+        assert sizes["K"] == [8 * n]
+        assert [sizes[f"{v}{i}"] for i in range(1, 5) for v in "rbzma"] == \
+            [[4 * n + 1], [3 * n], [2 * n], [n], [n]] * 4
+        assert sizes["f1"] == sizes["v1"] == [n]
         assert sizes["W"] == [3 * n] and sizes["m_q"] == [2 * n]
         assert [sizes[v] for v in ("gp", "gq", "jac")] == [[n]] * 3
+        # the stage binds the solver's CSR arrays; P holds Dh's nonzeros,
+        # the n ones of the identity and a 1 per row in the ones column
+        for op, bound in (("_P", "p"), ("_G_csr", "g")):
+            for i, part in enumerate(("ptr", "idx", "val"), 2):
+                assert sizes[f"{bound}_{part}"] == sizes[f"{op}[{i}]"]
+        assert sizes["_P[4]"] == [3 * n + sizes["_Dh_csr[4]"][0]]
         assert {"_pq", "_accel", "_march"} <= sizes.keys()
         assert "D" not in vars(solver)
         assert max(max(v, default=0) for v in sizes.values()) <= 11 * n, sizes
@@ -645,7 +700,8 @@ class TestOracle:
 
 def reference_force(solver, f):
     """The stage's pq and force with Python-float operands and a min()
-    scan: (A2 m, q) in fresh arrays."""
+    scan: (force, A2 m, q) in fresh arrays, the force A2 m with G q added
+    by the solver's CSR kernel, as the stage adds it."""
     gp = f + 1.0
     gq = solver._apply_Dh(f)
     gq += 1.0
@@ -655,28 +711,28 @@ def reference_force(solver, f):
         raise DegenerateProfileError("jacobian nonpositive")
     u = np.power(jac, 1.0 - solver.gamma, out=jac)
     q = 1.0 - u / gq
-    m = 1.0 - u / gp
-    m *= solver._A2
-    return m, q
+    am = 1.0 - u / gp
+    am *= solver._A2
+    force = am.copy()
+    radial_module.csr_matvec(*solver._G_csr, q, force)
+    return force, am, q
 
 
 def reference_rhs(solver, y, out):
     """The packed derivative of y = [f, f_t, theta, theta_t] with
     Python-float operands, through the stage's primitives: the dot of the
-    law's coefficient triple with a fresh [A2 m | f | f_t], then G q added
-    by dgbmv with alpha -theta^(1-3 gamma)."""
+    law's coefficient triple with a fresh [force | f | f_t]."""
     n, g = solver.n, solver.gamma
     f, ft = y[:n], y[n:2 * n]
     th, tht = y[-2:].tolist()
     if not th > 0.0:
         th = math.nan
     out[:n] = ft
-    am, q = reference_force(solver, f)
+    force, _, _ = reference_force(solver, f)
     thp = -th ** (1.0 - 3.0 * g)
-    acc = np.dot(np.array([thp, thp / (3.0 * g - 1.0), -1.0 - 2.0 * tht / th]),
-                 np.array([am, f, ft]))
-    band = radial_module._BAND
-    out[n:2 * n] = dgbmv(n, n, band, band, thp, solver._G, q, beta=1.0, y=acc)
+    out[n:2 * n] = np.dot(
+        np.array([thp, thp / (3.0 * g - 1.0), -1.0 - 2.0 * tht / th]),
+        np.array([force, f, ft]))
     out[-2] = tht
     out[-1] = theta_acceleration(g, th, tht)
 
@@ -757,15 +813,16 @@ def closure_values(fn):
 def hook_stages(monkeypatch, solver, stage):
     """Route every stage of the solver's march through
     stage(law, f, f_t, f_tt), by the cell of the march's closure that holds
-    its stage: f, f_t and f_tt are the views of the stage's row, and law()
-    runs the stage's own force and law; a stage that does not call it never
-    looks at the profile.  Theta is stepped by its law either way."""
+    its stage: f, f_t and f_tt are the views of the stage's row [A2 m | f |
+    f_t | f_tt | 1], and law() runs the stage's own force and law; a stage
+    that does not call it never looks at the profile.  Theta is stepped by
+    its law either way."""
     cells = dict(zip(solver._march.__code__.co_freevars,
                      solver._march.__closure__))
     own = cells["stage"].cell_contents
 
-    def hooked(f, am, block, ftt, th, tht):
-        stage(lambda: own(f, am, block, ftt, th, tht), f, block[2], ftt)
+    def hooked(row, am, block, ftt, th, tht):
+        stage(lambda: own(row, am, block, ftt, th, tht), block[1], block[2], ftt)
 
     monkeypatch.setattr(cells["stage"], "cell_contents", hooked)
 
@@ -980,9 +1037,7 @@ class TestReferenceStep:
 def unfused_law(solver, f, ft, th, tht):
     """The radial law as a chain of ufuncs: the force A2 m + G q, then
     -theta^(1-3 gamma) (f/(3 gamma - 1) + force) - (1 + 2 theta_t/theta) f_t."""
-    am, q = reference_force(solver, f)
-    force = solver._apply_G(q)
-    force += am
+    force, _, _ = reference_force(solver, f)
     acc = f / (3.0 * solver.gamma - 1.0)
     acc += force
     acc *= -th ** (1.0 - 3.0 * solver.gamma)
@@ -997,10 +1052,10 @@ def assert_law_close(solver, got, f, ft, th, tht):
     band sums that cancel to f_tt, up to 1.4e5 times max |f_tt| at 256
     cells, so two orders of the same sum differ by far more than 1e-14 of
     max |f_tt| but by well under an ulp of the terms."""
-    am, q = reference_force(solver, f)
+    _, am, q = reference_force(solver, f)
     g = solver.gamma
-    band = radial_module._BAND
-    Gq = dgbmv(solver.n, solver.n, band, band, 1.0, np.abs(solver._G), np.abs(q))
+    *shape, indptr, indices, data = solver._G_csr
+    Gq = radial_module._apply((*shape, indptr, indices, np.abs(data)), np.abs(q))
     terms = (th ** (1.0 - 3.0 * g) * (np.abs(f) / (3.0 * g - 1.0) + np.abs(am) + Gq)
              + abs(1.0 + 2.0 * tht / th) * np.abs(ft))
     want = unfused_law(solver, f, ft, th, tht)
@@ -1008,8 +1063,9 @@ def assert_law_close(solver, got, f, ft, th, tht):
 
 
 class TestStageLaw:
-    """The stage's law, one dot of the coefficient triple with [A2 m | f |
-    f_t] and G q added by dgbmv, against the ufunc chain."""
+    """The stage's law, one dot of the coefficient triple with [force | f |
+    f_t], the force A2 m with G q added by the CSR kernel, against the ufunc
+    chain."""
 
     @staticmethod
     def state(solver, late):
