@@ -329,9 +329,8 @@ class RadialSolver:
         self.w_f = self.w_kin * self.s**2
         Dh *= self.s
         self._A2 = 2.0 * self.w_u / self.w_f
-        self._Dh = np.asfortranarray(Dh)
-        self._G = np.asfortranarray(
-            _band_T(Dh) * self.w_u / self.w_f[rows.clip(0, n - 1)])
+        self._Dh = Dh
+        self._G = _band_T(Dh) * self.w_u / self.w_f[rows.clip(0, n - 1)]
         for arr in (self.s, self.sigma, self.w_u, self.w_kin, self.w_f,
                     self._A2, self._Dh, self._G):
             arr.setflags(write=False)

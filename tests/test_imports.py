@@ -75,17 +75,22 @@ def test_only_the_cli_writes_artifacts(path):
     assert _writes_or_serializes(path) == []
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only vel hardy integrates with quad; every other command would pay
-    # scipy.integrate's import time and memory for nothing
+def _loads(module, other):
+    """Whether a fresh process that imports module has other loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, vel.cli; print('scipy.integrate' in sys.modules)"],
+         f"import sys, {module}; print({other!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only vel hardy integrates with quad; every other command would pay
+    # scipy.integrate's import time and memory for nothing
+    assert not _loads("vel.cli", "scipy.integrate")
 
 
 def _scipy_imports(source):
@@ -134,14 +139,7 @@ def test_no_module_imports_scipy_linalg(path):
 def test_radial_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg.blas costs a fresh process about 50 ms to import, which
     # the CSR kernel of the radial stage does not need
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, vel.radial; print('scipy.linalg' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert not _loads("vel.radial", "scipy.linalg")
 
 
 def _einsum_path_searches(path):

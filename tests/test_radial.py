@@ -1036,8 +1036,12 @@ class TestReferenceStep:
 
 def unfused_law(solver, f, ft, th, tht):
     """The radial law as a chain of ufuncs: the force A2 m + G q, then
-    -theta^(1-3 gamma) (f/(3 gamma - 1) + force) - (1 + 2 theta_t/theta) f_t."""
-    force, _, _ = reference_force(solver, f)
+    -theta^(1-3 gamma) (f/(3 gamma - 1) + force) - (1 + 2 theta_t/theta) f_t.
+    G q is summed from zero and then added to A2 m, unlike the stage, which
+    sums G q onto A2 m."""
+    _, am, q = reference_force(solver, f)
+    force = solver._apply_G(q)
+    force += am
     acc = f / (3.0 * solver.gamma - 1.0)
     acc += force
     acc *= -th ** (1.0 - 3.0 * solver.gamma)
